@@ -314,7 +314,13 @@ func legacyWarmRun(m *sim.Machine, s trace.Stream, n uint64) {
 		m.Step(r)
 	}
 	m.ResetStats()
-	m.Run(s)
+	for {
+		r, ok := s.Next()
+		if !ok {
+			return
+		}
+		m.Step(r)
+	}
 }
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }

@@ -7,13 +7,13 @@
 //	wbexp -exp fig6 -plot      # with a stacked-bar rendition
 //	wbexp -all -n 2000000      # everything, 2M instructions per run
 //
-// Sweeps can run on a pool of remote workers and/or journal their
-// progress for resumption (see docs/DISTRIBUTED.md):
+// Sweeps can run on a pool of remote workers and/or keep their results in
+// the shared result store, which is also how a killed sweep resumes (see
+// docs/DISTRIBUTED.md):
 //
 //	wbexp -exp fig5 -workers host1:8101,host2:8101   # shard across wbserve -worker processes
-//	wbexp -all -checkpoint sweep.jsonl               # kill it, rerun it, it resumes
+//	wbexp -all -store /var/lib/wb/results            # kill it, rerun it, it resumes; wbserve/wbopt share the results
 //	wbexp -all -workers host1:8101 -verify 0.05      # spot-check 5% of remote results locally
-//	wbexp -all -store /var/lib/wb/results            # share paid-for results with wbserve/wbopt
 //
 // Beyond the registered paper items, -config sweeps caller-supplied
 // machines: each entry — a machconf JSON file (wbsim -dump-config writes
@@ -60,12 +60,14 @@ func main() {
 		svg        = flag.String("svg", "", "directory to write one SVG figure per configuration column")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line on stderr")
 		workersCSV = flag.String("workers", "", "comma-separated wbserve -worker addresses to dispatch sweep jobs to")
-		checkpoint = flag.String("checkpoint", "", "JSONL journal path; completed jobs are skipped when the sweep reruns")
 		storeDir   = flag.String("store", "", "shared content-addressed result-store directory (same as wbserve/wbopt -store); jobs any process already paid for are never re-simulated")
 		verify     = flag.Float64("verify", 0, "fraction (0..1] of remote jobs to re-execute locally; any divergence aborts the sweep")
 		configCSV  = flag.String("config", "", "comma-separated machconf JSON files; sweeps them as one custom experiment")
 		dumpConfig = flag.Bool("dump-config", false, "print the baseline machine's canonical machconf JSON and exit")
 	)
+	// -checkpoint predates the shared store; a killed sweep now resumes by
+	// rerunning it over the same store, so the old flag names it.
+	flag.StringVar(storeDir, "checkpoint", "", "alias for -store")
 	flag.Parse()
 	if *svg != "" {
 		if err := os.MkdirAll(*svg, 0o755); err != nil {
@@ -76,7 +78,6 @@ func main() {
 
 	backend, closeBackend, err := dispatch.BuildBackendOpts(dispatch.BuildOptions{
 		Workers:        *workersCSV,
-		Checkpoint:     *checkpoint,
 		Store:          *storeDir,
 		VerifyFraction: *verify,
 		Logf:           func(format string, args ...any) { fmt.Fprintf(os.Stderr, "wbexp: "+format+"\n", args...) },

@@ -474,7 +474,8 @@ func resolveBench(name string) (workload.Benchmark, bool) {
 // is in hand and the memory tier serves it for this process's lifetime —
 // but gets NO done marker: the journal's documented invariant is "done =
 // the result is durably in the store", and replay re-runs the job once the
-// disk recovers.
+// disk recovers.  Such a job, like a failed one, is released from the
+// queue's in-flight set so a resubmission can retry it.
 func (s *server) dispatchLoop(ctx context.Context) {
 	defer s.wg.Done()
 	dispatched := s.reg.Counter("wbserve_dispatched_jobs_total")
@@ -493,6 +494,9 @@ func (s *server) dispatchLoop(ctx context.Context) {
 			m, err = s.backend.Run(ctx, dispatch.Job{Bench: job.Bench, Label: job.Label, Cfg: cfg, N: job.N})
 		}
 		stored := err == nil
+		if !stored {
+			s.queue.Release(job.Key)
+		}
 		if errors.Is(err, dispatch.ErrResultNotStored) {
 			unstored.Inc()
 			s.logf("wbserve: job %s executed but was not durably stored (no done marker; it re-runs after a restart): %v", job.Key, err)

@@ -7,7 +7,7 @@
 // It demonstrates two extension points together: core.RetirementPolicy
 // (any type with a NextStart method plugs into the machine) and the
 // machconf policy registry (registering a codec makes the policy
-// wire-encodable, so it can journal into checkpoints, travel to
+// wire-encodable, so it can key the result store, travel to
 // wbserve -worker processes, and be requested through wbserve's /run
 // config blob — see docs/DISTRIBUTED.md).
 //

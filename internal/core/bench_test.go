@@ -42,6 +42,9 @@ func BenchmarkWriteCacheStore(b *testing.B) {
 	wc := NewWriteCache(Config{Depth: 8, WordsPerEntry: 4, Geometry: mem.DefaultGeometry})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wc.Store(mem.Addr(i%32)*mem.LineBytes, uint64(i))
+		if wc.Store(mem.Addr(i%32)*mem.LineBytes, uint64(i)) == StoreAllocated {
+			wc.BeginRetire()
+			wc.CompleteRetire()
+		}
 	}
 }

@@ -242,18 +242,6 @@ func (b *Buffer) Store(addr mem.Addr, cycle uint64) StoreResult {
 	return StoreAllocated
 }
 
-// Insert appends a pre-formed entry at the FIFO tail — the write-cache
-// victim path, where a whole evicted block enters the (victim) buffer at
-// once.  It panics when full; callers must check IsFull first.
-func (b *Buffer) Insert(e Entry) {
-	if b.n == b.cfg.Depth {
-		panic("core: Insert into a full buffer")
-	}
-	b.buf[b.slot(b.n)] = e
-	b.n++
-	b.stats.Allocations++
-}
-
 // Probe checks whether an L1 load miss to addr hits in the buffer — the
 // load-hazard detection of Section 2.2.  A hazard occurs when the *block*
 // is active, even if the needed word is not valid (the L2 copy is stale

@@ -175,6 +175,9 @@ func (f *FTL) Capacity() int { return f.cfg.Depth }
 // Occupancy implements BufferOrg.
 func (f *FTL) Occupancy() int { return f.n }
 
+// Held implements BufferOrg: a store observes every entry.
+func (f *FTL) Held() int { return f.n }
+
 // Retiring implements BufferOrg.
 func (f *FTL) Retiring() bool { return f.retiring }
 

@@ -2,15 +2,28 @@ package core
 
 import "repro/internal/mem"
 
-// BufferOrg is a write-buffer organization: the structure behind the store
+// BufferOrg is a write-stage organization: the structure behind the store
 // port that absorbs stores, answers load probes, selects retirement
 // victims, and surrenders entries to hazard flushes and barrier drains.
 // The paper's single coalescing FIFO (Buffer) is one organization; the
-// FTL-style multi-buffer structure (FTL) is another.  All *timing* —
-// when retirements start, how long the L2 port is busy, what a stall
-// costs — stays in internal/sim, which drives an organization through
-// exactly these methods, so a new organization changes which entries move
-// when, never how cycles are charged.
+// FTL-style multi-buffer structure (FTL) and Jouppi's write cache
+// (WriteCache) are others.  All *timing* — when retirements start, how
+// long the L2 port is busy, what a stall costs — stays in internal/sim,
+// which drives an organization through exactly these methods, so a new
+// organization changes which entries move when, never how cycles are
+// charged.
+//
+// Occupancy contract: an organization reports two occupancies.  Held is
+// what an arriving store observes (it indexes the simulator's occupancy
+// histogram); Occupancy is what the retirement engine can drain.  The
+// FIFO and FTL return the same value for both.  A write cache holds lines
+// that leave only by eviction, so its Held counts those lines while its
+// Occupancy counts only the victim slot evictions pass through.
+//
+// Store contract: StoreAllocated means the state the retirement engine
+// sees changed (the simulator restarts its retirement clock); StoreMerged
+// means it did not; StoreBlocked means nothing changed and the store must
+// wait for a retirement to complete.
 //
 // Index contract: Probe and Find return an opaque entry index that the
 // simulator hands back unchanged to FlushThroughInto (flush everything the
@@ -20,11 +33,14 @@ import "repro/internal/mem"
 // in-flight retirement invalidates them too — the simulator re-Finds after
 // CompleteRetire, exactly as it always has for the FIFO.
 type BufferOrg interface {
-	// Capacity is the total number of entries the organization can hold.
+	// Capacity is the total number of entries the organization can hold,
+	// and so the most a FlushAllInto can return.
 	Capacity() int
-	// Occupancy returns the number of valid entries, including one
-	// mid-retirement.
+	// Occupancy returns the number of entries the retirement engine can
+	// drain, including one mid-retirement.
 	Occupancy() int
+	// Held returns the number of entries an arriving store observes.
+	Held() int
 	// Retiring reports whether a retirement is currently in flight.
 	Retiring() bool
 	// HeadAllocCycle returns the AllocCycle of the entry BeginRetire would
@@ -32,7 +48,8 @@ type BufferOrg interface {
 	// panics when empty; the simulator always checks Occupancy first.
 	HeadAllocCycle() uint64
 	// Store applies a store at the given cycle: merge, allocate, or report
-	// StoreBlocked so the simulator can charge a buffer-full stall.
+	// StoreBlocked so the simulator can charge a buffer-full stall (see the
+	// store contract above).
 	Store(addr mem.Addr, cycle uint64) StoreResult
 	// Probe checks an L1 load miss for a hazard: whether addr's block is
 	// active, and whether the addressed word itself is provably valid (only
@@ -105,6 +122,9 @@ type OrgMetrics interface {
 
 // Capacity implements BufferOrg.
 func (b *Buffer) Capacity() int { return b.cfg.Depth }
+
+// Held implements BufferOrg: a store observes every FIFO entry.
+func (b *Buffer) Held() int { return b.n }
 
 // HeadAllocCycle implements BufferOrg: the FIFO's victim is its head.
 func (b *Buffer) HeadAllocCycle() uint64 { return b.Head().AllocCycle }

@@ -22,19 +22,19 @@ var ErrResultNotStored = errors.New("result not durably stored")
 
 // Cached wraps any Backend with the platform's shared content-addressed
 // result store (internal/resultstore).  Before a job reaches the inner
-// backend — local execution, a remote pool, a checkpoint journal — the
-// store is consulted under the canonical `bench|n|machconf-hash` key; a
+// backend — local execution or a remote pool — the store is consulted under the canonical `bench|n|machconf-hash` key; a
 // hit returns the stored measurement without simulating anything, and a
 // miss simulates once and persists the result for every future process,
 // tenant, and CLI that asks for the same machine.
 //
-// The checkpoint journal answers "resume this sweep"; the store answers
-// "never pay for the same simulation twice, anywhere".  Stacked as
-// Cached(Checkpointed(Remote)) — the shape BuildBackendOpts builds — the
+// The store answers both "never pay for the same simulation twice,
+// anywhere" and "resume this sweep": rerunning a killed sweep over the
+// same store simulates only the jobs it had not finished.  Stacked as
+// Cached(Remote) — the shape BuildBackendOpts builds with workers — the
 // store is the outermost, cross-process tier.
 //
-// Stored payloads are label-stripped (the label is presentation, exactly
-// as the checkpoint journal treats it) and re-labelled per request, so
+// Stored payloads are label-stripped (the label is presentation) and
+// re-labelled per request, so
 // sweeps that name their columns differently still share entries.  Jobs
 // whose configuration has no canonical machconf encoding (an unregistered
 // custom policy) pass through uncached.

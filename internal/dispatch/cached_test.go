@@ -178,28 +178,34 @@ func TestBuildBackendWithStore(t *testing.T) {
 	}
 }
 
-// Store + checkpoint compose: the checkpoint journal records only jobs
-// the store did not already answer.
-func TestBuildBackendStoreOverCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	reg := metrics.NewRegistry()
-	backend, cleanup, err := BuildBackendOpts(BuildOptions{
-		Store:      dir,
-		Checkpoint: dir + "/ckpt.jsonl",
-		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
+// A configuration with no canonical encoding has no store key; it must
+// pass through to the inner backend unstored rather than failing.
+func TestCachedUnkeyablePassthrough(t *testing.T) {
+	counting := &execCounting{inner: &Local{}}
+	cached := NewCached(counting, openStore(t, t.TempDir(), nil), nil)
+	job := Job{Bench: "li", Cfg: sim.Baseline().WithRetire(customPolicy{}), N: 1000}
+	for i := 0; i < 2; i++ {
+		if _, err := cached.Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
 	}
-	job := Job{Bench: "li", Cfg: sim.Baseline(), N: 50_000}
-	if _, err := backend.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
+	if n := counting.runs.Load(); n != 2 {
+		t.Errorf("unkeyable job executed %d times, want 2 (never stored)", n)
 	}
-	if _, err := backend.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
+}
+
+// hinted is a backend with a dispatch-parallelism hint.
+type hinted struct{ Local }
+
+func (hinted) Concurrency() int { return 7 }
+
+// Concurrency must forward the inner backend's hint when it has one.
+func TestCachedForwardsConcurrency(t *testing.T) {
+	store := openStore(t, t.TempDir(), nil)
+	if got := NewCached(&Local{}, store, nil).Concurrency(); got != 0 {
+		t.Errorf("Concurrency() over a hint-less backend = %d, want 0", got)
 	}
-	cleanup()
-	if n := reg.Counter("dispatch_checkpoint_appends_total").Value(); n != 1 {
-		t.Errorf("checkpoint appends = %d, want 1 (store should absorb the repeat)", n)
+	if got := NewCached(&hinted{}, store, nil).Concurrency(); got != 7 {
+		t.Errorf("Concurrency() over a hinted backend = %d, want 7", got)
 	}
 }

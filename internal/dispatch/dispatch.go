@@ -19,13 +19,14 @@
 //     per-job timeouts, bounded retries under exponential backoff with
 //     jitter, and quarantine plus background re-probing of workers that
 //     fail repeatedly.
-//   - Checkpointed wraps any backend with a JSONL journal keyed on the
-//     canonical (configuration, benchmark, n) hash, so a killed sweep
-//     resumes where it stopped.
+//   - Cached wraps any backend with the shared content-addressed result
+//     store (internal/resultstore), so a job any process already paid for
+//     is never simulated again and a killed sweep resumes where it
+//     stopped.
 //
 // The experiment harness threads a Backend through
 // experiment.Options.Backend; cmd/wbexp exposes the remote and
-// checkpointed backends as the -workers and -checkpoint flags.  See
+// store-backed backends as the -workers and -store flags.  See
 // docs/DISTRIBUTED.md for the operator guide.
 package dispatch
 
@@ -50,7 +51,7 @@ type Job struct {
 	// Bench is the benchmark name (workload.ByName).
 	Bench string
 	// Label is the configuration's display label, carried through to the
-	// Measurement; it does not affect execution or checkpoint identity.
+	// Measurement; it does not affect execution or result-store identity.
 	Label string
 	// Cfg is the complete machine configuration.
 	Cfg sim.Config
@@ -62,7 +63,7 @@ type Job struct {
 // configuration) data point.  experiment.Measurement aliases this type, so
 // the harness and the backends share it.  Every field is a scalar or a
 // fixed-size array and survives a JSON round trip bit-exactly, which the
-// remote backend and the checkpoint journal depend on.
+// remote backend and the result store depend on.
 type Measurement struct {
 	Bench string
 	Label string

@@ -96,7 +96,7 @@ func TestJobKey(t *testing.T) {
 	relabeled := base
 	relabeled.Label = "completely different"
 	if k2, _ := relabeled.Key(); k2 != k1 {
-		t.Error("label changed the key; checkpoints would miss across renamed sweeps")
+		t.Error("label changed the key; renamed sweeps would miss their stored results")
 	}
 	for name, mutate := range map[string]func(*Job){
 		"bench": func(j *Job) { j.Bench = "compress" },

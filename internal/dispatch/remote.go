@@ -412,8 +412,8 @@ func (r *Remote) maybeVerify(ctx context.Context, job Job, got Measurement) erro
 // answer is marked good, a worker whose attempt failed is marked bad, and
 // an attempt abandoned because the race was already won counts neither
 // way.  Exactly one measurement is returned no matter how many requests
-// were in flight, so checkpoints and the dispatched/failed counters never
-// double-count a job.
+// were in flight, so the result store and the dispatched/failed counters
+// never double-count a job.
 func (r *Remote) attempt(ctx context.Context, w *remoteWorker, body []byte, cfgHash string) (Measurement, error) {
 	delay, hedge := r.hedgeDelay()
 	if !hedge {

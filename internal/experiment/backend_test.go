@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,6 +14,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/machconf"
+	"repro/internal/metrics"
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -186,47 +187,63 @@ func (c *countingLocal) count() int {
 	return c.runs
 }
 
-// Kill a checkpointed sweep midway (the backend starts failing), rerun it
-// against the same journal: the rerun executes only the jobs the first
-// run did not journal, and the final matrix matches a pure local run.
+// openStore opens the result store rooted at dir, as a fresh process
+// would, counting its writes in reg (which may be nil).
+func openStore(t *testing.T, dir string, reg *metrics.Registry) *resultstore.Store {
+	t.Helper()
+	st, err := resultstore.Open(dir, resultstore.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// storedJobs counts the results on the store's disk tier.
+func storedJobs(st *resultstore.Store) int {
+	n, _, _ := st.Stats()
+	return n
+}
+
+// Kill a store-backed sweep midway (the backend starts failing), rerun it
+// over the same store: the rerun executes only the jobs the first run did
+// not store, records each of them once, and the final matrix matches a
+// pure local run.
 func TestMatrixCheckpointResume(t *testing.T) {
 	benches, specs := paritySuite(t)
 	const n = 30_000
 	total := len(benches) * len(specs)
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	dir := t.TempDir()
 
 	// First run: the inner backend dies after 2 jobs; the sweep must fail.
 	inner1 := &countingLocal{failAfter: 2}
-	ck1, err := dispatch.NewCheckpointed(inner1, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunMatrixCtx(context.Background(), benches, specs,
-		Options{Instructions: n, Backend: ck1})
-	ck1.Close()
+	_, err := RunMatrixCtx(context.Background(), benches, specs,
+		Options{Instructions: n, Backend: dispatch.NewCached(inner1, openStore(t, dir, nil), nil)})
 	if err == nil {
 		t.Fatal("sweep succeeded despite a failing backend")
 	}
 
-	// Resumed run over the same journal with a healthy backend.
+	// Resumed run over the same store with a healthy backend.
+	reg := metrics.NewRegistry()
+	st := openStore(t, dir, reg)
+	stored := storedJobs(st)
+	if stored == 0 || stored >= total {
+		t.Fatalf("first run stored %d of %d jobs; expected a partial sweep", stored, total)
+	}
 	inner2 := &countingLocal{}
-	ck2, err := dispatch.NewCheckpointed(inner2, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	journaled, _ := ck2.Loaded()
-	if journaled == 0 || journaled >= total {
-		t.Fatalf("first run journaled %d of %d jobs; expected a partial sweep", journaled, total)
-	}
 	resumed, err := RunMatrixCtx(context.Background(), benches, specs,
-		Options{Instructions: n, Backend: ck2})
+		Options{Instructions: n, Backend: dispatch.NewCached(inner2, st, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := inner2.count(), total-journaled; got != want {
-		t.Errorf("resumed run executed %d jobs, want %d (journal already held %d)",
-			got, want, journaled)
+	if got, want := inner2.count(), total-stored; got != want {
+		t.Errorf("resumed run executed %d jobs, want %d (store already held %d)",
+			got, want, stored)
+	}
+	if got, want := reg.Counter("resultstore_writes_total").Value(), uint64(total-stored); got != want {
+		t.Errorf("resumed run wrote %d results, want %d (one per missing job)", got, want)
+	}
+	if got := storedJobs(st); got != total {
+		t.Errorf("store holds %d results after the resume, want %d", got, total)
 	}
 	if local := RunMatrix(benches, specs, n); !reflect.DeepEqual(local, resumed) {
 		t.Errorf("resumed matrix differs from a pure local run:\nlocal   %+v\nresumed %+v", local, resumed)

@@ -17,8 +17,9 @@
 // Execution is pluggable.  Matrix jobs are fully independent and
 // deterministic, so Options.Backend can swap the in-process runner for
 // any internal/dispatch backend: a dispatch.Remote shards the sweep
-// across `wbserve -worker` processes, and a dispatch.Checkpointed
-// journals completed jobs so a killed sweep resumes where it stopped.
+// across `wbserve -worker` processes, and a dispatch.Cached over the
+// result store keeps completed jobs so a killed sweep resumes where it
+// stopped.
 // The default (nil) backend runs every job in this process, unchanged.
 // docs/DISTRIBUTED.md is the operator guide for the distributed path.
 //
@@ -64,9 +65,9 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Backend, when non-nil, executes matrix jobs through
 	// internal/dispatch instead of in-process: dispatch.Remote shards a
-	// sweep across wbserve workers, dispatch.Checkpointed journals
-	// completed jobs for resumption, and dispatch.Local reproduces the
-	// default path explicitly.  nil keeps today's behaviour exactly.
+	// sweep across wbserve workers, dispatch.Cached stores completed
+	// jobs for resumption, and dispatch.Local reproduces the default path
+	// explicitly.  nil keeps today's behaviour exactly.
 	// Benchmarks handed to a matrix run must be name-resolvable
 	// (workload.ByName) for a distributed backend, since jobs travel by
 	// benchmark name; every registered experiment satisfies this.
@@ -126,7 +127,7 @@ func (s ConfigSpec) Canonical() ([]byte, error) {
 }
 
 // Hash returns the machine's canonical machconf content address, the
-// identity the checkpoint journal and the wbserve result cache key on.
+// identity the result store and the wbserve result cache key on.
 func (s ConfigSpec) Hash() (string, error) {
 	return machconf.Hash(s.Cfg)
 }
@@ -184,7 +185,7 @@ func (e *BackendError) Unwrap() error { return e.Err }
 // cores).  With o.Backend nil every job executes in-process, exactly the
 // historical behaviour, and the only error source is ctx cancellation.
 // The first job failure cancels the remaining jobs and is returned; the
-// partial matrix is discarded (a checkpointing backend preserves the
+// partial matrix is discarded (a store-backed dispatch.Cached keeps the
 // completed jobs for the rerun).
 func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []ConfigSpec, o Options) ([][]Measurement, error) {
 	n := o.instructions()

@@ -8,12 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/metrics"
+	"repro/internal/resultstore"
 )
 
 // Satellite of the reproducibility story: a fixed (space, seed, budget,
 // suite, n) must render byte-identical canonical result JSON on every run
-// and on every backend.  The checkpoint journal, the acceptance criterion,
-// and wbopt's -out artifact all key on this.
+// and on every backend.  Resuming from the result store, the acceptance
+// criterion, and wbopt's -out artifact all key on this.
 
 func detSpace() *Space {
 	return &Space{
@@ -82,33 +84,40 @@ func TestLocalWorkerByteParity(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume journals a guided search, then reruns it against the
-// journal: every simulation replays, none run, and the artifact is
-// byte-identical.
+// storeBackend is a fresh process's view of the result store at dir:
+// local execution behind the store, with its dispatch counters in the
+// returned registry.
+func storeBackend(t *testing.T, dir string) (dispatch.Backend, *metrics.Registry) {
+	t.Helper()
+	st, err := resultstore.Open(dir, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	return dispatch.NewCached(&dispatch.Local{}, st, reg), reg
+}
+
+// TestCheckpointResume runs a guided search over a result store, then
+// reruns it over the same store: every simulation is answered by the
+// store, none run, and the artifact is byte-identical.
 func TestCheckpointResume(t *testing.T) {
-	path := t.TempDir() + "/opt.jsonl"
+	dir := t.TempDir()
 	env := smallEnv(42)
 	env.Budget = 8
 
-	ck1, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Backend = ck1
+	env.Backend, _ = storeBackend(t, dir)
 	first := canonical(t, Guided{}, env)
-	ck1.Close()
 
-	ck2, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if loaded, _ := ck2.Loaded(); loaded == 0 {
-		t.Fatal("journal empty on resume")
-	}
-	env.Backend = ck2
+	var reg *metrics.Registry
+	env.Backend, reg = storeBackend(t, dir)
 	second := canonical(t, Guided{}, env)
 
+	if n := reg.Counter("dispatch_store_misses_total").Value(); n != 0 {
+		t.Fatalf("resumed search simulated %d jobs, want 0", n)
+	}
+	if reg.Counter("dispatch_store_hits_total").Value() == 0 {
+		t.Fatal("resumed search never consulted the store")
+	}
 	if !bytes.Equal(first, second) {
 		t.Fatal("resumed search differs from the original")
 	}

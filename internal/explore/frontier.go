@@ -97,8 +97,8 @@ type BenchFrontier struct {
 // Result is a finished search: what was searched, what it cost, every
 // full-fidelity evaluation ranked best-first, and the frontiers.  Its
 // canonical JSON rendering is byte-reproducible for a fixed (space, seed,
-// budget, suite, n) — the determinism test and the checkpoint story rest
-// on that, so nothing wall-clock-dependent lives here (wall-clock
+// budget, suite, n) — the determinism test and resuming from the result
+// store rest on that, so nothing wall-clock-dependent lives here (wall-clock
 // throughput is reported separately by cmd/wbopt -stats-out).
 type Result struct {
 	Strategy  string   `json:"strategy"`

@@ -182,8 +182,9 @@ func TestFTLSameSeedByteIdentical(t *testing.T) {
 }
 
 // TestFTLWorkerParityAndResume: ftl configurations travel the full
-// distributed stack — a real worker HTTP surface and a checkpoint journal
-// both reproduce the in-process artifact byte for byte.
+// distributed stack — a real worker HTTP surface and a result store
+// resumed by a second run both reproduce the in-process artifact byte for
+// byte.
 func TestFTLWorkerParityAndResume(t *testing.T) {
 	env := smallEnv(42)
 	env.Budget = 8
@@ -213,25 +214,17 @@ func TestFTLWorkerParityAndResume(t *testing.T) {
 		t.Fatal("ftl search differs between local and worker execution")
 	}
 
-	path := t.TempDir() + "/opt.jsonl"
-	ck1, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := search(ck1)
-	ck1.Close()
+	dir := t.TempDir()
+	stored, _ := storeBackend(t, dir)
+	first := search(stored)
 	if !bytes.Equal(local, first) {
-		t.Fatal("journaled ftl search differs from in-process")
+		t.Fatal("store-backed ftl search differs from in-process")
 	}
-	ck2, err := dispatch.NewCheckpointed(&dispatch.Local{}, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if loaded, _ := ck2.Loaded(); loaded == 0 {
-		t.Fatal("journal empty on resume")
-	}
-	if second := search(ck2); !bytes.Equal(first, second) {
+	resumed, reg := storeBackend(t, dir)
+	if second := search(resumed); !bytes.Equal(first, second) {
 		t.Fatal("resumed ftl search differs from the original")
+	}
+	if n := reg.Counter("dispatch_store_misses_total").Value(); n != 0 {
+		t.Fatalf("resumed ftl search simulated %d jobs, want 0", n)
 	}
 }

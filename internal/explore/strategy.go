@@ -36,9 +36,9 @@ type Env struct {
 	Seed uint64
 	// Backend, Metrics, and Progress are threaded through
 	// experiment.RunMatrixCtx unchanged: nil Backend runs in-process,
-	// a dispatch.Remote fans out to wbserve workers, a
-	// dispatch.Checkpointed journals completed runs keyed on the
-	// machconf hash.
+	// a dispatch.Remote fans out to wbserve workers, a dispatch.Cached
+	// keeps completed runs in the result store keyed on the machconf
+	// hash.
 	Backend  dispatch.Backend
 	Metrics  *metrics.Registry
 	Progress func(experiment.ProgressEvent)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -186,8 +186,8 @@ func TestChaosFullPartitionDowngrades(t *testing.T) {
 // TestChaosHedgingCutsStragglers runs a slow-worker scenario with hedging
 // enabled: straggling attempts must be beaten by hedges (visible in the
 // dispatch_hedge_* counters), results must stay byte-identical, and —
-// the double-count trap — the checkpoint journal must record each job
-// exactly once.
+// the double-count trap — the result store must record each job exactly
+// once.
 func TestChaosHedgingCutsStragglers(t *testing.T) {
 	sc := Scenario{Name: "stragglers", Kind: Slow, Seed: 21, Rate: 0.9, MaxFaults: 1,
 		Latency: 300 * time.Millisecond}
@@ -204,14 +204,13 @@ func TestChaosHedgingCutsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rem.Close()
-	ckpt, err := dispatch.NewCheckpointed(rem, filepath.Join(t.TempDir(), "journal.jsonl"), reg)
+	store, err := resultstore.Open(t.TempDir(), resultstore.Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ckpt.Close()
 
 	start := time.Now()
-	got := matrixJSON(t, ckpt)
+	got := matrixJSON(t, dispatch.NewCached(rem, store, reg))
 	elapsed := time.Since(start)
 
 	if want := localJSON(t); !bytes.Equal(want, got) {
@@ -231,12 +230,15 @@ func TestChaosHedgingCutsStragglers(t *testing.T) {
 	if serial := time.Duration(chaosJobs) * sc.Latency; elapsed > serial {
 		t.Errorf("hedged sweep took %v, slower than the %v serial injected delay", elapsed, serial)
 	}
-	// No double counting: one dispatch and one journal line per job.
+	// No double counting: one dispatch and one stored result per job.
 	if n := reg.Counter("dispatch_jobs_dispatched_total").Value(); n != chaosJobs {
 		t.Errorf("dispatched %d jobs, want %d (hedges must not count as jobs)", n, chaosJobs)
 	}
-	if n := reg.Counter("dispatch_checkpoint_appends_total").Value(); n != chaosJobs {
-		t.Errorf("journal has %d appends, want %d", n, chaosJobs)
+	if n := reg.Counter("resultstore_writes_total").Value(); n != chaosJobs {
+		t.Errorf("store has %d writes, want %d", n, chaosJobs)
+	}
+	if n, _, _ := store.Stats(); n != chaosJobs {
+		t.Errorf("store holds %d results, want %d", n, chaosJobs)
 	}
 }
 

@@ -58,6 +58,40 @@ func TestFIFOOrderAndDedup(t *testing.T) {
 	}
 }
 
+// A key stays deduplicated while its job is in flight: a resubmission
+// between Dequeue and Done must not enqueue a second execution, and only
+// Release (a failed or unstored job) lets a later submission retry it.
+func TestInFlightKeyDedupedUntilDoneOrRelease(t *testing.T) {
+	q, err := Open("", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	run := Run{ID: "r", Jobs: []Job{job("li", "k1", "a")}}
+	if queued, _ := q.Submit(run, nil); queued != 1 {
+		t.Fatalf("first Submit queued %d, want 1", queued)
+	}
+	if _, err := q.Dequeue(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if queued, _ := q.Submit(run, nil); queued != 0 {
+		t.Fatalf("Submit while k1 is in flight queued %d, want 0", queued)
+	}
+	q.Release("k1")
+	if queued, _ := q.Submit(run, nil); queued != 1 {
+		t.Fatalf("Submit after Release queued %d, want 1", queued)
+	}
+	if _, err := q.Dequeue(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Done("k1"); err != nil {
+		t.Fatal(err)
+	}
+	if queued, _ := q.Submit(run, nil); queued != 0 {
+		t.Fatalf("Submit after Done queued %d, want 0", queued)
+	}
+}
+
 func TestDequeueBlocksUntilSubmit(t *testing.T) {
 	q, _ := Open("", nil, nil)
 	defer q.Close()

@@ -1,6 +1,6 @@
 // Package resultstore is the platform's content-addressed result store:
 // a durable map from the canonical simulation key — `bench|n|machconf-hash`,
-// the same string the wbserve LRU and the checkpoint journal key on — to the
+// the same string the wbserve LRU and the job queue key on — to the
 // finished measurement's JSON payload.
 //
 // Every simulation in this repository is a pure function of that key (the

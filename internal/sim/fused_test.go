@@ -35,6 +35,18 @@ func snapshot(m *Machine) machineState {
 	}
 }
 
+// stepAll is the per-reference oracle: the stream to exhaustion, one
+// Step per reference.
+func stepAll(m *Machine, s trace.Stream) {
+	for {
+		r, ok := s.Next()
+		if !ok {
+			return
+		}
+		m.Step(r)
+	}
+}
+
 // runLegacy is the seed job shape: per-reference stepping with the
 // standard quarter-stream warm-up split.
 func runLegacy(m *Machine, s trace.Stream, n uint64) {
@@ -46,7 +58,7 @@ func runLegacy(m *Machine, s trace.Stream, n uint64) {
 		m.Step(r)
 	}
 	m.ResetStats()
-	m.Run(s)
+	stepAll(m, s)
 }
 
 // runFused is the production job shape: batched generator execution with
@@ -132,7 +144,7 @@ func TestRunGeneratorNSplitsExecRuns(t *testing.T) {
 			legacy.Step(r)
 		}
 		legacy.ResetStats()
-		legacy.Run(s)
+		stepAll(legacy, s)
 
 		fused := MustNew(Baseline())
 		g := trace.NewSliceStream(refs)
@@ -196,17 +208,27 @@ func TestFlattenedPoliciesMatchInterface(t *testing.T) {
 // TestZeroAllocSteadyState pins the tentpole's allocation contract: once a
 // machine is warm, neither per-reference stepping nor the batched path may
 // allocate, for any hazard policy (flushes reuse the machine's scratch
-// slice) or the write-cache design.
+// slice) or the write-cache design — barrier drains of the write cache
+// included, which return its victim and lines through the same slice.
 func TestZeroAllocSteadyState(t *testing.T) {
-	cfgs := map[string]Config{
-		"baseline":    Baseline(),
-		"read-wb":     Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB),
-		"flush-part":  Baseline().WithHazard(core.FlushPartial),
-		"write-cache": Baseline().WithWriteCache(8),
-	}
 	refs := benchRefs(1 << 12)
-	for name, cfg := range cfgs {
-		m := MustNew(cfg)
+	fenced := append([]trace.Ref(nil), refs...)
+	for j := 100; j < len(fenced); j += 97 {
+		fenced[j] = trace.Ref{Kind: trace.Membar}
+	}
+	cases := map[string]struct {
+		cfg  Config
+		refs []trace.Ref
+	}{
+		"baseline":            {Baseline(), refs},
+		"read-wb":             {Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB), refs},
+		"flush-part":          {Baseline().WithHazard(core.FlushPartial), refs},
+		"write-cache":         {Baseline().WithWriteCache(8), refs},
+		"write-cache-barrier": {Baseline().WithWriteCache(8), fenced},
+	}
+	for name, tc := range cases {
+		m := MustNew(tc.cfg)
+		refs := tc.refs
 		m.StepBatch(refs) // warm: first StepBatch allocates nothing, but caches may grow later
 		i := 0
 		if avg := testing.AllocsPerRun(200, func() {

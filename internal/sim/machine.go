@@ -18,10 +18,9 @@ type Machine struct {
 
 	l1 *cache.Cache
 	l2 *cache.Cache // nil: perfect L2
-	// org is the write-buffer organization the retirement engine drains:
-	// the paper's FIFO, the ftl multi-buffer structure, or a registered
-	// custom one.  Under the write-cache path it is that cache's one-entry
-	// victim buffer (eager retirement).
+	// org is the write stage: the paper's FIFO, the ftl multi-buffer
+	// structure, a registered custom organization, or Jouppi's write cache
+	// (whose victim slot the retirement engine drains eagerly).
 	org core.BufferOrg
 	// rb is org when it is the ring FIFO, else nil.  The wb* accessors in
 	// wborg.go check it so the overwhelmingly common organization calls
@@ -30,15 +29,6 @@ type Machine struct {
 	rb *core.Buffer
 	// lineMask is org.FullLineMask(), cached for l2WritePenalty.
 	lineMask uint64
-	// path is the configured write stage — the plain coalescing buffer or
-	// Jouppi's write cache — behind the storePath interface; everything
-	// design-specific about stores and load servicing lives there.
-	path storePath
-	// bp is path when it is the plain buffer path, else nil.  Stores and
-	// loads check it so the overwhelmingly common design calls concrete
-	// methods the compiler can inline instead of dispatching through the
-	// interface on every memory reference.
-	bp *bufferPath
 	// be is the drain-side backend every block write (retirement, hazard
 	// flush, barrier drain) is timed through: flat reproduces the paper's
 	// fixed latency, banked adds DRAM-style bank/row contention, fenced
@@ -75,7 +65,7 @@ type Machine struct {
 	retInterval uint64
 
 	// flushBuf is the scratch slice hazard flushes and membar drains
-	// collect entries into; its capacity is the buffer depth, so steady
+	// collect entries into; its capacity is the organization's, so steady
 	// state never allocates.
 	flushBuf []core.Entry
 
@@ -131,10 +121,23 @@ func New(cfg Config) (*Machine, error) {
 		cfg: cfg,
 		l1:  cache.New(cfg.L1),
 	}
-	if cfg.WriteCacheDepth > 0 {
-		m.path = newWriteCachePath(m, cfg)
-	} else {
-		m.path = newBufferPath(m, cfg)
+	// held bounds the occupancy a store can observe (core.BufferOrg.Held).
+	held := cfg.WB.Depth
+	switch {
+	case cfg.WriteCacheDepth > 0:
+		// The write cache replaces the write buffer wholesale, so cfg.Org
+		// does not apply; its victim slot retires eagerly and it always
+		// services reads.
+		wcCfg := cfg.WB
+		wcCfg.Depth = cfg.WriteCacheDepth
+		m.org = core.NewWriteCache(wcCfg)
+		m.cfg.Retire = core.Eager{}
+		m.cfg.Hazard = core.ReadFromWB
+		held = cfg.WriteCacheDepth
+	case cfg.Org != nil:
+		m.org = cfg.Org.NewOrg(cfg.WB)
+	default:
+		m.org = core.NewBuffer(cfg.WB)
 	}
 	if cfg.L2 != nil {
 		m.l2 = cache.New(*cfg.L2)
@@ -149,11 +152,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.rb, _ = m.org.(*core.Buffer)
 	m.lineMask = m.org.FullLineMask()
-	m.occHist = make([]uint64, m.path.histSize())
+	m.occHist = make([]uint64, held+1)
 	m.flushBuf = make([]core.Entry, 0, m.org.Capacity())
-	m.bp, _ = m.path.(*bufferPath)
-	// Resolve the retirement policy AFTER path construction: the write-cache
-	// path overrides cfg.Retire with eager retirement for its victim buffer.
+	// Resolve the retirement policy from m.cfg: the write cache overrides
+	// cfg.Retire with eager retirement for its victim slot.
 	switch p := m.cfg.Retire.(type) {
 	case core.Eager:
 		m.retKind = retEager
@@ -218,7 +220,7 @@ func (m *Machine) Counters() stats.Counters {
 	c.Cycles = m.clock - m.clockBase
 	ws := m.org.Stats()
 	c.Retirements = ws.Retirements
-	c.FlushedEntries = ws.Flushes + m.path.flushedExtra()
+	c.FlushedEntries = ws.Flushes
 	return c
 }
 
@@ -236,7 +238,6 @@ func (m *Machine) ResetStats() {
 		m.l2.ResetStats()
 	}
 	m.org.ResetStats()
-	m.path.resetStats()
 	m.be.ResetStats()
 	for i := range m.occHist {
 		m.occHist[i] = 0
@@ -245,8 +246,8 @@ func (m *Machine) ResetStats() {
 }
 
 // WBStats exposes the write stage's event counters (allocations, merges,
-// …): the write cache's when one is configured, else the write buffer's.
-func (m *Machine) WBStats() core.Stats { return m.path.stats() }
+// …).
+func (m *Machine) WBStats() core.Stats { return m.org.Stats() }
 
 // BackendStats exposes the drain-side backend's event counters (bank
 // conflicts, row hits/misses, overlap cycles) — all zero under the flat
@@ -274,17 +275,11 @@ func (m *Machine) WBStoreHitRate() float64 {
 	return float64(m.WBStats().Merges) / float64(m.c.Stores)
 }
 
-// Run consumes the stream to exhaustion, one reference at a time.  It is
-// the simple reference path; throughput-sensitive callers use RunGenerator,
-// which produces bit-identical results (TestRunGeneratorMatchesRun).
+// Run consumes the stream to exhaustion through the batched hot path
+// (RunGenerator over the stream's generator view).  Step remains the
+// per-reference oracle the differential tests loop explicitly.
 func (m *Machine) Run(s trace.Stream) {
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return
-		}
-		m.Step(r)
-	}
+	m.RunGenerator(trace.GeneratorOf(s))
 }
 
 // batchSize is the fused hot path's granularity: references per Fill call.
@@ -293,8 +288,9 @@ func (m *Machine) Run(s trace.Stream) {
 const batchSize = 4096
 
 // RunGenerator consumes the generator to exhaustion through the batched
-// hot path.  Timing, counters, and histograms are bit-identical to Run on
-// the decoded sequence; only the execution strategy differs.
+// hot path.  Timing, counters, and histograms are bit-identical to Step
+// over the decoded sequence (TestRunGeneratorMatchesRun); only the
+// execution strategy differs.
 func (m *Machine) RunGenerator(g trace.Generator) {
 	if m.pendingRun > 0 {
 		m.drainPending(m.pendingRun)
@@ -668,13 +664,33 @@ func (m *Machine) store(addr mem.Addr) {
 	// Write-through, write-around: update L1 only if the line is present;
 	// the data always enters the write stage.
 	m.l1.WriteHit(addr)
-	if bp := m.bp; bp != nil {
-		m.occHist[m.wbOccupancy()]++
-		bp.store(addr, t)
+	m.occHist[m.wbHeld()]++
+	switch m.wbStore(addr, t) {
+	case core.StoreAllocated:
+		m.stateChangedAt = t
+		m.clock = t + m.base
+		return
+	case core.StoreMerged:
+		m.clock = t + m.base
 		return
 	}
-	m.occHist[m.path.storeOccupancy()]++
-	m.path.store(addr, t)
+	// Buffer-full stall (Section 2.3): wait until retirements free an
+	// entry the store can use.  The FIFO and the write cache's victim slot
+	// need exactly one freed entry; a striped organization may need
+	// several retirements before one lands in the store's home buffer, so
+	// the wait loops — every cycle of it is still one buffer-full stall.
+	m.c.BlockedStores++
+	tFree := m.waitForFree(t)
+	for m.wbStore(addr, tFree) == core.StoreBlocked {
+		if m.rb != nil {
+			panic("sim: store still blocked after an entry was freed")
+		}
+		tFree = m.waitForFree(tFree)
+	}
+	m.stateChangedAt = tFree
+	stall := tFree - t
+	m.c.AddStall(stats.BufferFull, stall)
+	m.clock = t + m.base + stall
 }
 
 // waitForFree advances time until a retirement completes, freeing an entry
@@ -721,11 +737,6 @@ func (m *Machine) load(addr mem.Addr) {
 		return
 	}
 	m.drainTo(t)
-
-	// The plain buffer path has no front-side store to probe.
-	if m.bp == nil && m.path.frontProbe(addr, t) {
-		return
-	}
 
 	idx, wordValid, wbHit := m.wbProbe(addr)
 	if wbHit {
@@ -907,7 +918,6 @@ func (m *Machine) fenceDrain(t uint64) uint64 {
 		addr := m.wbAddrOf(e)
 		portStart = m.be.Write(addr, portStart, m.cfg.writeLat()+m.l2WritePenalty(addr, e.Valid))
 	}
-	portStart = m.path.drainAll(portStart)
 	m.portBusyUntil = portStart
 	m.stateChangedAt = portStart
 	return portStart

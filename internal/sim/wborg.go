@@ -5,19 +5,26 @@ import (
 	"repro/internal/mem"
 )
 
-// Write-buffer organization accessors.  The machine drives its write stage
+// Write-stage organization accessors.  The machine drives its write stage
 // through core.BufferOrg (m.org), but the overwhelmingly common
-// organization is the ring FIFO — the paper's buffer and the write cache's
-// victim buffer — so each accessor first checks the devirtualized m.rb and
-// calls the concrete method the compiler can inline, the same pattern the
-// store path uses with m.bp.  Only a non-FIFO organization (ftl, or a
-// registered custom one) pays interface dispatch per call.
+// organization is the paper's ring FIFO, so each accessor first checks the
+// devirtualized m.rb and calls the concrete method the compiler can
+// inline.  Every other organization (ftl, the write cache, a registered
+// custom one) pays interface dispatch per call.
 
 func (m *Machine) wbOccupancy() int {
 	if rb := m.rb; rb != nil {
 		return rb.Occupancy()
 	}
 	return m.org.Occupancy()
+}
+
+// wbHeld is the occupancy an arriving store observes.
+func (m *Machine) wbHeld() int {
+	if rb := m.rb; rb != nil {
+		return rb.Occupancy()
+	}
+	return m.org.Held()
 }
 
 func (m *Machine) wbRetiring() bool {
