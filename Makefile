@@ -25,20 +25,22 @@ bench: bench-explore
 	$(GO) test -bench BenchmarkStep -benchtime 100000x -run '^$$' ./internal/sim/
 	$(GO) test -bench 'BenchmarkSimulatorThroughput|BenchmarkFig5' -benchtime 1x -run '^$$' .
 
-# bench-sim measures raw simulator throughput (fused and legacy paths)
-# over the 17-benchmark suite and writes BENCH_sim.json — the committed
-# reference point for the hot path's aggregate MIPS.  Regenerate it on the
-# machine you care about; docs/PERFORMANCE.md explains the fields and the
-# measurement protocol (2e6 instructions per bench keeps per-bench wall
-# time comfortably above timer and scheduler noise).
+# bench-sim measures raw simulator throughput (fused, lockstep-row and
+# legacy paths) over the 17-benchmark suite and writes BENCH_sim.json —
+# the committed reference point for the hot path's aggregate MIPS.
+# Regenerate it on the machine you care about; docs/PERFORMANCE.md
+# explains the fields and the measurement protocol (2e6 instructions per
+# bench keeps per-bench wall time comfortably above timer and scheduler
+# noise).
 bench-sim:
 	$(GO) run ./cmd/wbbench -n 2000000 -repeat 3 -out BENCH_sim.json
 	@cat BENCH_sim.json
 
-# bench-sim-smoke is the CI gate: a shortened fused-only run that must
-# parse the committed BENCH_sim.json and land within 20% of its aggregate
-# MIPS.  It catches structural regressions (de-batched hot path, per-step
-# allocations), not single-digit drift.
+# bench-sim-smoke is the CI gate: a shortened fused and row run that must
+# parse the committed BENCH_sim.json and land within 20% of both its fused
+# and its row aggregate MIPS.  It catches structural regressions
+# (de-batched hot path, per-step allocations, a row that regenerates its
+# stream), not single-digit drift.
 bench-sim-smoke:
 	$(GO) run ./cmd/wbbench -n 500000 -mode fused -quiet -repeat 5 \
 		-baseline BENCH_sim.json -max-regress 0.20 > /dev/null

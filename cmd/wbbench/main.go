@@ -2,11 +2,18 @@
 // suite and writes the result as JSON — the repository's `make bench-sim`
 // target and the source of the committed BENCH_sim.json.
 //
-// Two execution paths are measured:
+// Three execution paths are measured:
 //
-//   - fused: the production entry point (dispatch.ExecuteBench → batched
-//     trace.Generator → Machine.StepBatch), the path every experiment,
-//     explore search, and wbserve worker runs.
+//   - fused: one job at a time through the production entry point
+//     (dispatch.ExecuteBench → batched trace.Generator →
+//     Machine.StepBatch), the path every wbserve worker and remote job
+//     runs.
+//   - row: the in-process sweep path (dispatch.ExecuteRow): per
+//     benchmark, one lockstep row of the first experiment.RowWidth()
+//     machines of the paper grid (spaces/paper.json, read from the
+//     working directory) stepping one generated stream.  It is measured
+//     with fused, for the default fifo/flat shape only, since its
+//     machines are the grid's, not the -org/-backend machine.
 //   - legacy: the original per-reference path (trace.Stream.Next →
 //     Machine.Step, one interface call per dynamic instruction), kept as
 //     the differential-test oracle.
@@ -22,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,6 +40,8 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/experiment"
+	"repro/internal/explore"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -68,9 +78,12 @@ type Result struct {
 	Backend           string      `json:"backend,omitempty"`
 	SeedAggregateMIPS float64     `json:"seed_aggregate_mips"`
 	Fused             *PathResult `json:"fused,omitempty"`
-	Legacy            *PathResult `json:"legacy,omitempty"`
-	SpeedupVsLegacy   float64     `json:"speedup_vs_legacy,omitempty"`
-	SpeedupVsSeed     float64     `json:"speedup_vs_seed,omitempty"`
+	// Row is the lockstep path's aggregate: every machine of a row counts
+	// its n instructions, over the row's wall time.
+	Row             *PathResult `json:"row,omitempty"`
+	Legacy          *PathResult `json:"legacy,omitempty"`
+	SpeedupVsLegacy float64     `json:"speedup_vs_legacy,omitempty"`
+	SpeedupVsSeed   float64     `json:"speedup_vs_seed,omitempty"`
 }
 
 // defaultSeedMIPS is the measured aggregate throughput of the seed
@@ -96,7 +109,7 @@ func main() {
 		"measure each path this many times and report the best run (scheduler noise is one-sided)")
 	baseline := flag.String("baseline", "", "committed BENCH_sim.json to gate against (CI bench smoke)")
 	maxRegress := flag.Float64("max-regress", 0.20,
-		"with -baseline: fail if fused aggregate MIPS drops more than this fraction below it")
+		"with -baseline: fail if the fused or row aggregate MIPS drops more than this fraction below it")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -154,10 +167,30 @@ func main() {
 	}
 
 	if *mode == "both" || *mode == "fused" {
-		res.Fused = measureBest(benches, cfg, *n, true, *quiet, *repeat)
+		res.Fused = measureBest(benches, "fused", *quiet, *repeat, func(b workload.Benchmark) uint64 {
+			if _, err := dispatch.ExecuteBench(b, "bench", cfg, *n, nil); err != nil {
+				fail(fmt.Errorf("%s: %w", b.Name, err))
+			}
+			return *n
+		})
+		if res.Org == "" && res.Backend == "" {
+			labels, cfgs, err := paperRow()
+			if err != nil {
+				fail(err)
+			}
+			res.Row = measureBest(benches, "row", *quiet, *repeat, func(b workload.Benchmark) uint64 {
+				if _, _, err := dispatch.ExecuteRow(context.Background(), b, labels, cfgs, *n, nil); err != nil {
+					fail(fmt.Errorf("%s: %w", b.Name, err))
+				}
+				return uint64(len(cfgs)) * *n
+			})
+		}
 	}
 	if *mode == "both" || *mode == "legacy" {
-		res.Legacy = measureBest(benches, cfg, *n, false, *quiet, *repeat)
+		res.Legacy = measureBest(benches, "legacy", *quiet, *repeat, func(b workload.Benchmark) uint64 {
+			legacyWarmRun(sim.MustNew(cfg), b.Stream(*n), *n)
+			return *n
+		})
 	}
 	if res.Fused != nil {
 		if res.Legacy != nil && res.Legacy.AggregateMIPS > 0 {
@@ -223,14 +256,55 @@ func gate(path string, fresh Result, maxRegress float64) error {
 	if fresh.Fused == nil {
 		return fmt.Errorf("gate needs a fused measurement (run with -mode fused or both)")
 	}
-	floor := base.Fused.AggregateMIPS * (1 - maxRegress)
-	if fresh.Fused.AggregateMIPS < floor {
-		return fmt.Errorf("fused aggregate %.2f MIPS below gate %.2f (baseline %.2f, max regress %.0f%%)",
-			fresh.Fused.AggregateMIPS, floor, base.Fused.AggregateMIPS, maxRegress*100)
+	if err := gatePath("fused", base.Fused, fresh.Fused, maxRegress); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "wbbench: gate ok: %.2f MIPS vs baseline %.2f (floor %.2f)\n",
-		fresh.Fused.AggregateMIPS, base.Fused.AggregateMIPS, floor)
+	if base.Row == nil {
+		return nil // a baseline from before the row path was measured
+	}
+	if fresh.Row == nil {
+		return fmt.Errorf("baseline %s has a row aggregate, this run measured none", path)
+	}
+	return gatePath("row", base.Row, fresh.Row, maxRegress)
+}
+
+// gatePath fails when fresh's aggregate is more than maxRegress below
+// base's.
+func gatePath(name string, base, fresh *PathResult, maxRegress float64) error {
+	floor := base.AggregateMIPS * (1 - maxRegress)
+	if fresh.AggregateMIPS < floor {
+		return fmt.Errorf("%s aggregate %.2f MIPS below gate %.2f (baseline %.2f, max regress %.0f%%)",
+			name, fresh.AggregateMIPS, floor, base.AggregateMIPS, maxRegress*100)
+	}
+	fmt.Fprintf(os.Stderr, "wbbench: %s gate ok: %.2f MIPS vs baseline %.2f (floor %.2f)\n",
+		name, fresh.AggregateMIPS, base.AggregateMIPS, floor)
 	return nil
+}
+
+// paperRow returns the row the row path measures: the first
+// experiment.RowWidth() machines of the paper grid, the width the
+// in-process sweep steps in lockstep.
+func paperRow() ([]string, []sim.Config, error) {
+	sp, err := explore.LoadFile("spaces/paper.json")
+	if err != nil {
+		return nil, nil, fmt.Errorf("row path (run from the repository root): %w", err)
+	}
+	cands, err := sp.Enumerate()
+	if err != nil {
+		return nil, nil, err
+	}
+	cands = cands[:min(len(cands), experiment.RowWidth())]
+	labels := make([]string, len(cands))
+	cfgs := make([]sim.Config, len(cands))
+	for i, c := range cands {
+		labels[i], cfgs[i] = c.Label, c.Cfg
+	}
+	return labels, cfgs, nil
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "wbbench:", err)
+	os.Exit(1)
 }
 
 // orgName renders a Result.Org for error messages (empty means fifo).
@@ -254,45 +328,34 @@ func backendName(be string) string {
 // aggregate.  Interference from a shared host only ever slows a run down,
 // so the best of a few repetitions is the least-biased estimate of the
 // code's actual speed; one repetition is fine on a quiet machine.
-func measureBest(benches []workload.Benchmark, cfg sim.Config, n uint64, fused, quiet bool, repeat int) *PathResult {
-	best := measure(benches, cfg, n, fused, quiet)
+func measureBest(benches []workload.Benchmark, path string, quiet bool, repeat int, run func(workload.Benchmark) uint64) *PathResult {
+	best := measure(benches, path, quiet, run)
 	for i := 1; i < repeat; i++ {
-		if pr := measure(benches, cfg, n, fused, quiet); pr.AggregateMIPS > best.AggregateMIPS {
+		if pr := measure(benches, path, quiet, run); pr.AggregateMIPS > best.AggregateMIPS {
 			best = pr
 		}
 	}
 	return best
 }
 
-// measure runs every benchmark on the baseline machine through one path
-// and returns per-bench and aggregate MIPS.  Aggregate is total simulated
-// instructions over total wall time, so slow benchmarks weigh in
-// proportionally — the number a sweep's wall clock actually tracks.
-func measure(benches []workload.Benchmark, cfg sim.Config, n uint64, fused bool, quiet bool) *PathResult {
+// measure runs every benchmark through one path — run returns the
+// instructions it simulated — and returns per-bench and aggregate MIPS.
+// Aggregate is total simulated instructions over total wall time, so slow
+// benchmarks weigh in proportionally — the number a sweep's wall clock
+// actually tracks.
+func measure(benches []workload.Benchmark, path string, quiet bool, run func(workload.Benchmark) uint64) *PathResult {
 	pr := &PathResult{Benches: make([]BenchResult, 0, len(benches))}
 	var totalInstr uint64
 	var totalWall time.Duration
 	for _, b := range benches {
 		start := time.Now()
-		if fused {
-			if _, err := dispatch.ExecuteBench(b, "bench", cfg, n, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "wbbench: %s: %v\n", b.Name, err)
-				os.Exit(1)
-			}
-		} else {
-			m := sim.MustNew(cfg)
-			legacyWarmRun(m, b.Stream(n), n)
-		}
+		instr := run(b)
 		wall := time.Since(start)
-		mips := float64(n) / wall.Seconds() / 1e6
+		mips := float64(instr) / wall.Seconds() / 1e6
 		pr.Benches = append(pr.Benches, BenchResult{Bench: b.Name, MIPS: round2(mips)})
-		totalInstr += n
+		totalInstr += instr
 		totalWall += wall
 		if !quiet {
-			path := "legacy"
-			if fused {
-				path = "fused"
-			}
 			fmt.Fprintf(os.Stderr, "%-12s %-6s %8.2f MIPS\n", b.Name, path, mips)
 		}
 	}

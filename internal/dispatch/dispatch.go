@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -91,8 +92,9 @@ var ErrUnknownBenchmark = errors.New("dispatch: unknown benchmark")
 // through the registered suite, falling back to the deterministic
 // transformed variants — both regenerate bit-identical streams on any
 // machine, so either kind of name is safe to ship.  The error is
-// ErrUnknownBenchmark-wrapped for an unresolvable benchmark name and a
-// sim validation error for an inconsistent configuration.
+// ErrUnknownBenchmark-wrapped for an unresolvable benchmark name, and for
+// an inconsistent configuration it wraps the sim validation error, naming
+// the job's label.
 func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 	b, ok := workload.ByName(job.Bench)
 	if !ok {
@@ -113,27 +115,82 @@ func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 // experiment harness uses it directly so benchmark variants that are not
 // name-resolvable (reseeded generators) still run locally.
 func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, reg *metrics.Registry) (Measurement, error) {
-	m, err := sim.New(cfg)
+	out, _, err := ExecuteRow(context.Background(), b, []string{label}, []sim.Config{cfg}, n, reg)
 	if err != nil {
 		return Measurement{}, err
 	}
-	WarmRun(m, b.Stream(n), n)
+	return out[0], nil
+}
+
+// ExecuteRow runs one benchmark on several configurations in lockstep
+// (sim.Row): the reference stream is generated once and every machine
+// steps each batch of it, so K configurations cost one generation instead
+// of K.  It returns one Measurement per configuration, byte-identical to
+// ExecuteBench's, and each job's host time: the machine's own time
+// (construction, stepping, measurement) plus 1/K of the row's shared time
+// (stream construction and reference generation), so the row's job times
+// sum to its wall time.  When reg is non-nil every finished machine's
+// counters are folded into it.
+//
+// The error wraps the sim validation error of an inconsistent
+// configuration, naming its label, and is reported before anything runs;
+// or it is ctx.Err() when ctx is cancelled, which the row observes between
+// batches.
+func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry) ([]Measurement, []time.Duration, error) {
+	if len(cfgs) == 0 {
+		return nil, nil, nil
+	}
+	start := time.Now()
+	own := make([]time.Duration, len(cfgs))
+	ms := make([]*sim.Machine, len(cfgs))
+	for i, cfg := range cfgs {
+		t := time.Now()
+		m, err := sim.New(cfg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("config %q: %w", labels[i], err)
+		}
+		ms[i] = m
+		own[i] = time.Since(t)
+	}
+	row := sim.NewRow(ms)
+	if err := row.Run(ctx, trace.GeneratorOf(b.Stream(n)), n/4); err != nil {
+		return nil, nil, err
+	}
+	out := make([]Measurement, len(cfgs))
+	for i, m := range ms {
+		t := time.Now()
+		out[i] = measure(m, b.Name, labels[i], cfgs[i])
+		if reg != nil {
+			m.PublishMetrics(reg)
+		}
+		own[i] += row.Step[i] + time.Since(t)
+	}
+	var owned time.Duration
+	for _, d := range own {
+		owned += d
+	}
+	shared := (time.Since(start) - owned) / time.Duration(len(cfgs))
+	for i := range own {
+		own[i] += shared
+	}
+	return out, own, nil
+}
+
+// measure assembles a finished machine's Measurement.
+func measure(m *sim.Machine, bench, label string, cfg sim.Config) Measurement {
 	c := m.Counters()
 	l2 := 1.0
 	if cfg.L2 != nil {
 		l2 = m.L2Stats().ReadHitRate()
 	}
-	if reg != nil {
-		m.PublishMetrics(reg)
-	}
 	return Measurement{
-		Bench: b.Name,
+		Bench: bench,
 		Label: label,
 		C:     c,
 		WBHit: m.WBStoreHitRate(),
 		L1Hit: c.L1LoadHitRate(),
 		L2Hit: l2,
-	}, nil
+	}
 }
 
 // WarmRun executes the first quarter of the stream unmeasured, then runs
@@ -146,11 +203,11 @@ func WarmRun(m *sim.Machine, s trace.Stream, n uint64) {
 	WarmRunGenerator(m, trace.GeneratorOf(s), n)
 }
 
-// WarmRunGenerator is WarmRun for a generator already in hand.
+// WarmRunGenerator is WarmRun for a generator already in hand: a
+// one-machine sim.Row.
 func WarmRunGenerator(m *sim.Machine, g trace.Generator, n uint64) {
-	m.RunGeneratorN(g, n/4)
-	m.ResetStats()
-	m.RunGenerator(g)
+	// A background context never cancels, so Run cannot fail.
+	_ = sim.NewRow([]*sim.Machine{m}).Run(context.Background(), g, n/4)
 }
 
 // Local is the in-process backend: Run executes the job on the calling

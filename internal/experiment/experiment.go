@@ -97,17 +97,13 @@ type Measurement = dispatch.Measurement
 // the stream is warm-up: it executes normally but is excluded from the
 // statistics, so cold-start misses do not distort hit rates the way they
 // would not in the paper's full-execution runs.
+//
+// Execution lives in dispatch.ExecuteBench, so the local path and the
+// distributed workers run byte-for-byte the same code; an invalid
+// configuration panics, matching the sim.MustNew behaviour this wrapped
+// historically.
 func Run(b workload.Benchmark, label string, cfg sim.Config, n uint64) Measurement {
-	return runJob(b, label, cfg, n, nil)
-}
-
-// runJob is Run with optional metrics publication: when reg is non-nil the
-// finished machine's counters are folded into it.  Execution lives in
-// dispatch.ExecuteBench so the local path and the distributed workers run
-// byte-for-byte the same code; an invalid configuration panics, matching
-// the sim.MustNew behaviour this wrapped historically.
-func runJob(b workload.Benchmark, label string, cfg sim.Config, n uint64, reg *metrics.Registry) Measurement {
-	m, err := dispatch.ExecuteBench(b, label, cfg, n, reg)
+	m, err := dispatch.ExecuteBench(b, label, cfg, n, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -179,14 +175,24 @@ func (e *BackendError) Error() string { return e.Err.Error() }
 func (e *BackendError) Unwrap() error { return e.Err }
 
 // RunMatrixCtx is the full-featured matrix runner: RunMatrixOpts plus a
-// context and an error return.  Jobs run on a pool of goroutines — sized
+// context and an error return.  Work runs on a pool of goroutines — sized
 // by GOMAXPROCS, or by the backend's Concurrency hint when it offers one
 // (a remote pool wants width proportional to its workers, not to local
-// cores).  With o.Backend nil every job executes in-process, exactly the
-// historical behaviour, and the only error source is ctx cancellation.
-// The first job failure cancels the remaining jobs and is returned; the
-// partial matrix is discarded (a store-backed dispatch.Cached keeps the
-// completed jobs for the rerun).
+// cores).
+//
+// With o.Backend nil every job executes in-process, in lockstep rows: each
+// benchmark's consecutive specs are cut into even rows of at most
+// rowWidth machines that step one shared reference stream
+// (dispatch.ExecuteRow), so the stream is generated once per row instead
+// of once per job.  Each job still reports its own Progress event and
+// metrics, with its attributed host time, and its measurement is
+// byte-identical to running it alone.  A backend runs one job per call.
+//
+// The first failure — an invalid configuration, or a backend error —
+// cancels the remaining work and is returned; cancelling ctx returns
+// ctx.Err() within one reference batch per worker.  The partial matrix is
+// discarded (a store-backed dispatch.Cached keeps the completed jobs for
+// the rerun).
 func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []ConfigSpec, o Options) ([][]Measurement, error) {
 	n := o.instructions()
 	out := make([][]Measurement, len(benches))
@@ -238,61 +244,87 @@ func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []Con
 	}
 
 	workers := runtime.GOMAXPROCS(0)
+	rows := len(specs) // a backend runs one job per call
 	if o.Backend != nil {
 		if h, ok := o.Backend.(interface{ Concurrency() int }); ok {
 			if k := h.Concurrency(); k > 0 {
 				workers = k
 			}
 		}
+	} else {
+		rows = rowsPerBench(len(benches), len(specs), workers)
 	}
-	type job struct{ bi, ci int }
-	jobs := make(chan job)
+
+	// runRow executes specs[lo:hi] of benchmark bi in one lockstep row.
+	runRow := func(bi, lo, hi int) {
+		labels := make([]string, hi-lo)
+		cfgs := make([]sim.Config, hi-lo)
+		for i, spec := range specs[lo:hi] {
+			labels[i], cfgs[i] = spec.Label, spec.Cfg
+		}
+		mnts, times, err := dispatch.ExecuteRow(ctx, benches[bi], labels, cfgs, n, o.Metrics)
+		if err != nil {
+			if ctx.Err() == nil {
+				fail(fmt.Errorf("experiment: benchmark %s: %w", benches[bi].Name, err))
+			}
+			return
+		}
+		for i, mnt := range mnts {
+			out[bi][lo+i] = mnt
+			report(mnt, times[i])
+		}
+	}
+	// runJob executes job (bi, ci) through the backend.
+	runJob := func(bi, ci int) {
+		start := time.Now()
+		mnt, err := o.Backend.Run(ctx, dispatch.Job{
+			Bench: benches[bi].Name,
+			Label: specs[ci].Label,
+			Cfg:   specs[ci].Cfg,
+			N:     n,
+		})
+		if err != nil && !errors.Is(err, dispatch.ErrResultNotStored) {
+			fail(fmt.Errorf("experiment: job %s/%s: %w", benches[bi].Name, specs[ci].Label, err))
+			return
+		}
+		// ErrResultNotStored: the measurement is valid, only the store
+		// write failed — a full disk must not fail the sweep; the store's
+		// metrics record the miss.
+		out[bi][ci] = mnt
+		report(mnt, time.Since(start))
+	}
+
+	type unit struct{ bi, lo, hi int }
+	units := make(chan unit)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for u := range units {
 				if ctx.Err() != nil {
 					continue // drain; the sweep is aborting
 				}
-				start := time.Now()
-				var mnt Measurement
 				if o.Backend == nil {
-					mnt = runJob(benches[j.bi], specs[j.ci].Label, specs[j.ci].Cfg, n, o.Metrics)
+					runRow(u.bi, u.lo, u.hi)
 				} else {
-					var err error
-					mnt, err = o.Backend.Run(ctx, dispatch.Job{
-						Bench: benches[j.bi].Name,
-						Label: specs[j.ci].Label,
-						Cfg:   specs[j.ci].Cfg,
-						N:     n,
-					})
-					if err != nil && !errors.Is(err, dispatch.ErrResultNotStored) {
-						fail(fmt.Errorf("experiment: job %s/%s: %w",
-							benches[j.bi].Name, specs[j.ci].Label, err))
-						continue
-					}
-					// ErrResultNotStored: the measurement is valid, only
-					// the store write failed — a full disk must not fail
-					// the sweep; the store's metrics record the miss.
+					runJob(u.bi, u.lo)
 				}
-				out[j.bi][j.ci] = mnt
-				report(mnt, time.Since(start))
 			}
 		}()
 	}
 feed:
 	for bi := range benches {
-		for ci := range specs {
+		for r := 0; r < rows; r++ {
+			u := unit{bi, r * len(specs) / rows, (r + 1) * len(specs) / rows}
 			select {
-			case jobs <- job{bi, ci}:
+			case units <- u:
 			case <-ctx.Done():
 				break feed
 			}
 		}
 	}
-	close(jobs)
+	close(units)
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
@@ -301,6 +333,32 @@ feed:
 		return nil, err
 	}
 	return out, nil
+}
+
+// rowWidth caps the machines stepping one reference stream in lockstep.
+// Generation cost per job falls as 1/K with K machines in a row, while
+// memory grows with K (≤ rowWidth live machines per worker); the value is
+// the knee of a measured paper_sweep sweep over 8/16/32/64/all
+// (docs/PERFORMANCE.md, "Generate once, simulate many").
+const rowWidth = 32
+
+// RowWidth reports rowWidth, so throughput tools can measure the row the
+// in-process sweep runs.
+func RowWidth() int { return rowWidth }
+
+// rowsPerBench is how many even rows each benchmark's specs are cut into:
+// enough that none exceeds rowWidth, and at least enough that the matrix
+// has a row for every worker — one benchmark over twenty configs must
+// still keep two cores busy.
+func rowsPerBench(benches, specs, workers int) int {
+	if benches == 0 || specs == 0 {
+		return 0
+	}
+	r := (specs + rowWidth - 1) / rowWidth
+	if benches*r < workers {
+		r = (workers + benches - 1) / benches
+	}
+	return min(r, specs)
 }
 
 // Experiment is one reproducible paper item.

@@ -18,7 +18,11 @@ type ProgressEvent struct {
 	// Instructions and Cycles are the job's measured (post-warm-up)
 	// dynamic instruction and cycle counts.
 	Instructions, Cycles uint64
-	// JobTime is the job's wall-clock duration, warm-up included.
+	// JobTime is the job's host time, warm-up included: its wall-clock
+	// duration when it ran alone (through a Backend), or, for a job run in
+	// a lockstep row, its machine's own time plus its share of the row's
+	// reference generation (dispatch.ExecuteRow), so a row's JobTimes sum
+	// to the row's wall time.
 	JobTime time.Duration
 }
 
@@ -58,7 +62,8 @@ func (t *Tracker) Observe(ev ProgressEvent) ProgressSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.start.IsZero() {
-		// The first event arrives one job-time after the matrix began;
+		// The first event arrives at least one job-time after the matrix
+		// began (a lockstep row's first event, one row's wall time);
 		// backdating keeps the MIPS figure honest for short sweeps.
 		t.start = time.Now().Add(-ev.JobTime)
 	}

@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // benchRefs materialises a deterministic mixed reference stream (25%
@@ -68,5 +72,44 @@ func BenchmarkPublishMetrics(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PublishMetrics(reg)
+	}
+}
+
+// BenchmarkRow measures lockstep rows of K machines over the fusedBenches
+// streams and reports the row's own timers: generation per generated
+// instruction, stepping per instruction per machine, and generation's
+// share of the row's time — the split docs/PERFORMANCE.md quotes.
+func BenchmarkRow(b *testing.B) {
+	const n = 100_000
+	for _, k := range []int{1, 8, 32} {
+		cfgs := make([]Config, k)
+		for i := range cfgs {
+			d := 2 + i%11
+			cfgs[i] = Baseline().WithDepth(d).WithRetire(core.RetireAt{N: 1 + (i/11)%d})
+		}
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			var gen, step time.Duration
+			for i := 0; i < b.N; i++ {
+				for _, name := range fusedBenches {
+					bench, _ := workload.ByName(name)
+					ms := make([]*Machine, k)
+					for j, cfg := range cfgs {
+						ms[j] = MustNew(cfg)
+					}
+					row := NewRow(ms)
+					if err := row.Run(context.Background(), trace.GeneratorOf(bench.Stream(n)), n/4); err != nil {
+						b.Fatal(err)
+					}
+					gen += row.Gen
+					for _, d := range row.Step {
+						step += d
+					}
+				}
+			}
+			instr := float64(b.N) * float64(len(fusedBenches)) * n
+			b.ReportMetric(float64(gen)/instr, "gen-ns/instr")
+			b.ReportMetric(float64(step)/instr/float64(k), "sim-ns/instr")
+			b.ReportMetric(100*float64(gen)/float64(gen+step), "gen-%")
+		})
 	}
 }

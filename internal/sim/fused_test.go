@@ -7,9 +7,12 @@ package sim
 // and CPI on the same decoded reference sequence, to the last bit.
 
 import (
+	"context"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -62,12 +65,15 @@ func runLegacy(m *Machine, s trace.Stream, n uint64) {
 }
 
 // runFused is the production job shape: batched generator execution with
-// the same warm-up split in dynamic instructions.
+// the same warm-up split in dynamic instructions, as a one-machine row.
 func runFused(m *Machine, s trace.Stream, n uint64) {
-	g := trace.GeneratorOf(s)
-	m.RunGeneratorN(g, n/4)
-	m.ResetStats()
-	m.RunGenerator(g)
+	runRow([]*Machine{m}, trace.GeneratorOf(s), n/4)
+}
+
+func runRow(ms []*Machine, g trace.Generator, warm uint64) {
+	if err := NewRow(ms).Run(context.Background(), g, warm); err != nil {
+		panic(err)
+	}
 }
 
 // fusedConfigs is the seeded config sample the differential runs over:
@@ -118,11 +124,11 @@ func TestRunGeneratorMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunGeneratorNSplitsExecRuns drives the budget boundary through the
-// middle of run-length-encoded Exec refs: any warm-up split point must
-// leave the machine exactly where the same number of per-reference Steps
-// would, with the run remainder carried into the next Run call.
-func TestRunGeneratorNSplitsExecRuns(t *testing.T) {
+// TestRowWarmSplitsExecRuns drives the warm-up budget through the middle
+// of run-length-encoded Exec refs: any split point must leave every row
+// machine exactly where the same number of per-reference Steps would,
+// with the run remainder executed after the statistics reset.
+func TestRowWarmSplitsExecRuns(t *testing.T) {
 	refs := []trace.Ref{
 		trace.ExecRun(10),
 		{Kind: trace.Store, Addr: 0x40},
@@ -146,15 +152,90 @@ func TestRunGeneratorNSplitsExecRuns(t *testing.T) {
 		legacy.ResetStats()
 		stepAll(legacy, s)
 
-		fused := MustNew(Baseline())
-		g := trace.NewSliceStream(refs)
-		fused.RunGeneratorN(g, split)
-		fused.ResetStats()
-		fused.RunGenerator(g)
+		row := []*Machine{MustNew(Baseline()), MustNew(Baseline())}
+		runRow(row, trace.NewSliceStream(refs), split)
 
-		if want, got := snapshot(legacy), snapshot(fused); !reflect.DeepEqual(want, got) {
-			t.Fatalf("split at %d: fused diverged\nlegacy: %+v\nfused:  %+v", split, want, got)
+		want := snapshot(legacy)
+		for i, m := range row {
+			if got := snapshot(m); !reflect.DeepEqual(want, got) {
+				t.Fatalf("split at %d, row machine %d: diverged\nlegacy: %+v\nrow:    %+v", split, i, want, got)
+			}
 		}
+	}
+}
+
+// TestRowMatchesSingleJobs is the lockstep contract: every machine of one
+// mixed row — every fusedConfigs policy plus the ftl organization and the
+// banked backend — ends exactly where the same machine run alone does.
+// The instruction counts put the warm budget inside RLE Exec runs, on and
+// off batch boundaries, and at zero (n=3).
+func TestRowMatchesSingleJobs(t *testing.T) {
+	cfgs := fusedConfigs()
+	cfgs["ftl"] = Baseline().WithDepth(8).WithOrg(core.FTLOrg{NumBuffers: 2, SectorBits: 1})
+	cfgs["banked"] = Baseline().WithBackend(backend.BankedSpec{Banks: 4, RowMiss: 18})
+	var names []string
+	var row []Config
+	for name, cfg := range cfgs {
+		names = append(names, name)
+		row = append(row, cfg)
+	}
+	benches := append(append([]string(nil), fusedBenches...), "fenceprod", "burstw")
+	for _, n := range []uint64{3, 17_777, 40_000, 40_001} {
+		for _, bench := range benches {
+			b, ok := workload.ByName(bench)
+			if !ok {
+				t.Fatalf("unknown benchmark %q", bench)
+			}
+			ms := make([]*Machine, len(row))
+			for i, cfg := range row {
+				ms[i] = MustNew(cfg)
+			}
+			runRow(ms, trace.GeneratorOf(b.Stream(n)), n/4)
+			for i, cfg := range row {
+				alone := MustNew(cfg)
+				runFused(alone, b.Stream(n), n)
+				if want, got := snapshot(alone), snapshot(ms[i]); !reflect.DeepEqual(want, got) {
+					t.Errorf("n=%d %s/%s: row diverged from the single job\nalone: %+v\nrow:   %+v",
+						n, names[i], bench, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestRowCancel stops a row between batches: Run returns the context's
+// error without reading the generator further.
+func TestRowCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := &replayGen{refs: benchRefs(1 << 14)}
+	if err := NewRow([]*Machine{MustNew(Baseline())}).Run(ctx, g, 1<<12); err != context.Canceled {
+		t.Fatalf("Run on a cancelled context = %v, want context.Canceled", err)
+	}
+	if g.pos != 0 {
+		t.Fatalf("cancelled row read %d refs", g.pos)
+	}
+}
+
+// TestRowTimers: the row's generation and per-machine stepping timers
+// are filled, and together fit inside the Run call.
+func TestRowTimers(t *testing.T) {
+	b, _ := workload.ByName("li")
+	row := NewRow([]*Machine{MustNew(Baseline()), MustNew(Baseline().WithDepth(8))})
+	start := time.Now()
+	if err := row.Run(context.Background(), trace.GeneratorOf(b.Stream(200_000)), 50_000); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	sum := row.Gen
+	for i, d := range row.Step {
+		if d <= 0 {
+			t.Errorf("machine %d: stepping time %v", i, d)
+		}
+		sum += d
+	}
+	if row.Gen <= 0 || sum > wall {
+		t.Errorf("generation %v, generation+stepping %v, Run wall time %v", row.Gen, sum, wall)
 	}
 }
 
@@ -255,6 +336,22 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		m.RunGenerator(g)
 	}); avg != 0 {
 		t.Errorf("fused run allocates %.1f per job in steady state", avg)
+	}
+	// Lockstep: a row of machines stepping the same 4-batch stream,
+	// warm-up split included, allocates nothing once built.
+	row := NewRow([]*Machine{
+		MustNew(Baseline()),
+		MustNew(Baseline().WithHazard(core.FlushPartial)),
+		MustNew(Baseline().WithWriteCache(8)),
+	})
+	ctx := context.Background()
+	if avg := testing.AllocsPerRun(10, func() {
+		g.pos = 0
+		if err := row.Run(ctx, g, 3000); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("row run allocates %.1f per run in steady state", avg)
 	}
 }
 

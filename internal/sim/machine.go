@@ -69,17 +69,9 @@ type Machine struct {
 	// state never allocates.
 	flushBuf []core.Entry
 
-	// batch is RunGenerator's reference buffer, allocated on first use and
-	// reused across warm-up and measurement.  batchPos/batchLen mark refs
-	// Filled but not yet executed: RunGeneratorN stops on an instruction
-	// budget, which with run-length-encoded Exec refs rarely falls on a
-	// batch boundary, so the tail carries over to the next Run call.
-	batch    []trace.Ref
-	batchPos int
-	batchLen int
-	// pendingRun is the unexecuted remainder of a run-length-encoded Exec
-	// ref split by RunGeneratorN's instruction budget.
-	pendingRun uint64
+	// batch is RunGenerator's reference buffer, allocated on first use.
+	// Machines stepped by a Row share the row's buffer instead.
+	batch []trace.Ref
 
 	// Superscalar issue accounting: at width W, only every W-th
 	// instruction closes an issue cycle; base is that instruction's
@@ -290,75 +282,23 @@ const batchSize = 4096
 // RunGenerator consumes the generator to exhaustion through the batched
 // hot path.  Timing, counters, and histograms are bit-identical to Step
 // over the decoded sequence (TestRunGeneratorMatchesRun); only the
-// execution strategy differs.
+// execution strategy differs.  The warm-up split jobs run under lives in
+// Row.Run.
 func (m *Machine) RunGenerator(g trace.Generator) {
-	if m.pendingRun > 0 {
-		m.drainPending(m.pendingRun)
-		m.pendingRun = 0
-	}
-	buf := m.batchBuf()
-	if m.batchPos < m.batchLen {
-		m.StepBatch(buf[m.batchPos:m.batchLen])
-		m.batchPos, m.batchLen = 0, 0
+	if m.batch == nil {
+		m.batch = make([]trace.Ref, batchSize)
 	}
 	for {
-		n := g.Fill(buf)
+		n := g.Fill(m.batch)
 		if n == 0 {
 			return
 		}
-		m.StepBatch(buf[:n])
-	}
-}
-
-// RunGeneratorN executes at most n dynamic instructions from g (or fewer
-// if the generator is exhausted first) — the warm-up primitive.  A batch
-// tail past the budget, including the remainder of a run-length-encoded
-// Exec ref the budget split, is retained and executed by the machine's
-// next RunGenerator[N] call, so a warm-up/measure split consumes exactly
-// the same decoded sequence the per-reference path does.
-func (m *Machine) RunGeneratorN(g trace.Generator, n uint64) {
-	if m.pendingRun > 0 {
-		k := m.pendingRun
-		if k > n {
-			k = n
-		}
-		m.drainPending(k)
-		m.pendingRun -= k
-		n -= k
-		if n == 0 {
-			return
-		}
-	}
-	buf := m.batchBuf()
-	if m.batchPos < m.batchLen {
-		done := m.stepBatchN(buf[m.batchPos:m.batchLen], n)
-		n -= done.instrs
-		m.batchPos += done.refs
-		if m.batchPos < m.batchLen || n == 0 {
-			return
-		}
-		m.batchPos, m.batchLen = 0, 0
-	}
-	for n > 0 {
-		want := uint64(len(buf))
-		if want > n {
-			want = n
-		}
-		got := g.Fill(buf[:want])
-		if got == 0 {
-			return
-		}
-		done := m.stepBatchN(buf[:got], n)
-		n -= done.instrs
-		if done.refs < got {
-			m.batchPos, m.batchLen = done.refs, got
-			return
-		}
+		m.StepBatch(m.batch[:n])
 	}
 }
 
 // drainPending executes k plain-execution instructions left over from a
-// budget-split Exec run.  With a statistical I-cache every instruction
+// budget-split Exec run (batchDone.pending).  With a statistical I-cache every instruction
 // must take its I-miss draw, so the closed form only applies without one
 // (the same rule StepBatch follows).
 func (m *Machine) drainPending(k uint64) {
@@ -369,13 +309,6 @@ func (m *Machine) drainPending(k uint64) {
 	for ; k > 0; k-- {
 		m.Step(trace.Ref{Kind: trace.Exec})
 	}
-}
-
-func (m *Machine) batchBuf() []trace.Ref {
-	if m.batch == nil {
-		m.batch = make([]trace.Ref, batchSize)
-	}
-	return m.batch
 }
 
 // StepBatch executes a batch of references with run-length-batched
@@ -429,16 +362,17 @@ func (m *Machine) StepBatch(refs []trace.Ref) {
 
 // batchDone reports how much of a bounded batch stepBatchN executed.
 type batchDone struct {
-	refs   int    // refs fully consumed from the slice
-	instrs uint64 // dynamic instructions executed (≤ the budget)
+	refs    int    // refs consumed from the slice
+	instrs  uint64 // dynamic instructions executed (≤ the budget)
+	pending uint64 // unexecuted remainder of a budget-split Exec ref
 }
 
 // stepBatchN executes refs until limit dynamic instructions have run or
 // the slice is exhausted.  The longest in-budget prefix goes through
 // StepBatch at full speed — warm-up is a quarter of every job, so it must
 // not fall back to per-reference stepping — and a run-length-encoded Exec
-// ref crossing the budget is consumed whole, the remainder stashed in
-// m.pendingRun for the next Run call.
+// ref crossing the budget is consumed whole, the remainder reported in
+// pending for the caller to execute after the split.
 func (m *Machine) stepBatchN(refs []trace.Ref, limit uint64) batchDone {
 	var done batchDone
 	i := 0
@@ -465,7 +399,7 @@ func (m *Machine) stepBatchN(refs []trace.Ref, limit uint64) batchDone {
 		} else {
 			m.execRun(left)
 		}
-		m.pendingRun = refs[i].InstrCount() - left
+		done.pending = refs[i].InstrCount() - left
 		done.refs++
 		done.instrs = limit
 	}
