@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -262,6 +263,23 @@ func (c *Cache) Invalidate(addr mem.Addr) (removed, wasDirty bool) {
 		return true, wasDirty
 	}
 	return false, false
+}
+
+// CopyFrom makes c an exact copy of src: contents, LRU order, and
+// statistics.  It panics when the two caches have different geometries.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic(fmt.Sprintf("cache: CopyFrom %+v into %+v", src.cfg, c.cfg))
+	}
+	copy(c.ways, src.ways)
+	c.stamp, c.stats = src.stamp, src.stats
+}
+
+// Equal reports whether c and o are in the same state: geometry,
+// contents, LRU order, and statistics.  Two equal caches answer every
+// future access sequence identically.
+func (c *Cache) Equal(o *Cache) bool {
+	return c.cfg == o.cfg && c.stamp == o.stamp && c.stats == o.stats && slices.Equal(c.ways, o.ways)
 }
 
 // Occupancy returns how many valid lines the cache currently holds; handy

@@ -273,3 +273,42 @@ func TestInvalidateAllProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCopyFromEqual: a copy answers like its source — contents, LRU order
+// and statistics — until the two see different accesses.
+func TestCopyFromEqual(t *testing.T) {
+	cfg := Config{SizeBytes: 256, LineBytes: 32, Assoc: 2}
+	src := New(cfg)
+	for _, a := range []mem.Addr{0x00, 0x80, 0x100, 0x00, 0x20} {
+		if !src.Read(a) {
+			src.Fill(a)
+		}
+	}
+	src.WriteHit(0x80)
+	dst := New(cfg)
+	if dst.Equal(src) {
+		t.Fatal("fresh cache equals a used one")
+	}
+	dst.CopyFrom(src)
+	if !dst.Equal(src) || dst.Stats() != src.Stats() {
+		t.Fatal("copy differs from its source")
+	}
+	// Same accesses keep them equal, including an LRU-driven eviction.
+	for _, c := range []*Cache{src, dst} {
+		c.Read(0x100)
+		c.Fill(0x180)
+	}
+	if !dst.Equal(src) {
+		t.Fatal("copy diverged under identical accesses")
+	}
+	dst.Read(0x00)
+	if dst.Equal(src) {
+		t.Fatal("caches equal after different accesses")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyFrom across geometries did not panic")
+		}
+	}()
+	small().CopyFrom(src)
+}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -77,23 +76,42 @@ func BenchmarkPublishMetrics(b *testing.B) {
 
 // BenchmarkRow measures lockstep rows of K machines over the fusedBenches
 // streams and reports the row's own timers: generation per generated
-// instruction, stepping per instruction per machine, and generation's
-// share of the row's time — the split docs/PERFORMANCE.md quotes.
+// instruction, stepping per instruction per machine, generation's share
+// of the row's time, and the shared-L1 lookups per generated instruction
+// (already inside the stepping figure) — the split docs/PERFORMANCE.md
+// quotes.  The K rows are all flushing machines, one shared-L1 group;
+// paper-mix puts every fourth machine on read-from-WB, which steps the
+// raw batch beside the group, as in the paper grid.
 func BenchmarkRow(b *testing.B) {
 	const n = 100_000
-	for _, k := range []int{1, 8, 32} {
+	retireSweep := func(k int, hazard func(i int) core.HazardPolicy) []Config {
 		cfgs := make([]Config, k)
 		for i := range cfgs {
 			d := 2 + i%11
-			cfgs[i] = Baseline().WithDepth(d).WithRetire(core.RetireAt{N: 1 + (i/11)%d})
+			cfgs[i] = Baseline().WithDepth(d).WithRetire(core.RetireAt{N: 1 + (i/11)%d}).WithHazard(hazard(i))
 		}
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			var gen, step time.Duration
+		return cfgs
+	}
+	flush := func(int) core.HazardPolicy { return core.FlushFull }
+	mix := func(i int) core.HazardPolicy {
+		return []core.HazardPolicy{core.FlushFull, core.FlushPartial, core.FlushItemOnly, core.ReadFromWB}[i%4]
+	}
+	for _, rc := range []struct {
+		name string
+		cfgs []Config
+	}{
+		{"K=1", retireSweep(1, flush)},
+		{"K=8", retireSweep(8, flush)},
+		{"K=32", retireSweep(32, flush)},
+		{"paper-mix/K=32", retireSweep(32, mix)},
+	} {
+		b.Run(rc.name, func(b *testing.B) {
+			var gen, step, filter time.Duration
 			for i := 0; i < b.N; i++ {
 				for _, name := range fusedBenches {
 					bench, _ := workload.ByName(name)
-					ms := make([]*Machine, k)
-					for j, cfg := range cfgs {
+					ms := make([]*Machine, len(rc.cfgs))
+					for j, cfg := range rc.cfgs {
 						ms[j] = MustNew(cfg)
 					}
 					row := NewRow(ms)
@@ -101,6 +119,7 @@ func BenchmarkRow(b *testing.B) {
 						b.Fatal(err)
 					}
 					gen += row.Gen
+					filter += row.filter
 					for _, d := range row.Step {
 						step += d
 					}
@@ -108,7 +127,8 @@ func BenchmarkRow(b *testing.B) {
 			}
 			instr := float64(b.N) * float64(len(fusedBenches)) * n
 			b.ReportMetric(float64(gen)/instr, "gen-ns/instr")
-			b.ReportMetric(float64(step)/instr/float64(k), "sim-ns/instr")
+			b.ReportMetric(float64(step)/instr/float64(len(rc.cfgs)), "sim-ns/instr")
+			b.ReportMetric(float64(filter)/instr, "filter-ns/instr")
 			b.ReportMetric(100*float64(gen)/float64(gen+step), "gen-%")
 		})
 	}

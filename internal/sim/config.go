@@ -26,7 +26,13 @@
 // batches with execute runs run-length encoded and retired in closed
 // form; it is the production path every experiment and sweep runs, and it
 // reproduces Run's counters, stall attribution, occupancy histograms, and
-// CPI bit for bit (TestRunGeneratorMatchesRun).  The paper's retirement
+// CPI bit for bit (TestRunGeneratorMatchesRun).  A Row steps several
+// machines over one generated stream; machines whose L1 contents follow
+// the stream alone (perfect L2, no write cache, a flushing hazard policy,
+// no statistical I-cache) share one L1 lookup per load with the others of
+// their L1 geometry, and step a batch in which the L1 hits are folded
+// into execute runs.  Every row machine still ends byte-identical to the
+// same machine run alone (TestRowMatchesSingleJobs).  The paper's retirement
 // policies are flattened to an integer switch at construction; custom
 // policy types keep the interface dispatch.  Steady-state execution
 // allocates nothing on either path.  docs/PERFORMANCE.md is the written

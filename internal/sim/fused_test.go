@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -24,6 +25,7 @@ type machineState struct {
 	occ      []uint64
 	clock    uint64
 	wb       core.Stats
+	l1, l2   cache.Stats
 	cpi      float64
 }
 
@@ -34,6 +36,8 @@ func snapshot(m *Machine) machineState {
 		occ:      m.OccupancyHistogram(),
 		clock:    m.Clock(),
 		wb:       m.WBStats(),
+		l1:       m.L1Stats(),
+		l2:       m.L2Stats(),
 		cpi:      c.CPI(),
 	}
 }
@@ -166,18 +170,34 @@ func TestRowWarmSplitsExecRuns(t *testing.T) {
 
 // TestRowMatchesSingleJobs is the lockstep contract: every machine of one
 // mixed row — every fusedConfigs policy plus the ftl organization and the
-// banked backend — ends exactly where the same machine run alone does.
-// The instruction counts put the warm budget inside RLE Exec runs, on and
-// off batch boundaries, and at zero (n=3).
+// banked backend — ends exactly where the same machine run alone does,
+// its L1 included (contents, LRU order, statistics).  The row holds two
+// shared-L1 groups, one direct-mapped and one 2-way (so LRU stamps go
+// through the shared cache), a qualifying machine alone in its geometry,
+// and the machines whose L1 depends on timing (read-from-WB, write cache,
+// finite L2, I-misses).  The instruction counts put the warm budget
+// inside RLE Exec runs, on and off batch boundaries, and at zero (n=3).
 func TestRowMatchesSingleJobs(t *testing.T) {
+	twoWay := func(c Config) Config { c.L1.Assoc = 2; return c }
 	cfgs := fusedConfigs()
 	cfgs["ftl"] = Baseline().WithDepth(8).WithOrg(core.FTLOrg{NumBuffers: 2, SectorBits: 1})
 	cfgs["banked"] = Baseline().WithBackend(backend.BankedSpec{Banks: 4, RowMiss: 18})
+	cfgs["2way"] = twoWay(Baseline())
+	cfgs["2way-part"] = twoWay(Baseline().WithDepth(8).WithHazard(core.FlushPartial))
+	cfgs["2way-issue-4"] = twoWay(Baseline().WithIssueWidth(4))
+	cfgs["l1-16k"] = Baseline().WithL1Size(16 << 10)
 	var names []string
 	var row []Config
 	for name, cfg := range cfgs {
 		names = append(names, name)
 		row = append(row, cfg)
+	}
+	probe := make([]*Machine, len(row))
+	for i, cfg := range row {
+		probe[i] = MustNew(cfg)
+	}
+	if shape := NewRow(probe); len(shape.groups) != 2 || len(shape.groups[0].members)+len(shape.groups[1].members) != 12 {
+		t.Fatalf("row has %d shared-L1 groups, want 2 holding 12 of its 17 machines", len(shape.groups))
 	}
 	benches := append(append([]string(nil), fusedBenches...), "fenceprod", "burstw")
 	for _, n := range []uint64{3, 17_777, 40_000, 40_001} {
@@ -198,6 +218,9 @@ func TestRowMatchesSingleJobs(t *testing.T) {
 					t.Errorf("n=%d %s/%s: row diverged from the single job\nalone: %+v\nrow:   %+v",
 						n, names[i], bench, want, got)
 				}
+				if !ms[i].l1.Equal(alone.l1) {
+					t.Errorf("n=%d %s/%s: row machine's L1 state differs from the single job's", n, names[i], bench)
+				}
 			}
 		}
 	}
@@ -214,6 +237,80 @@ func TestRowCancel(t *testing.T) {
 	}
 	if g.pos != 0 {
 		t.Fatalf("cancelled row read %d refs", g.pos)
+	}
+}
+
+// cancelAfter cancels its context on the given Fill call, so a row stops
+// part-way through the stream.
+type cancelAfter struct {
+	g      trace.Generator
+	fills  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Fill(buf []trace.Ref) int {
+	if c.fills--; c.fills == 0 {
+		c.cancel()
+	}
+	return c.g.Fill(buf)
+}
+
+// TestRowCancelLeavesOwnL1s: a row cancelled mid-stream leaves every
+// shared-L1 group member's own L1 exactly where the same machine's L1 is
+// after the same cancelled run alone.
+func TestRowCancelLeavesOwnL1s(t *testing.T) {
+	b, _ := workload.ByName("compress")
+	cfgs := []Config{Baseline(), Baseline().WithHazard(core.FlushPartial), Baseline().WithHazard(core.ReadFromWB)}
+	run := func(ms []*Machine) {
+		ctx, cancel := context.WithCancel(context.Background())
+		g := &cancelAfter{g: trace.GeneratorOf(b.Stream(100_000)), fills: 3, cancel: cancel}
+		if err := NewRow(ms).Run(ctx, g, 5_000); err != context.Canceled {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+	}
+	ms := make([]*Machine, len(cfgs))
+	for i, cfg := range cfgs {
+		ms[i] = MustNew(cfg)
+	}
+	run(ms)
+	for i, cfg := range cfgs {
+		alone := MustNew(cfg)
+		run([]*Machine{alone})
+		if want, got := snapshot(alone), snapshot(ms[i]); !reflect.DeepEqual(want, got) || !ms[i].l1.Equal(alone.l1) {
+			t.Errorf("machine %d: cancelled row diverged from the cancelled single job\nalone: %+v\nrow:   %+v", i, want, got)
+		}
+		if ms[i].sharedL1 {
+			t.Errorf("machine %d still marked as using a shared L1", i)
+		}
+	}
+}
+
+// TestRowUnequalL1sStepAlone: machines whose L1s differ when Run begins
+// cannot share one, so their group steps the raw batch — and each still
+// ends where it would alone.
+func TestRowUnequalL1sStepAlone(t *testing.T) {
+	li, _ := workload.ByName("li")
+	tom, _ := workload.ByName("tomcatv")
+	cfgs := []Config{Baseline(), Baseline().WithDepth(8)}
+	build := func() []*Machine {
+		ms := []*Machine{MustNew(cfgs[0]), MustNew(cfgs[1])}
+		runFused(ms[0], li.Stream(20_000), 20_000) // different L1 history
+		return ms
+	}
+	ms := build()
+	row := NewRow(ms)
+	if err := row.Run(context.Background(), trace.GeneratorOf(tom.Stream(30_000)), 0); err != nil {
+		t.Fatal(err)
+	}
+	if row.groups[0].active {
+		t.Fatal("group with unequal L1s shared one")
+	}
+	alone := build()
+	for i, m := range alone {
+		runRow([]*Machine{m}, trace.GeneratorOf(tom.Stream(30_000)), 0)
+		if want, got := snapshot(m), snapshot(ms[i]); !reflect.DeepEqual(want, got) || !ms[i].l1.Equal(m.l1) {
+			t.Errorf("machine %d diverged\nalone: %+v\nrow:   %+v", i, want, got)
+		}
 	}
 }
 
@@ -338,7 +435,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("fused run allocates %.1f per job in steady state", avg)
 	}
 	// Lockstep: a row of machines stepping the same 4-batch stream,
-	// warm-up split included, allocates nothing once built.
+	// warm-up split included, allocates nothing once built — neither the
+	// shared-L1 group of the two flushing machines nor the write cache
+	// stepping the raw batch beside it.
 	row := NewRow([]*Machine{
 		MustNew(Baseline()),
 		MustNew(Baseline().WithHazard(core.FlushPartial)),
@@ -352,6 +451,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("row run allocates %.1f per run in steady state", avg)
+	}
+	if len(row.groups) != 1 || !row.groups[0].active || len(row.plain) != 1 {
+		t.Errorf("row shape: %d shared-L1 groups, %d plain machines; want one active group and one plain machine",
+			len(row.groups), len(row.plain))
 	}
 }
 

@@ -73,6 +73,12 @@ type Machine struct {
 	// Machines stepped by a Row share the row's buffer instead.
 	batch []trace.Ref
 
+	// sharedL1 is set while a Row looks up this machine's loads and stores
+	// in a row-owned copy of its L1 (Row documents when): the machine then
+	// skips its own L1 calls, and the row copies the shared cache back
+	// into l1 when it returns.
+	sharedL1 bool
+
 	// Superscalar issue accounting: at width W, only every W-th
 	// instruction closes an issue cycle; base is that instruction's
 	// clock contribution (0 or 1) for the current Step.
@@ -297,20 +303,6 @@ func (m *Machine) RunGenerator(g trace.Generator) {
 	}
 }
 
-// drainPending executes k plain-execution instructions left over from a
-// budget-split Exec run (batchDone.pending).  With a statistical I-cache every instruction
-// must take its I-miss draw, so the closed form only applies without one
-// (the same rule StepBatch follows).
-func (m *Machine) drainPending(k uint64) {
-	if m.irand == nil {
-		m.execRun(k)
-		return
-	}
-	for ; k > 0; k-- {
-		m.Step(trace.Ref{Kind: trace.Exec})
-	}
-}
-
 // StepBatch executes a batch of references with run-length-batched
 // execution: consecutive Exec references — including run-length-encoded
 // ones (Ref.InstrCount) — advance the clock in closed form (one addition
@@ -358,52 +350,6 @@ func (m *Machine) StepBatch(refs []trace.Ref) {
 		}
 		i++
 	}
-}
-
-// batchDone reports how much of a bounded batch stepBatchN executed.
-type batchDone struct {
-	refs    int    // refs consumed from the slice
-	instrs  uint64 // dynamic instructions executed (≤ the budget)
-	pending uint64 // unexecuted remainder of a budget-split Exec ref
-}
-
-// stepBatchN executes refs until limit dynamic instructions have run or
-// the slice is exhausted.  The longest in-budget prefix goes through
-// StepBatch at full speed — warm-up is a quarter of every job, so it must
-// not fall back to per-reference stepping — and a run-length-encoded Exec
-// ref crossing the budget is consumed whole, the remainder reported in
-// pending for the caller to execute after the split.
-func (m *Machine) stepBatchN(refs []trace.Ref, limit uint64) batchDone {
-	var done batchDone
-	i := 0
-	var instrs uint64
-	for i < len(refs) {
-		k := refs[i].InstrCount()
-		if instrs+k > limit {
-			break
-		}
-		instrs += k
-		i++
-	}
-	m.StepBatch(refs[:i])
-	done.refs, done.instrs = i, instrs
-	if i < len(refs) && instrs < limit {
-		// refs[i] straddles the budget.  Only a run-length-encoded Exec
-		// ref can: every other kind counts one instruction and would have
-		// fit inside the prefix.
-		left := limit - instrs
-		if m.irand != nil {
-			for kk := left; kk > 0; kk-- {
-				m.Step(trace.Ref{Kind: trace.Exec})
-			}
-		} else {
-			m.execRun(left)
-		}
-		done.pending = refs[i].InstrCount() - left
-		done.refs++
-		done.instrs = limit
-	}
-	return done
 }
 
 // execRun retires k consecutive plain-execution instructions in closed
@@ -597,7 +543,9 @@ func (m *Machine) store(addr mem.Addr) {
 	m.c.Stores++
 	// Write-through, write-around: update L1 only if the line is present;
 	// the data always enters the write stage.
-	m.l1.WriteHit(addr)
+	if !m.sharedL1 {
+		m.l1.WriteHit(addr)
+	}
 	m.occHist[m.wbHeld()]++
 	switch m.wbStore(addr, t) {
 	case core.StoreAllocated:
@@ -670,6 +618,12 @@ func (m *Machine) load(addr mem.Addr) {
 		m.clock = t + m.base
 		return
 	}
+	m.loadMiss(t, addr)
+}
+
+// loadMiss serves a load, issued at cycle t, that missed L1: from the
+// write stage, or from L2 after any hazard flush.
+func (m *Machine) loadMiss(t uint64, addr mem.Addr) {
 	m.drainTo(t)
 
 	idx, wordValid, wbHit := m.wbProbe(addr)
@@ -736,7 +690,9 @@ func (m *Machine) l2Read(addr mem.Addr, start uint64) (missCycles, extraRA uint6
 	m.portBusyUntil = start + m.cfg.L2ReadLat
 	missCycles = m.cfg.L2ReadLat
 	if m.l2 == nil || m.l2.Read(addr) {
-		m.l1.Fill(addr)
+		if !m.sharedL1 { // a shared L1 implies a perfect L2
+			m.l1.Fill(addr)
+		}
 		return missCycles, 0
 	}
 	// L2 miss: the line comes from main memory.  Fill both levels first so
