@@ -25,8 +25,8 @@ bench: bench-explore
 	$(GO) test -bench BenchmarkStep -benchtime 100000x -run '^$$' ./internal/sim/
 	$(GO) test -bench 'BenchmarkSimulatorThroughput|BenchmarkFig5' -benchtime 1x -run '^$$' .
 
-# bench-sim measures raw simulator throughput (fused, lockstep-row and
-# legacy paths) over the 17-benchmark suite and writes BENCH_sim.json —
+# bench-sim measures raw simulator throughput (fused and lockstep-row
+# paths) over the 17-benchmark suite and writes BENCH_sim.json —
 # the committed reference point for the hot path's aggregate MIPS.
 # Regenerate it on the machine you care about; docs/PERFORMANCE.md
 # explains the fields and the measurement protocol (2e6 instructions per
@@ -42,7 +42,7 @@ bench-sim:
 # (de-batched hot path, per-step allocations, a row that regenerates its
 # stream), not single-digit drift.
 bench-sim-smoke:
-	$(GO) run ./cmd/wbbench -n 500000 -mode fused -quiet -repeat 5 \
+	$(GO) run ./cmd/wbbench -n 500000 -quiet -repeat 5 \
 		-baseline BENCH_sim.json -max-regress 0.20 > /dev/null
 
 # bench-explore runs a small guided wbopt search and records its throughput

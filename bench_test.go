@@ -132,7 +132,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := sim.MustNew(sim.Baseline())
-		m.Run(wl.Stream(n))
+		m.Run(wl.Generator(n))
 	}
 	b.StopTimer()
 	secs := b.Elapsed().Seconds()
@@ -153,7 +153,7 @@ func BenchmarkSimulatorFiniteL2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := sim.MustNew(cfg)
-		m.Run(wl.Stream(n))
+		m.Run(wl.Generator(n))
 	}
 	b.StopTimer()
 	secs := b.Elapsed().Seconds()

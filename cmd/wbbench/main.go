@@ -2,7 +2,7 @@
 // suite and writes the result as JSON — the repository's `make bench-sim`
 // target and the source of the committed BENCH_sim.json.
 //
-// Three execution paths are measured:
+// Two execution paths are measured:
 //
 //   - fused: one job at a time through the production entry point
 //     (dispatch.ExecuteBench → batched trace.Generator →
@@ -12,20 +12,17 @@
 //     benchmark, one lockstep row of the first experiment.RowWidth()
 //     machines of the paper grid (spaces/paper.json, read from the
 //     working directory) stepping one generated stream.  It is measured
-//     with fused, for the default fifo/flat shape only, since its
-//     machines are the grid's, not the -org/-backend machine.
-//   - legacy: the original per-reference path (trace.Stream.Next →
-//     Machine.Step, one interface call per dynamic instruction), kept as
-//     the differential-test oracle.
+//     for the default fifo/flat shape only, since its machines are the
+//     grid's, not the -org/-backend machine.
 //
-// The ratio between the two is the PR-6 hot-path speedup; the absolute
-// fused number is the repository's throughput trajectory, tracked across
-// PRs next to BENCH_explore.json (whose jobs/sec is bounded by it).  See
-// docs/PERFORMANCE.md for how to read and regenerate the numbers.
+// The absolute fused number is the repository's throughput trajectory,
+// tracked across PRs next to BENCH_explore.json (whose jobs/sec is bounded
+// by it).  See docs/PERFORMANCE.md for how to read and regenerate the
+// numbers.
 //
 // Usage:
 //
-//	wbbench [-n 1000000] [-mode both|fused|legacy] [-org fifo|ftl] [-backend flat|banked] [-out BENCH_sim.json]
+//	wbbench [-n 1000000] [-org fifo|ftl] [-backend flat|banked] [-out BENCH_sim.json]
 package main
 
 import (
@@ -43,7 +40,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/explore"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -80,10 +76,8 @@ type Result struct {
 	Fused             *PathResult `json:"fused,omitempty"`
 	// Row is the lockstep path's aggregate: every machine of a row counts
 	// its n instructions, over the row's wall time.
-	Row             *PathResult `json:"row,omitempty"`
-	Legacy          *PathResult `json:"legacy,omitempty"`
-	SpeedupVsLegacy float64     `json:"speedup_vs_legacy,omitempty"`
-	SpeedupVsSeed   float64     `json:"speedup_vs_seed,omitempty"`
+	Row           *PathResult `json:"row,omitempty"`
+	SpeedupVsSeed float64     `json:"speedup_vs_seed,omitempty"`
 }
 
 // defaultSeedMIPS is the measured aggregate throughput of the seed
@@ -97,7 +91,6 @@ var defaultSeedMIPS = flag.Float64("seed-mips", 28.33,
 
 func main() {
 	n := flag.Uint64("n", 1_000_000, "dynamic instructions per benchmark (first quarter is warm-up)")
-	mode := flag.String("mode", "both", "paths to measure: both, fused, or legacy")
 	org := flag.String("org", "fifo",
 		"buffer organization to measure: fifo, or ftl (reference shape numbuffers=2, sectorbits=1)")
 	backendFlag := flag.String("backend", "flat",
@@ -166,39 +159,26 @@ func main() {
 		res.Backend = *backendFlag
 	}
 
-	if *mode == "both" || *mode == "fused" {
-		res.Fused = measureBest(benches, "fused", *quiet, *repeat, func(b workload.Benchmark) uint64 {
-			if _, err := dispatch.ExecuteBench(b, "bench", cfg, *n, nil); err != nil {
+	res.Fused = measureBest(benches, "fused", *quiet, *repeat, func(b workload.Benchmark) uint64 {
+		if _, err := dispatch.ExecuteBench(b, "bench", cfg, *n, nil); err != nil {
+			fail(fmt.Errorf("%s: %w", b.Name, err))
+		}
+		return *n
+	})
+	if res.Org == "" && res.Backend == "" {
+		labels, cfgs, err := paperRow()
+		if err != nil {
+			fail(err)
+		}
+		res.Row = measureBest(benches, "row", *quiet, *repeat, func(b workload.Benchmark) uint64 {
+			if _, _, err := dispatch.ExecuteRow(context.Background(), b, labels, cfgs, *n, nil); err != nil {
 				fail(fmt.Errorf("%s: %w", b.Name, err))
 			}
-			return *n
-		})
-		if res.Org == "" && res.Backend == "" {
-			labels, cfgs, err := paperRow()
-			if err != nil {
-				fail(err)
-			}
-			res.Row = measureBest(benches, "row", *quiet, *repeat, func(b workload.Benchmark) uint64 {
-				if _, _, err := dispatch.ExecuteRow(context.Background(), b, labels, cfgs, *n, nil); err != nil {
-					fail(fmt.Errorf("%s: %w", b.Name, err))
-				}
-				return uint64(len(cfgs)) * *n
-			})
-		}
-	}
-	if *mode == "both" || *mode == "legacy" {
-		res.Legacy = measureBest(benches, "legacy", *quiet, *repeat, func(b workload.Benchmark) uint64 {
-			legacyWarmRun(sim.MustNew(cfg), b.Stream(*n), *n)
-			return *n
+			return uint64(len(cfgs)) * *n
 		})
 	}
-	if res.Fused != nil {
-		if res.Legacy != nil && res.Legacy.AggregateMIPS > 0 {
-			res.SpeedupVsLegacy = res.Fused.AggregateMIPS / res.Legacy.AggregateMIPS
-		}
-		if res.SeedAggregateMIPS > 0 {
-			res.SpeedupVsSeed = res.Fused.AggregateMIPS / res.SeedAggregateMIPS
-		}
+	if res.SeedAggregateMIPS > 0 {
+		res.SpeedupVsSeed = res.Fused.AggregateMIPS / res.SeedAggregateMIPS
 	}
 
 	blob, err := json.MarshalIndent(res, "", "  ")
@@ -252,9 +232,6 @@ func gate(path string, fresh Result, maxRegress float64) error {
 	}
 	if base.Fused == nil || base.Fused.AggregateMIPS <= 0 {
 		return fmt.Errorf("baseline %s has no fused aggregate", path)
-	}
-	if fresh.Fused == nil {
-		return fmt.Errorf("gate needs a fused measurement (run with -mode fused or both)")
 	}
 	if err := gatePath("fused", base.Fused, fresh.Fused, maxRegress); err != nil {
 		return err
@@ -362,28 +339,6 @@ func measure(benches []workload.Benchmark, path string, quiet bool, run func(wor
 	pr.WallSeconds = totalWall.Seconds()
 	pr.AggregateMIPS = round2(float64(totalInstr) / totalWall.Seconds() / 1e6)
 	return pr
-}
-
-// legacyWarmRun is the seed implementation's job shape: per-reference
-// Stream consumption through Machine.Step with the standard quarter-stream
-// warm-up split.  It deliberately avoids the batched generator machinery
-// so the legacy number keeps measuring the original loop.
-func legacyWarmRun(m *sim.Machine, s trace.Stream, n uint64) {
-	for i := uint64(0); i < n/4; i++ {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		m.Step(r)
-	}
-	m.ResetStats()
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return
-		}
-		m.Step(r)
-	}
 }
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }

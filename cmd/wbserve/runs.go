@@ -48,10 +48,10 @@ type runUpdate struct {
 	Label string `json:"label,omitempty"`
 	Key   string `json:"key,omitempty"`
 	// Instructions/Cycles are the finished job's measured counts.
-	Instructions uint64 `json:"instructions,omitempty"`
-	Cycles       uint64 `json:"cycles,omitempty"`
-	ElapsedMS    int64  `json:"elapsed_ms"`
-	EtaMS        int64  `json:"eta_ms"`
+	Instructions uint64  `json:"instructions,omitempty"`
+	Cycles       uint64  `json:"cycles,omitempty"`
+	ElapsedMS    int64   `json:"elapsed_ms"`
+	EtaMS        int64   `json:"eta_ms"`
 	MIPS         float64 `json:"mips"`
 	Complete     bool    `json:"complete"`
 	// Failed marks this update as a job *failure*: the job identified by

@@ -109,7 +109,8 @@ func main() {
 		return
 	}
 
-	var stream trace.Stream
+	var g trace.Generator
+	var r *trace.Reader
 	var name string
 	if *traceFile != "" {
 		fh, err := os.Open(*traceFile)
@@ -118,19 +119,19 @@ func main() {
 			os.Exit(1)
 		}
 		defer fh.Close()
-		r, err := trace.NewReader(fh)
+		r, err = trace.NewReader(fh)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wbsim:", err)
 			os.Exit(1)
 		}
-		stream, name = r, *traceFile
+		g, name = trace.GeneratorOf(r), *traceFile
 	} else {
 		b, ok := workload.ByName(*benchName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "wbsim: unknown benchmark %q (try -list)\n", *benchName)
 			os.Exit(1)
 		}
-		stream, name = b.Stream(*n), b.Name
+		g, name = b.Generator(*n), b.Name
 	}
 
 	m, err := sim.New(cfg)
@@ -138,7 +139,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wbsim:", err)
 		os.Exit(1)
 	}
-	m.Run(stream)
+	m.Run(g)
+	// A trace file that does not decode to its end is an error, not a
+	// shorter run.
+	if r != nil && r.Err() != nil {
+		fmt.Fprintf(os.Stderr, "wbsim: %s: %v\n", name, r.Err())
+		os.Exit(1)
+	}
 	printResult(name, m)
 }
 

@@ -34,6 +34,7 @@ func main() {
 
 	var s trace.Stream
 	var name string
+	decodeErr := func() error { return nil }
 	switch {
 	case *replay != "":
 		fh, err := os.Open(*replay)
@@ -45,7 +46,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		s, name = r, *replay
+		s, name, decodeErr = r, *replay, r.Err
 	default:
 		b, ok := workload.ByName(*benchName)
 		if !ok {
@@ -68,7 +69,7 @@ func main() {
 			return
 		}
 	}
-	analyse(s, name, dump)
+	analyse(s, name, *dump, decodeErr)
 }
 
 func fatalf(format string, args ...any) {
@@ -76,10 +77,12 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func analyse(s trace.Stream, name string, dump *int) {
-
-	if *dump > 0 {
-		for i := 0; i < *dump; i++ {
+// analyse prints the first dump references of s, or with dump 0 its mix
+// and footprint.  A decodeErr after reading (a truncated or corrupt trace
+// file) is fatal: a prefix must not pass for the whole trace.
+func analyse(s trace.Stream, name string, dump int, decodeErr func() error) {
+	if dump > 0 {
+		for i := 0; i < dump; i++ {
 			r, ok := s.Next()
 			if !ok {
 				break
@@ -92,6 +95,9 @@ func analyse(s trace.Stream, name string, dump *int) {
 					mem.DefaultGeometry.LineBase(r.Addr),
 					mem.DefaultGeometry.WordIndex(r.Addr))
 			}
+		}
+		if err := decodeErr(); err != nil {
+			fatalf("%s: %v", name, err)
 		}
 		return
 	}
@@ -111,6 +117,9 @@ func analyse(s trace.Stream, name string, dump *int) {
 		case trace.Store:
 			storeLines[mem.DefaultGeometry.LineTag(r.Addr)]++
 		}
+	}
+	if err := decodeErr(); err != nil {
+		fatalf("%s: %v", name, err)
 	}
 
 	fmt.Printf("source      %s\n", name)

@@ -55,7 +55,7 @@ func main() {
 			if period > 0 {
 				s = trace.NewInject(s, trace.Ref{Kind: trace.Membar}, period)
 			}
-			m.Run(s)
+			m.Run(trace.GeneratorOf(s))
 			cnt := m.Counters()
 			fmt.Printf(" %6.2f (%5.2f)", cnt.TotalStallPct(), cnt.StallPct(stats.MembarDrain))
 		}

@@ -109,7 +109,7 @@ func main() {
 		for _, p := range policies {
 			cfg := sim.Baseline().WithDepth(12).WithRetire(p).WithHazard(core.ReadFromWB)
 			m := sim.MustNew(cfg)
-			m.Run(b.Stream(n))
+			m.Run(b.Generator(n))
 			fmt.Printf(" %21.2f%%", m.Counters().TotalStallPct())
 		}
 		fmt.Println()

@@ -30,7 +30,7 @@ func main() {
 
 	measure := func(cfg sim.Config) float64 {
 		m := sim.MustNew(cfg)
-		m.Run(b.Stream(*n))
+		m.Run(b.Generator(*n))
 		return m.Counters().TotalStallPct()
 	}
 

@@ -27,7 +27,7 @@ func main() {
 				os.Exit(1)
 			}
 			m := sim.MustNew(sim.Baseline())
-			m.Run(b.Stream(n))
+			m.Run(b.Generator(n))
 			c := m.Counters()
 			fmt.Printf("%-12s %7.1f%% %7.1f%% %9.2f%%\n",
 				name, 100*c.L1LoadHitRate(), 100*m.WBStoreHitRate(), c.TotalStallPct())

@@ -19,7 +19,7 @@ import (
 // an allocating store (to a fresh line, so it can never merge) with
 // probability q, else a plain instruction.  No loads, so the L2 port is
 // contended only by retirements — the model's world, in the simulator.
-func bernoulliStores(q float64, n int, seed uint64) trace.Stream {
+func bernoulliStores(q float64, n int, seed uint64) *trace.SliceStream {
 	r := rng.New(seed)
 	refs := make([]trace.Ref, n)
 	line := mem.Addr(0)

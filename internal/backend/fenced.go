@@ -69,7 +69,7 @@ func (f *fenced) FenceExtra(full bool) uint64 {
 	return f.release
 }
 func (f *fenced) Stats() Stats { return f.inner.Stats() }
-func (f *fenced) ResetStats() { f.inner.ResetStats() }
+func (f *fenced) ResetStats()  { f.inner.ResetStats() }
 
 var (
 	_ Backend = (*fenced)(nil)

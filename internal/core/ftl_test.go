@@ -28,12 +28,12 @@ func TestFTLOrgValidate(t *testing.T) {
 		{FTLOrg{NumBuffers: 2, SectorBits: 1}, true},
 		{FTLOrg{NumBuffers: 4, SectorBits: 2}, true},
 		{FTLOrg{NumBuffers: 8, SectorBits: 0}, true},
-		{FTLOrg{NumBuffers: 0}, false},                // < 1
-		{FTLOrg{NumBuffers: -2}, false},               // < 1
-		{FTLOrg{NumBuffers: 3}, false},                // not a power of two
-		{FTLOrg{NumBuffers: 16}, false},               // does not divide depth
-		{FTLOrg{NumBuffers: 1, SectorBits: -1}, false} /* negative */,
-		{FTLOrg{NumBuffers: 1, SectorBits: 3}, false}, // granule 8 > 4 words
+		{FTLOrg{NumBuffers: 0}, false},                 // < 1
+		{FTLOrg{NumBuffers: -2}, false},                // < 1
+		{FTLOrg{NumBuffers: 3}, false},                 // not a power of two
+		{FTLOrg{NumBuffers: 16}, false},                // does not divide depth
+		{FTLOrg{NumBuffers: 1, SectorBits: -1}, false}, /* negative */
+		{FTLOrg{NumBuffers: 1, SectorBits: 3}, false},  // granule 8 > 4 words
 	}
 	for _, c := range cases {
 		err := c.spec.ValidateOrg(cfg)

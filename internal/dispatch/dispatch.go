@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/metrics"
@@ -152,8 +153,12 @@ func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs
 		ms[i] = m
 		own[i] = time.Since(t)
 	}
+	g := b.Generator(n)
+	if c, ok := g.(io.Closer); ok {
+		defer c.Close() // stops a kernel's producer when the row is cancelled
+	}
 	row := sim.NewRow(ms)
-	if err := row.Run(ctx, trace.GeneratorOf(b.Stream(n)), n/4); err != nil {
+	if err := row.Run(ctx, g, n/4); err != nil {
 		return nil, nil, err
 	}
 	out := make([]Measurement, len(cfgs))
@@ -193,18 +198,10 @@ func measure(m *sim.Machine, bench, label string, cfg sim.Config) Measurement {
 	}
 }
 
-// WarmRun executes the first quarter of the stream unmeasured, then runs
-// the remainder with statistics on — the repository's standard warm-up
-// split (experiment.Run documents why).  The stream is consumed through its
-// batched generator view (trace.GeneratorOf), so every backend — local,
-// worker, and the experiment harness — gets the simulator's fused hot path;
-// docs/PERFORMANCE.md quantifies the difference.
-func WarmRun(m *sim.Machine, s trace.Stream, n uint64) {
-	WarmRunGenerator(m, trace.GeneratorOf(s), n)
-}
-
-// WarmRunGenerator is WarmRun for a generator already in hand: a
-// one-machine sim.Row.
+// WarmRunGenerator executes the first quarter of the generator's n
+// instructions unmeasured, then the remainder with statistics on — the
+// repository's standard warm-up split (experiment.Run documents why) — as
+// a one-machine sim.Row.
 func WarmRunGenerator(m *sim.Machine, g trace.Generator, n uint64) {
 	// A background context never cancels, so Run cannot fail.
 	_ = sim.NewRow([]*sim.Machine{m}).Run(context.Background(), g, n/4)

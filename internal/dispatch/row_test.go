@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -76,5 +77,22 @@ func TestExecuteRowErrors(t *testing.T) {
 	cancel()
 	if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 10_000, nil); err != context.Canceled {
 		t.Errorf("cancelled row: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestExecuteRowCancelStopsGenerator: a cancelled row must not strand a
+// kernel benchmark's producer goroutine parked on its channel send.
+func TestExecuteRowCancelStopsGenerator(t *testing.T) {
+	b, _ := workload.ByName("fft")
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 1_000_000, nil); err != context.Canceled {
+			t.Fatalf("cancelled row: err = %v, want context.Canceled", err)
+		}
+	}
+	if !goroutinesSettle(before) {
+		t.Errorf("%d goroutines after 20 cancelled fft rows, %d before", runtime.NumGoroutine(), before)
 	}
 }

@@ -140,7 +140,7 @@ func runMultiprog(o Options) *Report {
 				label = fmt.Sprintf("%s+%s / %d", pair[0], pair[1], q)
 			}
 			m := sim.MustNew(sim.Baseline())
-			warmRun(m, s, o.instructions())
+			dispatch.WarmRunGenerator(m, trace.GeneratorOf(s), o.instructions())
 			c := m.Counters()
 			rep.Rows = append(rep.Rows, []string{
 				label,
@@ -171,13 +171,11 @@ func runWriteCache(o Options) *Report {
 	for _, s := range specs {
 		rep.Columns = append(rep.Columns, s.Label)
 	}
-	// RunMatrix does not expose write counts, so run directly here.
-	for _, b := range benches {
+	matrix := RunMatrixOpts(benches, specs, o)
+	for bi, b := range benches {
 		row := []string{b.Name}
-		for _, s := range specs {
-			m := sim.MustNew(s.Cfg)
-			streamWarm(m, b, o.instructions())
-			c := m.Counters()
+		for ci := range specs {
+			c := matrix[bi][ci].C
 			writes := c.Retirements + c.FlushedEntries
 			per100 := float64(0)
 			if c.Stores > 0 {
@@ -221,7 +219,7 @@ func runMembar(o Options) *Report {
 				if period > 0 {
 					s = trace.NewInject(s, trace.Ref{Kind: trace.Membar}, period)
 				}
-				warmRun(m, s, o.instructions())
+				dispatch.WarmRunGenerator(m, trace.GeneratorOf(s), o.instructions())
 				c := m.Counters()
 				row = append(row, fmt.Sprintf("%5.2f (mb %4.2f)",
 					c.TotalStallPct(), c.StallPct(stats.MembarDrain)))
@@ -254,7 +252,7 @@ func runOccupancy(o Options) *Report {
 		row := []string{b.Name}
 		for _, s := range specs {
 			m := sim.MustNew(s.Cfg)
-			streamWarm(m, b, o.instructions())
+			dispatch.WarmRunGenerator(m, b.Generator(o.instructions()), o.instructions())
 			h := m.OccupancyHistogram()
 			var total, tight uint64
 			for k, v := range h {
@@ -291,7 +289,7 @@ func runAnalytic(o Options) *Report {
 			panic(err)
 		}
 		m := sim.MustNew(sim.Baseline().WithDepth(tc.depth).WithRetire(core.RetireAt{N: tc.hwm}))
-		warmRun(m, bernoulliStores(q, o.instructions()), o.instructions())
+		dispatch.WarmRunGenerator(m, bernoulliStores(q, o.instructions()), o.instructions())
 		c := m.Counters()
 		simBlock := float64(0)
 		if c.Stores > 0 {
@@ -311,7 +309,7 @@ func runAnalytic(o Options) *Report {
 // bernoulliStores mirrors the analytic model's arrival assumptions: each
 // instruction is an allocating store (fresh line, never merges) with
 // probability q.
-func bernoulliStores(q float64, n uint64) trace.Stream {
+func bernoulliStores(q float64, n uint64) trace.Generator {
 	refs := make([]trace.Ref, n)
 	r := rng.New(7)
 	line := mem.Addr(0)
@@ -324,16 +322,4 @@ func bernoulliStores(q float64, n uint64) trace.Stream {
 		}
 	}
 	return trace.NewSliceStream(refs)
-}
-
-// streamWarm runs a benchmark with the standard warm-up split.
-func streamWarm(m *sim.Machine, b workload.Benchmark, n uint64) {
-	warmRun(m, b.Stream(n), n)
-}
-
-// warmRun executes the first quarter of the stream unmeasured.  The
-// implementation lives in dispatch.WarmRun so local and remote execution
-// share the warm-up split exactly.
-func warmRun(m *sim.Machine, s trace.Stream, n uint64) {
-	dispatch.WarmRun(m, s, n)
 }

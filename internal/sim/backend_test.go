@@ -5,7 +5,7 @@ package sim
 // banked with default row latencies at any bank count, fenced with zero
 // costs — must be byte-identical to the flat backend across the whole
 // PR-6 differential matrix, and every non-degenerate shape must preserve
-// the fused-path invariants (RunGenerator ≡ Run, zero steady-state
+// the fused-path invariants (Run ≡ Step, zero steady-state
 // allocation) even though its timing legitimately differs.
 
 import (

@@ -20,13 +20,13 @@
 //
 // # Execution paths
 //
-// The machine executes references two ways.  Run consumes a trace.Stream
-// one Next call at a time — the reference path, kept as the differential
-// oracle.  RunGenerator consumes a trace.Generator in 4096-reference
-// batches with execute runs run-length encoded and retired in closed
-// form; it is the production path every experiment and sweep runs, and it
-// reproduces Run's counters, stall attribution, occupancy histograms, and
-// CPI bit for bit (TestRunGeneratorMatchesRun).  A Row steps several
+// The machine executes references two ways.  Step executes one reference
+// at a time — the reference path, kept as the differential oracle.  Run
+// consumes a trace.Generator in 4096-reference batches (StepBatch) with
+// execute runs run-length encoded and retired in closed form; it is the
+// production path every experiment and sweep runs, and it reproduces
+// Step's counters, stall attribution, occupancy histograms, and CPI bit
+// for bit (TestRunGeneratorMatchesRun).  A Row steps several
 // machines over one generated stream; machines whose L1 contents follow
 // the stream alone (perfect L2, no write cache, a flushing hazard policy,
 // no statistical I-cache) share one L1 lookup per load with the others of

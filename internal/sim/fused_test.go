@@ -1,8 +1,8 @@
 package sim
 
-// Differential tests pinning the PR-6 batched hot path (RunGenerator /
-// StepBatch / the flattened policy dispatch) to the per-reference path
-// (Stream.Next + Step).  The fused path is allowed to be faster, never
+// Differential tests pinning the batched hot path (Run / StepBatch / the
+// flattened policy dispatch) to the per-reference path (Stream.Next +
+// Step).  The fused path is allowed to be faster, never
 // different: identical counters, stall attribution, occupancy histograms,
 // and CPI on the same decoded reference sequence, to the last bit.
 
@@ -104,7 +104,7 @@ func fusedConfigs() map[string]Config {
 var fusedBenches = []string{"li", "compress", "tomcatv", "cholsky"}
 
 // TestRunGeneratorMatchesRun is the old-vs-new differential promised in
-// the RunGenerator doc: over a seeded sample of configurations and
+// the Run doc: over a seeded sample of configurations and
 // benchmarks, the batched path must reproduce the per-reference path's
 // stall counts, occupancy histograms, and CPI exactly.
 func TestRunGeneratorMatchesRun(t *testing.T) {
@@ -421,16 +421,16 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("%s: StepBatch allocates %.1f per batch in steady state", name, avg)
 		}
 	}
-	// The full fused job shape: generator Fill + RunGenerator.  The
+	// The full fused job shape: generator Fill + Run.  The
 	// generator replays a pre-materialised batch so the measurement sees
 	// only the machine's own allocations, which must be zero once the
 	// batch buffer exists.
 	g := &replayGen{refs: benchRefs(1 << 14)}
 	m := MustNew(Baseline())
-	m.RunGenerator(g) // warm: builds m.batch
+	m.Run(g) // warm: builds m.batch
 	if avg := testing.AllocsPerRun(10, func() {
 		g.pos = 0
-		m.RunGenerator(g)
+		m.Run(g)
 	}); avg != 0 {
 		t.Errorf("fused run allocates %.1f per job in steady state", avg)
 	}

@@ -69,7 +69,7 @@ type Machine struct {
 	// state never allocates.
 	flushBuf []core.Entry
 
-	// batch is RunGenerator's reference buffer, allocated on first use.
+	// batch is Run's reference buffer, allocated on first use.
 	// Machines stepped by a Row share the row's buffer instead.
 	batch []trace.Ref
 
@@ -273,24 +273,17 @@ func (m *Machine) WBStoreHitRate() float64 {
 	return float64(m.WBStats().Merges) / float64(m.c.Stores)
 }
 
-// Run consumes the stream to exhaustion through the batched hot path
-// (RunGenerator over the stream's generator view).  Step remains the
-// per-reference oracle the differential tests loop explicitly.
-func (m *Machine) Run(s trace.Stream) {
-	m.RunGenerator(trace.GeneratorOf(s))
-}
-
 // batchSize is the fused hot path's granularity: references per Fill call.
 // 4096 × 16-byte refs is 64 KiB — large enough to amortise the generator
 // dispatch to nothing, small enough to stay cache-resident.
 const batchSize = 4096
 
-// RunGenerator consumes the generator to exhaustion through the batched
-// hot path.  Timing, counters, and histograms are bit-identical to Step
-// over the decoded sequence (TestRunGeneratorMatchesRun); only the
-// execution strategy differs.  The warm-up split jobs run under lives in
-// Row.Run.
-func (m *Machine) RunGenerator(g trace.Generator) {
+// Run consumes the generator to exhaustion through the batched hot path.
+// Timing, counters, and histograms are bit-identical to Step over the
+// decoded sequence (TestRunGeneratorMatchesRun), the per-reference oracle
+// the differential tests loop explicitly; only the execution strategy
+// differs.  The warm-up split jobs run under lives in Row.Run.
+func (m *Machine) Run(g trace.Generator) {
 	if m.batch == nil {
 		m.batch = make([]trace.Ref, batchSize)
 	}

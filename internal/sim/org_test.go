@@ -4,7 +4,7 @@ package sim
 // contract has two halves: the degenerate ftl shape (numbuffers=1,
 // sectorbits=0) must be byte-identical to the FIFO across the whole PR-6
 // differential matrix, and every non-degenerate shape must preserve the
-// fused-path invariants (RunGenerator ≡ Run, zero steady-state
+// fused-path invariants (Run ≡ Step, zero steady-state
 // allocation) even though its timing legitimately differs.
 
 import (

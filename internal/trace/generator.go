@@ -1,31 +1,24 @@
 package trace
 
-import "repro/internal/mem"
-
-// Generator is the batched producer interface behind the simulator's fused
-// hot path.  Fill writes up to len(buf) references into buf and returns how
-// many were written; 0 means the sequence is exhausted (a generator must
-// never return 0 while references remain).  Like Stream, generators are
+// Generator is the interface every reference producer implements and the
+// simulator consumes.  Fill writes up to len(buf) references into buf and
+// returns how many were written; 0 means the sequence is exhausted (a
+// generator must never return 0 while references remain).  Generators are
 // single-use and must yield a deterministic sequence.
 //
-// Generator exists for throughput, not expressiveness: consuming a stream
-// one Next call at a time costs an interface dispatch per dynamic
-// instruction, which PR 6's profile showed was nearly half the cost of a
-// simulation.  A generator amortises that dispatch over a whole batch, and
-// may run-length encode Exec runs (Ref.InstrCount documents the encoding),
-// so a kernel's thousand-instruction compute block is one ref instead of a
-// thousand.  The decoded sequence a Generator yields must be bit-identical
-// to the one its Stream form yields — the simulator treats the two as
-// interchangeable views of the same trace, and TestGeneratorMatchesStream
-// enforces it for every registered benchmark.
+// Filling whole batches amortises the producer's dispatch over thousands
+// of references, and a generator may run-length encode Exec runs
+// (Ref.InstrCount documents the encoding), so a kernel's
+// thousand-instruction compute block is one ref instead of a thousand.
+// Every workload implements Generator and nothing else; the Stream view
+// of a generator is GeneratorStream, which decodes the batches.
 type Generator interface {
 	Fill(buf []Ref) int
 }
 
 // GeneratorOf returns the most efficient Generator view of s: streams that
-// natively implement Generator (the workload generators, SliceStream) are
-// returned as themselves, and anything else is wrapped in a per-reference
-// adapter that is no slower than consuming the stream directly.
+// natively implement Generator (GeneratorStream, SliceStream) are returned
+// as themselves, and anything else is wrapped in a per-reference adapter.
 func GeneratorOf(s Stream) Generator {
 	if g, ok := s.(Generator); ok {
 		return g
@@ -34,9 +27,9 @@ func GeneratorOf(s Stream) Generator {
 }
 
 // streamGenerator adapts an arbitrary Stream to Generator by calling Next
-// per reference.  Combinator streams (Concat, Interleave, Inject…) land
-// here; they pay the same per-reference dispatch they always did, but
-// their consumers still get the simulator's batched execution.
+// per reference.  The combinators (Concat, Interleave, Inject) and trace
+// files land here; they pay a per-reference dispatch, but their consumers
+// still get the simulator's batched execution.
 type streamGenerator struct {
 	s Stream
 }
@@ -63,45 +56,11 @@ func (s *SliceStream) Fill(buf []Ref) int {
 	return n
 }
 
-// Fill implements Generator for Limit, batching through to the inner
-// stream's generator view.  The budget is counted in dynamic instructions,
-// so a run-length-encoded Exec ref that would cross the limit is shrunk in
-// place to end the sequence exactly on it.
-func (l *Limit) Fill(buf []Ref) int {
-	if l.left == 0 {
-		return 0
-	}
-	want := uint64(len(buf))
-	if want > l.left {
-		want = l.left
-	}
-	if l.gen == nil {
-		l.gen = GeneratorOf(l.inner)
-	}
-	n := l.gen.Fill(buf[:want])
-	if n == 0 {
-		l.left = 0
-		return 0
-	}
-	var c uint64
-	for i := 0; i < n; i++ {
-		k := buf[i].InstrCount()
-		if c+k >= l.left {
-			if c+k > l.left {
-				buf[i].Addr = mem.Addr(l.left - c)
-			}
-			l.left = 0
-			return i + 1
-		}
-		c += k
-	}
-	l.left -= c
-	return n
-}
-
-// GeneratorStream adapts a Generator back to a Stream, buffering one batch
-// at a time.  It lets generator-native producers feed Stream-only
-// consumers (trace recording, the wbtrace CLI) without a second code path.
+// GeneratorStream is the Stream view of a Generator: Next decodes its
+// batches to one Ref per dynamic instruction, for the per-reference
+// consumers (the Step oracle, trace recording, the combinators).  It is
+// also a Generator itself, so GeneratorOf hands the batched view straight
+// back to a batch consumer.
 type GeneratorStream struct {
 	g        Generator
 	buf      [256]Ref
@@ -136,4 +95,24 @@ func (s *GeneratorStream) Next() (Ref, bool) {
 		return Ref{Kind: Exec}, true
 	}
 	return r, true
+}
+
+// Fill implements Generator.  It first delivers what Next has decoded but
+// not yet handed out — the rest of a split Exec run, then the buffered
+// refs — and fills the remainder of buf straight from the wrapped
+// generator, so a stream nobody has called Next on costs no copy at all.
+func (s *GeneratorStream) Fill(buf []Ref) int {
+	n := 0
+	if s.execLeft > 0 && len(buf) > 0 {
+		buf[0] = ExecRun(s.execLeft)
+		s.execLeft = 0
+		n = 1
+	}
+	c := copy(buf[n:], s.cur[s.pos:])
+	s.pos += c
+	n += c
+	if n < len(buf) {
+		n += s.g.Fill(buf[n:])
+	}
+	return n
 }

@@ -53,44 +53,45 @@ func TestExecRunInstrCount(t *testing.T) {
 	}
 }
 
-// TestLimitFillCountsInstructions pins Limit's budget to dynamic
-// instructions, not refs: a run-length-encoded Exec ref that crosses the
-// budget must be shrunk in place so the sequence ends exactly on it.
-func TestLimitFillCountsInstructions(t *testing.T) {
+// TestGeneratorStreamFill: after a few Next calls, Fill must first hand
+// out what Next decoded but did not deliver — the tail of a split Exec
+// run, then the buffered refs — and the whole sequence must still decode
+// to the wrapped generator's.
+func TestGeneratorStreamFill(t *testing.T) {
 	refs := []Ref{
-		ExecRun(10),
-		{Kind: Load, Addr: 0x40},
-		ExecRun(10),
-		{Kind: Store, Addr: 0x80},
+		ExecRun(5),
+		{Kind: Store, Addr: 0x100},
+		{Kind: Load, Addr: 0x108},
+		ExecRun(3),
+		{Kind: Release},
 	}
-	l := NewLimit(NewSliceStream(refs), 15)
-	got := decode(l, 100)
-	if len(got) != 15 {
-		t.Fatalf("limit 15 yielded %d instructions", len(got))
-	}
-	// Decoded prefix: 10 exec, the load, then 4 of the second run.
-	if got[10].Kind != Load || got[10].Addr != 0x40 {
-		t.Fatalf("instruction 10 = %+v, want the load", got[10])
-	}
-	for _, i := range []int{11, 12, 13, 14} {
-		if got[i].Kind != Exec {
-			t.Fatalf("instruction %d = %+v, want Exec", i, got[i])
+	want := decode(NewSliceStream(refs), 100)
+	for next := 0; next <= len(want); next++ {
+		s := NewGeneratorStream(NewSliceStream(refs))
+		var got []Ref
+		for i := 0; i < next; i++ {
+			r, _ := s.Next()
+			got = append(got, r)
+		}
+		got = append(got, decode(s, 100)...)
+		if len(got) != len(want) {
+			t.Fatalf("after %d Next calls: %d instructions, want %d", next, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("after %d Next calls: instruction %d = %+v, want %+v", next, i, got[i], want[i])
+			}
 		}
 	}
-	if n := l.Fill(make([]Ref, 8)); n != 0 {
-		t.Fatalf("exhausted limit still produced %d refs", n)
+	// A fresh GeneratorStream is its own batched view: GeneratorOf must
+	// not wrap it in the per-reference adapter.
+	s := NewGeneratorStream(NewSliceStream(refs))
+	if g := GeneratorOf(s); g != Generator(s) {
+		t.Fatalf("GeneratorOf(GeneratorStream) = %T, want the stream itself", g)
 	}
-}
-
-// TestLimitFillExactBoundary: a budget landing exactly on a ref boundary
-// must not truncate the straddling ref to zero.
-func TestLimitFillExactBoundary(t *testing.T) {
-	refs := []Ref{ExecRun(5), {Kind: Load, Addr: 8}, ExecRun(5)}
-	for budget := uint64(1); budget <= 11; budget++ {
-		l := NewLimit(NewSliceStream(refs), budget)
-		if got := decode(l, 100); uint64(len(got)) != budget {
-			t.Fatalf("budget %d yielded %d instructions", budget, len(got))
-		}
+	buf := make([]Ref, len(refs))
+	if n := s.Fill(buf); n != len(refs) || buf[0] != refs[0] || buf[3] != refs[3] {
+		t.Fatalf("untouched stream filled %d refs %v, want the generator's batch %v", n, buf[:n], refs)
 	}
 }
 

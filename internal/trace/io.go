@@ -15,11 +15,15 @@ import (
 // stream.
 //
 //	header:  "WBT1"
-//	record:  kind byte ('x' exec-run, 'l' load, 's' store, 'b' membar)
+//	record:  kind byte ('x' exec-run, 'l' load, 's' store, 'b' membar,
+//	         'r' release)
 //	         'x' → uvarint run length
 //	         'l'/'s' → uvarint byte address
-//	         'b' → no payload
+//	         'b'/'r' → no payload
 const traceMagic = "WBT1"
+
+// recordKind maps each non-Exec Kind to its record byte.
+var recordKind = [...]byte{Load: 'l', Store: 's', Membar: 'b', Release: 'r'}
 
 // Write serialises the stream to w, returning the number of references
 // written.  The stream is consumed.
@@ -55,18 +59,12 @@ func Write(w io.Writer, s Stream) (uint64, error) {
 		if err := flushExecs(); err != nil {
 			return count, err
 		}
-		if r.Kind == Membar {
-			if err := bw.WriteByte('b'); err != nil {
-				return count, err
-			}
-			continue
-		}
-		kind := byte('l')
-		if r.Kind == Store {
-			kind = 's'
-		}
+		kind := recordKind[r.Kind]
 		if err := bw.WriteByte(kind); err != nil {
 			return count, err
+		}
+		if kind == 'b' || kind == 'r' {
+			continue
 		}
 		n := binary.PutUvarint(buf, uint64(r.Addr))
 		if _, err := bw.Write(buf[:n]); err != nil {
@@ -127,6 +125,8 @@ func (r *Reader) Next() (Ref, bool) {
 		return Ref{Kind: Exec}, true
 	case 'b':
 		return Ref{Kind: Membar}, true
+	case 'r':
+		return Ref{Kind: Release}, true
 	case 'l', 's':
 		addr, err := binary.ReadUvarint(r.br)
 		if err != nil {

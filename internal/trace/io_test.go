@@ -40,6 +40,35 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteReadAllKinds: every Kind survives a round trip, barriers
+// included — a Release must not come back as a load of address 0.
+func TestWriteReadAllKinds(t *testing.T) {
+	refs := []Ref{
+		{Kind: Exec}, {Kind: Load, Addr: 0x40}, {Kind: Store, Addr: 0x48},
+		{Kind: Membar}, {Kind: Release}, {Kind: Exec}, {Kind: Release},
+	}
+	var buf bytes.Buffer
+	if _, err := Write(&buf, NewSliceStream(refs)); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	got := collect(r)
+	if r.Err() != nil {
+		t.Fatalf("reader error: %v", r.Err())
+	}
+	if len(got) != len(refs) {
+		t.Fatalf("read %d refs, want %d", len(got), len(refs))
+	}
+	for i := range refs {
+		if got[i] != refs[i] {
+			t.Errorf("ref %d = %+v, want %+v", i, got[i], refs[i])
+		}
+	}
+}
+
 func TestReaderRejectsBadMagic(t *testing.T) {
 	if _, err := NewReader(strings.NewReader("NOPE....")); err == nil {
 		t.Fatal("bad magic accepted")
@@ -79,7 +108,7 @@ func TestReaderTruncatedAddress(t *testing.T) {
 func TestExecRunLengthEncoding(t *testing.T) {
 	// A million execs must compress to a handful of bytes.
 	var buf bytes.Buffer
-	if _, err := Write(&buf, NewLimit(NewRepeat(NewSliceStream([]Ref{{Kind: Exec}})), 1_000_000)); err != nil {
+	if _, err := Write(&buf, NewSliceStream(make([]Ref, 1_000_000))); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() > 16 {
@@ -92,8 +121,8 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(kinds []uint8, addrs []uint32) bool {
 		refs := make([]Ref, len(kinds))
 		for i, k := range kinds {
-			refs[i].Kind = Kind(k % 3)
-			if refs[i].Kind != Exec && i < len(addrs) {
+			refs[i].Kind = Kind(k % 5)
+			if (refs[i].Kind == Load || refs[i].Kind == Store) && i < len(addrs) {
 				refs[i].Addr = mem.Addr(addrs[i])
 			}
 		}

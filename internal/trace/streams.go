@@ -23,12 +23,6 @@ func (s *SliceStream) Next() (Ref, bool) {
 	return r, true
 }
 
-// Remaining reports how many references have not yet been consumed.
-func (s *SliceStream) Remaining() int { return len(s.refs) - s.pos }
-
-// Reset rewinds the stream to its beginning, making it reusable.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // Concat chains several streams into one.
 type Concat struct {
 	streams []Stream
@@ -46,89 +40,6 @@ func (c *Concat) Next() (Ref, bool) {
 		c.streams = c.streams[1:]
 	}
 	return Ref{}, false
-}
-
-// Limit truncates a stream after n references.
-type Limit struct {
-	inner Stream
-	left  uint64
-	gen   Generator // lazily built batch view of inner (see generator.go)
-}
-
-// NewLimit returns a stream yielding at most n references from inner.
-func NewLimit(inner Stream, n uint64) *Limit { return &Limit{inner: inner, left: n} }
-
-// Next implements Stream.
-func (l *Limit) Next() (Ref, bool) {
-	if l.left == 0 {
-		return Ref{}, false
-	}
-	r, ok := l.inner.Next()
-	if !ok {
-		l.left = 0
-		return Ref{}, false
-	}
-	l.left--
-	return r, true
-}
-
-// Repeat cycles a finite base sequence forever (use with Limit).  The base
-// sequence is materialised once by draining the source stream.
-type Repeat struct {
-	refs []Ref
-	pos  int
-}
-
-// NewRepeat drains src and returns an endlessly cycling stream over its
-// references.  An empty source yields an exhausted stream rather than an
-// infinite loop of nothing.
-func NewRepeat(src Stream) *Repeat {
-	var refs []Ref
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		refs = append(refs, r)
-	}
-	return &Repeat{refs: refs}
-}
-
-// Next implements Stream.
-func (r *Repeat) Next() (Ref, bool) {
-	if len(r.refs) == 0 {
-		return Ref{}, false
-	}
-	ref := r.refs[r.pos]
-	r.pos++
-	if r.pos == len(r.refs) {
-		r.pos = 0
-	}
-	return ref, true
-}
-
-// Filter passes through only references for which keep returns true.
-type Filter struct {
-	inner Stream
-	keep  func(Ref) bool
-}
-
-// NewFilter wraps inner, dropping references rejected by keep.
-func NewFilter(inner Stream, keep func(Ref) bool) *Filter {
-	return &Filter{inner: inner, keep: keep}
-}
-
-// Next implements Stream.
-func (f *Filter) Next() (Ref, bool) {
-	for {
-		r, ok := f.inner.Next()
-		if !ok {
-			return Ref{}, false
-		}
-		if f.keep(r) {
-			return r, true
-		}
-	}
 }
 
 // Interleave round-robins several streams with a fixed quantum, modelling
@@ -202,28 +113,6 @@ func (in *Inject) Next() (Ref, bool) {
 	}
 	return r, ok
 }
-
-// Recorder is a pass-through stream that captures everything it yields,
-// so a synthetic run can later be replayed exactly.
-type Recorder struct {
-	inner Stream
-	Refs  []Ref
-}
-
-// NewRecorder wraps inner with recording.
-func NewRecorder(inner Stream) *Recorder { return &Recorder{inner: inner} }
-
-// Next implements Stream.
-func (r *Recorder) Next() (Ref, bool) {
-	ref, ok := r.inner.Next()
-	if ok {
-		r.Refs = append(r.Refs, ref)
-	}
-	return ref, ok
-}
-
-// Replay returns a fresh stream over everything recorded so far.
-func (r *Recorder) Replay() *SliceStream { return NewSliceStream(r.Refs) }
 
 // Builder assembles reference slices with a fluent API.  Workload kernels
 // use it to express "do k cycles of compute, then this load, then this

@@ -19,7 +19,7 @@ func collect(s Stream) []Ref {
 }
 
 func TestInjectEveryPeriod(t *testing.T) {
-	base := NewLimit(NewRepeat(NewSliceStream([]Ref{{Kind: Exec}})), 10)
+	base := NewSliceStream(make([]Ref, 10))
 	s := NewInject(base, Ref{Kind: Membar}, 3)
 	refs := collect(s)
 	// 10 base refs + a membar after every 3 = 3 membars.
@@ -35,7 +35,7 @@ func TestInjectEveryPeriod(t *testing.T) {
 }
 
 func TestInjectDisabled(t *testing.T) {
-	base := NewLimit(NewRepeat(NewSliceStream([]Ref{{Kind: Exec}})), 5)
+	base := NewSliceStream(make([]Ref, 5))
 	refs := collect(NewInject(base, Ref{Kind: Membar}, 0))
 	if len(refs) != 5 {
 		t.Fatalf("period 0 changed the stream: %d refs", len(refs))
@@ -127,7 +127,7 @@ func TestInjectCountProperty(t *testing.T) {
 		if period == 0 {
 			return true
 		}
-		base := NewLimit(NewRepeat(NewSliceStream([]Ref{{Kind: Exec}})), uint64(n))
+		base := NewSliceStream(make([]Ref, n))
 		got := collect(NewInject(base, Ref{Kind: Membar}, uint64(period)))
 		want := int(n) + int(n)/int(period)
 		return len(got) == want

@@ -1,20 +1,19 @@
-// Package trace defines the dynamic instruction-reference stream consumed by
-// the simulator.
+// Package trace defines the dynamic instruction-reference sequences
+// consumed by the simulator.
 //
 // The paper produced its streams by instrumenting Alpha binaries with DEC's
-// ATOM tool.  This repository replaces that proprietary pipeline with a
-// Stream interface: anything able to produce a sequence of Ref values —
-// a synthetic kernel, a recorded trace, a file — can drive the machine
-// model.  The simulator never needs to know where references come from.
+// ATOM tool.  This repository replaces that proprietary pipeline with one
+// producer interface, Generator: anything able to fill batches of Ref
+// values — a synthetic kernel, a recorded trace, a hand-built slice — can
+// drive the machine model, and the simulator never needs to know where
+// references come from.  Generators may run-length encode runs of
+// plain-execution instructions (ExecRun, Ref.InstrCount).
 //
-// Streams have a batched sibling, Generator, which fills whole reference
-// buffers per call and may run-length encode runs of plain-execution
-// instructions (ExecRun, Ref.InstrCount).  The two views of one source
-// are interchangeable by contract: a generator's batches decode to
-// exactly the sequence its stream form yields.  GeneratorOf upgrades any
-// stream to the batched view; GeneratorStream adapts a generator back.
-// The batched view exists purely for throughput — see
-// docs/PERFORMANCE.md.
+// Stream is the per-reference decode view, one Ref per dynamic
+// instruction.  It serves the consumers that want references one at a
+// time: the simulator's Step oracle, trace files (Write, Reader) and the
+// combinators (Concat, Interleave, Inject).  GeneratorStream decodes a
+// generator to a stream; GeneratorOf returns a stream's batched view.
 package trace
 
 import "repro/internal/mem"
@@ -92,7 +91,7 @@ func (r Ref) InstrCount() uint64 {
 
 // Stream produces a finite sequence of references.  Next returns the next
 // reference and true, or a zero Ref and false after the stream is exhausted.
-// Streams are single-use; generators provide fresh streams on demand.
+// Streams are single-use; a benchmark provides fresh ones on demand.
 type Stream interface {
 	Next() (Ref, bool)
 }

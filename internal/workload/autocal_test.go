@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -25,17 +26,10 @@ func TestAutoCalibrate(t *testing.T) {
 		var l1, wb float64
 		for round := 0; round < 8; round++ {
 			m := sim.MustNew(sim.Baseline())
-			s := newSynth(p, n)
 			// Warm up on the first quarter, as experiment.Run does.
-			for i := uint64(0); i < n/4; i++ {
-				r, ok := s.Next()
-				if !ok {
-					break
-				}
-				m.Step(r)
+			if err := sim.NewRow([]*sim.Machine{m}).Run(context.Background(), newSynth(p, n), n/4); err != nil {
+				t.Fatal(err)
 			}
-			m.ResetStats()
-			m.Run(s)
 			c := m.Counters()
 			l1 = 100 * c.L1LoadHitRate()
 			wb = 100 * m.WBStoreHitRate()

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -13,6 +15,7 @@ import (
 type Emitter struct {
 	out   chan []trace.Ref
 	free  chan []trace.Ref // spent chunks returned by the consumer for reuse
+	stop  chan struct{}    // closed when the consumer abandons the sequence
 	chunk []trace.Ref
 	left  uint64
 }
@@ -20,7 +23,7 @@ type Emitter struct {
 const emitChunk = 4096
 
 // stopEmit is the panic sentinel that unwinds a kernel once its instruction
-// quota is exhausted.
+// quota is exhausted or its consumer has stopped it.
 type stopEmit struct{}
 
 // Load emits a load of addr.
@@ -83,7 +86,11 @@ func (e *Emitter) flush() {
 	if len(e.chunk) == 0 {
 		return
 	}
-	e.out <- e.chunk
+	select {
+	case e.out <- e.chunk:
+	case <-e.stop:
+		panic(stopEmit{})
+	}
 	// Reuse a chunk the consumer has finished with when one is waiting;
 	// otherwise allocate.  In steady state the producer cycles through the
 	// same few buffers, so a multi-million-reference kernel run allocates a
@@ -96,31 +103,32 @@ func (e *Emitter) flush() {
 	}
 }
 
-// kernelStream adapts the producer goroutine to trace.Stream and
-// trace.Generator.
+// kernelGen adapts the producer goroutine to trace.Generator.
 //
-// The stream must be consumed to exhaustion (every harness in this
-// repository does); abandoning it mid-way would park the producer
-// goroutine on its channel send for the life of the process.
-type kernelStream struct {
-	ch       chan []trace.Ref
-	free     chan []trace.Ref
-	cur      []trace.Ref
-	pos      int
-	execLeft uint64 // undelivered tail of a run-length-encoded Exec ref
+// A consumer that abandons the sequence before exhaustion must Close it:
+// otherwise the producer stays parked on its channel send, holding its
+// chunks, for the life of the process.
+type kernelGen struct {
+	ch   chan []trace.Ref
+	free chan []trace.Ref
+	stop chan struct{}
+	once sync.Once
+	cur  []trace.Ref
+	pos  int
 }
 
-// newKernelStream runs body in a goroutine, restarting it as needed, until
+// newKernelGen runs body in a goroutine, restarting it as needed, until
 // exactly n references have been produced.  body must emit at least one
 // reference per invocation (every kernel here emits millions).
-func newKernelStream(n uint64, body func(*Emitter)) trace.Stream {
-	ks := &kernelStream{
+func newKernelGen(n uint64, body func(*Emitter)) trace.Generator {
+	kg := &kernelGen{
 		ch:   make(chan []trace.Ref, 4),
 		free: make(chan []trace.Ref, 8),
+		stop: make(chan struct{}),
 	}
 	go func() {
-		defer close(ks.ch)
-		e := &Emitter{out: ks.ch, free: ks.free, left: n, chunk: make([]trace.Ref, 0, emitChunk)}
+		defer close(kg.ch)
+		e := &Emitter{out: kg.ch, free: kg.free, stop: kg.stop, left: n, chunk: make([]trace.Ref, 0, emitChunk)}
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stopEmit); !ok {
@@ -137,11 +145,19 @@ func newKernelStream(n uint64, body func(*Emitter)) trace.Stream {
 		}
 		e.flush()
 	}()
-	return ks
+	return kg
+}
+
+// Close stops the producer goroutine; the sequence ends early.  It
+// implements io.Closer and is safe to call more than once, including after
+// exhaustion.
+func (k *kernelGen) Close() error {
+	k.once.Do(func() { close(k.stop) })
+	return nil
 }
 
 // recycle hands the fully consumed current chunk back to the producer.
-func (k *kernelStream) recycle() {
+func (k *kernelGen) recycle() {
 	if k.cur == nil {
 		return
 	}
@@ -152,34 +168,9 @@ func (k *kernelStream) recycle() {
 	k.cur = nil
 }
 
-// Next implements trace.Stream, decoding the chunks' run-length-encoded
-// Exec refs back to one Ref per dynamic instruction.
-func (k *kernelStream) Next() (trace.Ref, bool) {
-	if k.execLeft > 0 {
-		k.execLeft--
-		return trace.Ref{Kind: trace.Exec}, true
-	}
-	for k.pos >= len(k.cur) {
-		k.recycle()
-		chunk, ok := <-k.ch
-		if !ok {
-			return trace.Ref{}, false
-		}
-		k.cur, k.pos = chunk, 0
-	}
-	r := k.cur[k.pos]
-	k.pos++
-	if r.Kind == trace.Exec {
-		k.execLeft = r.InstrCount() - 1
-		return trace.Ref{Kind: trace.Exec}, true
-	}
-	return r, true
-}
-
 // Fill implements trace.Generator: whole chunks are copied into the
-// caller's batch, one channel operation per 4096 references instead of one
-// interface call per reference.
-func (k *kernelStream) Fill(buf []trace.Ref) int {
+// caller's batch, one channel operation per 4096 references.
+func (k *kernelGen) Fill(buf []trace.Ref) int {
 	n := 0
 	for n < len(buf) {
 		if k.pos >= len(k.cur) {

@@ -144,8 +144,8 @@ func init() {
 	// ── NASA kernels (real loop nests) ───────────────────────────────
 	register(Benchmark{
 		Name: "tomcatv", Group: SPECfp, Target: paperTargets["tomcatv"],
-		gen: func(n uint64) trace.Stream {
-			return newKernelStream(n, tomcatv(tomcatvParams{
+		gen: func(n uint64) trace.Generator {
+			return newKernelGen(n, tomcatv(tomcatvParams{
 				n: 192, lda: 193, execStencil: 16, execUpdate: 8,
 				scatterPeriod: 2, scatterBurst: 2, seed: 114,
 			}))
@@ -153,14 +153,14 @@ func init() {
 	})
 	register(Benchmark{
 		Name: "fft", Group: NASA, Target: paperTargets["fft"],
-		gen: func(n uint64) trace.Stream {
-			return newKernelStream(n, fft(fftParams{logN: 13, execPad: 10}))
+		gen: func(n uint64) trace.Generator {
+			return newKernelGen(n, fft(fftParams{logN: 13, execPad: 10}))
 		},
 	})
 	register(Benchmark{
 		Name: "cholsky", Group: NASA, Target: paperTargets["cholsky"],
-		gen: func(n uint64) trace.Stream {
-			return newKernelStream(n, cholsky(cholskyParams{
+		gen: func(n uint64) trace.Generator {
+			return newKernelGen(n, cholsky(cholskyParams{
 				n: 192, lda: 193, rowMajor: true, // inner loop strides lda
 				execPad: 6, spillEvery: 3, spillCluster: 3, hotNum: 2, hotDen: 3,
 			}))
@@ -168,8 +168,8 @@ func init() {
 	})
 	register(Benchmark{
 		Name: "gmtry", Group: NASA, Target: paperTargets["gmtry"],
-		gen: func(n uint64) trace.Stream {
-			return newKernelStream(n, gmtry(gmtryParams{
+		gen: func(n uint64) trace.Generator {
+			return newKernelGen(n, gmtry(gmtryParams{
 				n: 208, lda: 209, rowMajor: true,
 				execPad: 5, spillEvery: 8, spillCluster: 2, hotNum: 9, hotDen: 5,
 			}))
@@ -179,8 +179,8 @@ func init() {
 	// ── Table 6 transformed variants ─────────────────────────────────
 	registerExtra(Benchmark{
 		Name: "cholsky-t", Group: NASA, Target: paperTargets["cholsky-t"],
-		gen: func(n uint64) trace.Stream {
-			return newKernelStream(n, cholsky(cholskyParams{
+		gen: func(n uint64) trace.Generator {
+			return newKernelGen(n, cholsky(cholskyParams{
 				n: 192, lda: 193, rowMajor: false, // transposed: unit stride
 				// Lower spill pressure: the unit-stride loop needs fewer
 				// live registers than the strided original.
@@ -190,8 +190,8 @@ func init() {
 	})
 	registerExtra(Benchmark{
 		Name: "gmtry-t", Group: NASA, Target: paperTargets["gmtry-t"],
-		gen: func(n uint64) trace.Stream {
-			return newKernelStream(n, gmtry(gmtryParams{
+		gen: func(n uint64) trace.Generator {
+			return newKernelGen(n, gmtry(gmtryParams{
 				n: 208, lda: 209, rowMajor: false, // interchanged: unit stride
 				// Lower spill pressure: the unit-stride loop needs fewer
 				// live registers than the strided original.

@@ -106,7 +106,7 @@ func registerScenarioProfile(name string, target Target, p Profile) {
 		Name:   name,
 		Group:  Scenario,
 		Target: target,
-		gen:    func(n uint64) trace.Stream { return newSynth(p, n) },
+		gen:    func(n uint64) trace.Generator { return newSynth(p, n) },
 	})
 }
 
@@ -117,8 +117,8 @@ func init() {
 	registerScenario(Benchmark{
 		Name: "fenceprod", Group: Scenario,
 		Target: Target{PctLoads: 17.6, PctStores: 17.6, L1HitRate: 99.9, WBHitRate: 66.7},
-		gen: func(n uint64) trace.Stream {
-			return newKernelStream(n, fenceprod(fenceprodConfig))
+		gen: func(n uint64) trace.Generator {
+			return newKernelGen(n, fenceprod(fenceprodConfig))
 		},
 	})
 }

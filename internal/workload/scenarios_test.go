@@ -35,33 +35,10 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 }
 
-// TestScenarioGeneratorMatchesStream extends the Generator≡Stream
-// contract to the scenario generators, fences included.
+// TestScenarioGeneratorMatchesStream: the stress scenarios, fences
+// included, generate exactly the sequences they were recorded with.
 func TestScenarioGeneratorMatchesStream(t *testing.T) {
-	const n = 20_000
-	for _, b := range workload.Scenarios() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			byNext := b.Stream(n)
-			byFill := trace.NewGeneratorStream(trace.GeneratorOf(b.Stream(n)))
-			for i := 0; ; i++ {
-				want, okW := byNext.Next()
-				got, okG := byFill.Next()
-				if okW != okG {
-					t.Fatalf("instruction %d: stream ended=%v, generator ended=%v", i, !okW, !okG)
-				}
-				if !okW {
-					if i != n {
-						t.Fatalf("scenario ended at %d instructions, want %d", i, n)
-					}
-					return
-				}
-				if want != got {
-					t.Fatalf("instruction %d: stream %+v, generator %+v", i, want, got)
-				}
-			}
-		})
-	}
+	checkStreamDigests(t, workload.Scenarios())
 }
 
 // TestScenarioCalibration holds the scenarios to their declared targets:

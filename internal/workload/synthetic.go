@@ -105,8 +105,8 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// synthStream is the deterministic generator state machine.
-type synthStream struct {
+// synthGen is the deterministic generator state machine.
+type synthGen struct {
 	p Profile
 	r *rng.RNG
 
@@ -140,9 +140,9 @@ type synthStream struct {
 	recentPos int
 }
 
-// newSynth builds a stream of exactly n instructions from the profile.
-func newSynth(p Profile, n uint64) trace.Stream {
-	s := &synthStream{p: p, r: rng.New(p.Seed), left: n}
+// newSynth builds a generator of exactly n instructions from the profile.
+func newSynth(p Profile, n uint64) trace.Generator {
+	s := &synthGen{p: p, r: rng.New(p.Seed), left: n}
 	const gap = 4 * lineBytes
 	s.hot = synthBase + regionOffset(p.Seed)
 	s.warm = s.hot + mem.Addr(p.HotLines)*lineBytes + gap
@@ -167,49 +167,25 @@ func newSynth(p Profile, n uint64) trace.Stream {
 	return s
 }
 
-// Next implements trace.Stream.
-func (s *synthStream) Next() (trace.Ref, bool) {
-	if s.left == 0 {
-		return trace.Ref{}, false
-	}
-	s.left--
-	if r, ok := s.initNext(); ok {
-		return r, true
-	}
-	if s.runLeft == 0 {
-		s.pickBlock()
-	}
-	s.runLeft--
-	switch s.mode {
-	case trace.Load:
-		return trace.Ref{Kind: trace.Load, Addr: s.loadAddr()}, true
-	case trace.Store:
-		return trace.Ref{Kind: trace.Store, Addr: s.storeAddr()}, true
-	default:
-		return trace.Ref{Kind: trace.Exec}, true
-	}
-}
-
-// Fill implements trace.Generator: the batched form of Next, emitting whole
-// runs with straight-line code and every Exec run as a single run-length-
-// encoded ref (trace.ExecRun).  The decoded reference sequence is
-// bit-identical to repeated Next calls — the RNG is consulted at exactly
-// the same points (once per block for the kind and length, once per
-// load/store for the address) — so the two views are interchangeable; the
-// simulator's fused hot path consumes this one.
-func (s *synthStream) Fill(buf []trace.Ref) int {
+// Fill implements trace.Generator, emitting whole runs with straight-line
+// code and every Exec run as a single run-length-encoded ref
+// (trace.ExecRun).  The RNG is consulted once per block for the kind and
+// length and once per load/store for the address, so the sequence does not
+// depend on how the caller sizes its batches.
+func (s *synthGen) Fill(buf []trace.Ref) int {
 	n := 0
-	// The initialisation sweep (and the instruction that retires it) goes
-	// through the scalar path; once initPhase reaches its terminal state it
-	// is never re-entered, so steady-state batches skip this loop entirely.
+	// The initialisation sweep draws no randomness; once initPhase reaches
+	// its terminal state it is never re-entered, so steady-state batches
+	// skip this loop entirely.
 	for s.initPhase < 4 {
-		if n == len(buf) {
+		if n == len(buf) || s.left == 0 {
 			return n
 		}
-		r, ok := s.Next()
+		r, ok := s.initNext()
 		if !ok {
-			return n
+			break
 		}
+		s.left--
 		buf[n] = r
 		n++
 	}
@@ -252,7 +228,7 @@ func (s *synthStream) Fill(buf []trace.Ref) int {
 // order, so the hottest data is installed last and remains resident), then
 // one load per hot line so the hot set starts L1-resident.  The far sweep
 // is skipped outright if the whole sweep would not fit the budget.
-func (s *synthStream) initNext() (trace.Ref, bool) {
+func (s *synthGen) initNext() (trace.Ref, bool) {
 	for {
 		if s.initBudget == 0 {
 			s.initPhase = 4
@@ -295,7 +271,7 @@ func (s *synthStream) initNext() (trace.Ref, bool) {
 	}
 }
 
-func (s *synthStream) pickBlock() {
+func (s *synthGen) pickBlock() {
 	u := s.r.Float64()
 	switch {
 	case u < s.qLoad:
@@ -330,7 +306,7 @@ func jointLW(x uint64, lines int) (line, word mem.Addr) {
 	return mem.Addr(hi / mem.WordsPerLine), mem.Addr(hi % mem.WordsPerLine)
 }
 
-func (s *synthStream) loadAddr() mem.Addr {
+func (s *synthGen) loadAddr() mem.Addr {
 	u := s.r.Float64()
 	switch {
 	case u < s.p.LoadRecent && s.recentLen > 0:
@@ -348,7 +324,7 @@ func (s *synthStream) loadAddr() mem.Addr {
 	}
 }
 
-func (s *synthStream) storeAddr() mem.Addr {
+func (s *synthGen) storeAddr() mem.Addr {
 	var addr mem.Addr
 	if s.r.Float64() < s.p.StoreSeq {
 		s.seqCursor += mem.WordBytes
@@ -368,7 +344,7 @@ func (s *synthStream) storeAddr() mem.Addr {
 	return addr
 }
 
-func (s *synthStream) pushRecent(line mem.Addr) {
+func (s *synthGen) pushRecent(line mem.Addr) {
 	s.recent[s.recentPos] = line
 	s.recentPos = (s.recentPos + 1) % len(s.recent)
 	if s.recentLen < len(s.recent) {
@@ -386,6 +362,6 @@ func registerProfile(name string, group Group, target Target, p Profile) {
 		Name:   name,
 		Group:  group,
 		Target: target,
-		gen:    func(n uint64) trace.Stream { return newSynth(p, n) },
+		gen:    func(n uint64) trace.Generator { return newSynth(p, n) },
 	})
 }

@@ -32,16 +32,17 @@
 // compared on identical workloads — exactly as the paper's trace-driven
 // methodology requires.
 //
-// Both families implement trace.Generator natively: they fill whole
-// reference batches, run-length encode execute runs, and draw randomness
-// through economy samplers (rng.Geo, joint line/word draws) that consume
-// one RNG step where the original code consumed several.  The exact
-// stream realization for a given seed therefore differs from the pre-PR-6
-// one — a declared change; every governed distribution (mix, run-length
-// law, locality classes, footprints) is unchanged, and the calibration
-// tests pin them.  The stream and generator views of one benchmark remain
-// bit-identical to each other (TestGeneratorMatchesStream).  See
-// docs/PERFORMANCE.md.
+// Both families implement trace.Generator and nothing else: they fill
+// whole reference batches, run-length encode execute runs, and draw
+// randomness through economy samplers (rng.Geo, joint line/word draws)
+// that consume one RNG step where the original code consumed several.
+// The exact stream realization for a given seed therefore differs from
+// the original one-draw-per-decision one — a declared change; every
+// governed distribution (mix, run-length law, locality classes,
+// footprints) is unchanged, and the calibration tests pin them.
+// Benchmark.Stream decodes a generator to one reference per instruction;
+// TestGeneratorMatchesStream pins every benchmark's decoded sequence to
+// recorded digests.  See docs/PERFORMANCE.md.
 package workload
 
 import (
@@ -95,18 +96,25 @@ type Target struct {
 }
 
 // Benchmark is one workload: a name, its group, the paper's target
-// statistics, and a deterministic stream factory.
+// statistics, and a deterministic generator factory.
 type Benchmark struct {
 	Name   string
 	Group  Group
 	Target Target
-	gen    func(n uint64) trace.Stream
+	gen    func(n uint64) trace.Generator
 }
 
-// Stream returns a fresh deterministic reference stream of exactly n
-// dynamic instructions (fewer only if n exceeds the generator's repetition
-// limit, which none of the registered benchmarks has).
-func (b Benchmark) Stream(n uint64) trace.Stream { return b.gen(n) }
+// Generator returns a fresh deterministic generator of exactly n dynamic
+// instructions.  A kernel benchmark's generator runs its kernel on a
+// producer goroutine; a consumer that stops before exhaustion must close
+// it (the generator implements io.Closer when it needs closing).
+func (b Benchmark) Generator(n uint64) trace.Generator { return b.gen(n) }
+
+// Stream returns the generator's per-reference decode view: one Ref per
+// dynamic instruction (trace.GeneratorStream).
+func (b Benchmark) Stream(n uint64) *trace.GeneratorStream {
+	return trace.NewGeneratorStream(b.Generator(n))
+}
 
 // All lists the benchmarks in the paper's figure order: SPECint92, then
 // SPECfp92, then the NASA kernels, each group ordered by baseline stall
@@ -171,7 +179,7 @@ func Reseeded(b Benchmark, delta uint64) (Benchmark, bool) {
 			p := np.Profile
 			p.Seed += delta * 1_000_003 // spread shifted seeds far apart
 			out := b
-			out.gen = func(n uint64) trace.Stream { return newSynth(p, n) }
+			out.gen = func(n uint64) trace.Generator { return newSynth(p, n) }
 			return out, true
 		}
 	}

@@ -130,7 +130,7 @@ func TestSynthMixMatchesTargets(t *testing.T) {
 		LoadHot: 0.9, HotLines: 100, WarmLines: 1000, FarLines: 1000, FarFrac: 0.1,
 		StoreSeq: 0.5, StoreLines: 500, SeqRegionLines: 2048,
 	}
-	m := trace.MeasureMix(newSynth(p, 200_000))
+	m := trace.MeasureMix(trace.NewGeneratorStream(newSynth(p, 200_000)))
 	if got := m.PctLoads(); got < 28.5 || got > 31.5 {
 		t.Errorf("loads = %.2f%%, want ~30%%", got)
 	}
@@ -143,10 +143,10 @@ func TestKernelStreamRepeats(t *testing.T) {
 	// A stream longer than one kernel execution must keep producing by
 	// restarting the kernel body.
 	calls := 0
-	s := newKernelStream(100, func(e *Emitter) {
+	s := trace.NewGeneratorStream(newKernelGen(100, func(e *Emitter) {
 		calls++
 		e.Exec(30)
-	})
+	}))
 	n := 0
 	for {
 		if _, ok := s.Next(); !ok {
@@ -164,7 +164,7 @@ func TestKernelStreamRepeats(t *testing.T) {
 
 func TestKernelStreamEmptyBody(t *testing.T) {
 	// A body that emits nothing must terminate, not spin.
-	s := newKernelStream(50, func(e *Emitter) {})
+	s := trace.NewGeneratorStream(newKernelGen(50, func(e *Emitter) {}))
 	if _, ok := s.Next(); ok {
 		t.Fatal("empty kernel produced a reference")
 	}
