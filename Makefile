@@ -36,14 +36,14 @@ bench-sim:
 	$(GO) run ./cmd/wbbench -n 2000000 -repeat 3 -out BENCH_sim.json
 	@cat BENCH_sim.json
 
-# bench-sim-smoke is the CI gate: a shortened fused and row run that must
-# parse the committed BENCH_sim.json and land within 20% of both its fused
-# and its row aggregate MIPS.  It catches structural regressions
-# (de-batched hot path, per-step allocations, a row that regenerates its
-# stream), not single-digit drift.
+# bench-sim-smoke is the CI gate: wbbench built from this checkout and
+# from its parent commit run alternately in one session (three processes
+# of -repeat 2 each, n=500k), and the checkout's best fused and row
+# aggregate MIPS must both reach 0.80x the parent's.  It catches structural regressions (de-batched hot
+# path, per-step allocations, a row that regenerates its stream), not
+# single-digit drift, and it needs the parent commit in the clone.
 bench-sim-smoke:
-	$(GO) run ./cmd/wbbench -n 500000 -quiet -repeat 5 \
-		-baseline BENCH_sim.json -max-regress 0.20 > /dev/null
+	bash scripts/bench_sim_smoke.sh
 
 # bench-explore runs a small guided wbopt search and records its throughput
 # (jobs/sec) and pruning counters in BENCH_explore.json.  The committed file

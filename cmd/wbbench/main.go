@@ -31,7 +31,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/backend"
@@ -57,13 +59,16 @@ type PathResult struct {
 }
 
 // Result is the BENCH_sim.json schema.  SeedAggregateMIPS is the aggregate
-// throughput of the pre-PR-6 seed implementation, measured once on the
-// reference machine and carried forward so every later PR can see the
-// trajectory from the original per-reference loop.
+// throughput of the seed implementation (the per-reference loop before the
+// fused path), measured on the host named in Host and carried forward so
+// later runs on that host can see the trajectory from the original loop.
 type Result struct {
 	SchemaVersion int    `json:"schema_version"`
 	Instructions  uint64 `json:"instructions_per_bench"`
 	BenchCount    int    `json:"bench_count"`
+	// Host is the machine the run measured; MIPS compare only across runs
+	// on the same host.
+	Host Host `json:"host"`
 	// Org names the buffer organization the machine ran with; empty means
 	// fifo (the committed BENCH_sim.json shape, unchanged from before the
 	// organization axis existed).
@@ -80,14 +85,38 @@ type Result struct {
 	SpeedupVsSeed float64     `json:"speedup_vs_seed,omitempty"`
 }
 
+// Host identifies the measuring machine.
+type Host struct {
+	NProc    int    `json:"nproc"`
+	CPUModel string `json:"cpu_model"`
+}
+
+// thisHost describes the running machine: its CPU count and, where
+// /proc/cpuinfo names one, its CPU model.
+func thisHost() Host {
+	h := Host{NProc: runtime.NumCPU(), CPUModel: runtime.GOARCH}
+	blob, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return h
+	}
+	for _, line := range strings.Split(string(blob), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			h.CPUModel = strings.TrimSpace(v)
+			break
+		}
+	}
+	return h
+}
+
 // defaultSeedMIPS is the measured aggregate throughput of the seed
 // implementation (per-reference Stream.Next + Step, pre-ring-buffer core,
-// pre-flattened policy dispatch) over this same suite at n=2e6 on the
-// reference machine — the best of three interleaved seed-vs-new runs,
-// recorded by PR 6 before the rewrite landed (docs/PERFORMANCE.md
-// describes the protocol).
-var defaultSeedMIPS = flag.Float64("seed-mips", 28.33,
-	"recorded pre-PR-6 seed aggregate MIPS (reference machine); used for speedup_vs_seed")
+// pre-flattened policy dispatch: the tree before the fused path landed)
+// over this same suite at n=2e6 through its dispatch.ExecuteBench — the
+// best of three runs interleaved with this tree's fused path, on the host
+// recorded in the committed BENCH_sim.json (docs/PERFORMANCE.md describes
+// the protocol).
+var defaultSeedMIPS = flag.Float64("seed-mips", 19.67,
+	"recorded seed aggregate MIPS (the BENCH_sim.json host); used for speedup_vs_seed")
 
 func main() {
 	n := flag.Uint64("n", 1_000_000, "dynamic instructions per benchmark (first quarter is warm-up)")
@@ -100,9 +129,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measurement to this file")
 	repeat := flag.Int("repeat", 1,
 		"measure each path this many times and report the best run (scheduler noise is one-sided)")
-	baseline := flag.String("baseline", "", "committed BENCH_sim.json to gate against (CI bench smoke)")
-	maxRegress := flag.Float64("max-regress", 0.20,
-		"with -baseline: fail if the fused or row aggregate MIPS drops more than this fraction below it")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -150,6 +176,7 @@ func main() {
 		SchemaVersion:     1,
 		Instructions:      *n,
 		BenchCount:        len(benches),
+		Host:              thisHost(),
 		SeedAggregateMIPS: *defaultSeedMIPS,
 	}
 	if *org != "fifo" {
@@ -194,68 +221,6 @@ func main() {
 		}
 	}
 	os.Stdout.Write(blob)
-
-	if *baseline != "" {
-		if err := gate(*baseline, res, *maxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, "wbbench:", err)
-			os.Exit(2)
-		}
-	}
-}
-
-// gate is the CI bench-smoke check: the committed BENCH_sim.json must
-// parse, and the fresh fused aggregate must be within maxRegress of it.
-// The committed number was measured on the reference machine with a much
-// longer run, so the gate catches structural regressions (an accidental
-// de-batching, a reintroduced per-step allocation), not single-digit
-// percent drift.
-func gate(path string, fresh Result, maxRegress float64) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base Result
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return fmt.Errorf("baseline %s does not parse: %w", path, err)
-	}
-	if base.SchemaVersion != fresh.SchemaVersion {
-		return fmt.Errorf("baseline schema v%d, tool writes v%d — regenerate %s",
-			base.SchemaVersion, fresh.SchemaVersion, path)
-	}
-	if base.Org != fresh.Org {
-		return fmt.Errorf("baseline %s measured org %q, this run measured %q — gate like against like",
-			path, orgName(base.Org), orgName(fresh.Org))
-	}
-	if base.Backend != fresh.Backend {
-		return fmt.Errorf("baseline %s measured backend %q, this run measured %q — gate like against like",
-			path, backendName(base.Backend), backendName(fresh.Backend))
-	}
-	if base.Fused == nil || base.Fused.AggregateMIPS <= 0 {
-		return fmt.Errorf("baseline %s has no fused aggregate", path)
-	}
-	if err := gatePath("fused", base.Fused, fresh.Fused, maxRegress); err != nil {
-		return err
-	}
-	if base.Row == nil {
-		return nil // a baseline from before the row path was measured
-	}
-	if fresh.Row == nil {
-		return fmt.Errorf("baseline %s has a row aggregate, this run measured none", path)
-	}
-	return gatePath("row", base.Row, fresh.Row, maxRegress)
-}
-
-// gatePath fails when fresh's aggregate is more than maxRegress below
-// base's.
-func gatePath(name string, base, fresh *PathResult, maxRegress float64) error {
-	floor := base.AggregateMIPS * (1 - maxRegress)
-	if fresh.AggregateMIPS < floor {
-		return fmt.Errorf("%s aggregate %.2f MIPS below gate %.2f (baseline %.2f, max regress %.0f%%)",
-			name, fresh.AggregateMIPS, floor, base.AggregateMIPS, maxRegress*100)
-	}
-	fmt.Fprintf(os.Stderr, "wbbench: %s gate ok: %.2f MIPS vs baseline %.2f (floor %.2f)\n",
-		name, fresh.AggregateMIPS, base.AggregateMIPS, floor)
-	return nil
 }
 
 // paperRow returns the row the row path measures: the first
@@ -282,23 +247,6 @@ func paperRow() ([]string, []sim.Config, error) {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "wbbench:", err)
 	os.Exit(1)
-}
-
-// orgName renders a Result.Org for error messages (empty means fifo).
-func orgName(org string) string {
-	if org == "" {
-		return "fifo"
-	}
-	return org
-}
-
-// backendName renders a Result.Backend for error messages (empty means
-// flat).
-func backendName(be string) string {
-	if be == "" {
-		return "flat"
-	}
-	return be
 }
 
 // measureBest is measure repeated, keeping the run with the best

@@ -97,3 +97,31 @@ func TestBadTraceIsFatal(t *testing.T) {
 		}
 	}
 }
+
+// TestDamagedTraceIsFatal: a recorded trace whose records still decode but
+// no longer match what was written — its last byte flipped, its trailer
+// cut off — fails the trailer check, so wbsim exits 1 with the integrity
+// error instead of reporting numbers from the wrong trace.
+func TestDamagedTraceIsFatal(t *testing.T) {
+	path := record(t, "fenceprod", 100_000, "")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x01
+	for name, data := range map[string][]byte{
+		"last byte flipped": flipped,
+		"trailer cut off":   good[:len(good)-10],
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.wbt")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := run(t, "-trace", bad)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "trace:") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 with the integrity error",
+				name, code, stdout, stderr)
+		}
+	}
+}

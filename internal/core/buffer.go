@@ -9,18 +9,24 @@
 // through the methods defined here.  Keeping time out of this package makes
 // every policy decision unit-testable in isolation.
 //
-// Storage is a fixed ring sized at construction: the FIFO head is a
-// rotating index and a retirement frees the head by advancing it, so no
-// entry ever moves.  Every per-instruction operation — tag scan, merge,
-// allocate, probe — walks the n occupied slots through a wraparound index
-// with zero heap allocation.  (The original slice-append implementation
-// re-allocated its backing array every few retirements, and the interim
-// shift-down-on-retire layout spent more time in memmove than in the tag
-// scans themselves; both showed up in PR 6's profile.)
+// Storage is structure-of-arrays rings sized at construction, the layout
+// of OpenSSD's write_buffer.c (SNIPPETS.md): one dense tag array that
+// every store and load probe searches linearly, with the valid masks and
+// allocation cycles in arrays beside it.  The rings are a power of two
+// long, so FIFO position i is slot (head+i)&mask; Depth, which need not be
+// a power of two (the paper sweeps 12-deep buffers), only bounds
+// occupancy.  A retirement frees the head by advancing it, so no entry
+// ever moves, and BeginRetire hands the retirement engine the head's
+// block address, mask and age straight from the arrays rather than an
+// Entry copy.  Every per-instruction operation — tag scan, merge,
+// allocate, probe, retire — runs with zero heap allocation.  Entry
+// remains the unit of hazard flushes and barrier drains, which copy the
+// flushed entries into a scratch slice the simulator owns.
 package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -92,33 +98,27 @@ type Stats struct {
 	LoadHits    uint64 // probes that found their block active
 }
 
-// Buffer is the write buffer.  The backing array is a ring: buf[head] is
-// the FIFO head — the next entry to retire — and the n occupied slots
-// follow it with wraparound.  At most the head can be in the middle of
-// retirement (retirement order is FIFO, Table 2), tracked by the retiring
-// flag.
+// Buffer is the write buffer, stored as structure-of-arrays rings: slot j
+// holds one entry as tags[j], valid[j] and alloc[j].  The FIFO head — the
+// next entry to retire — is slot head, and the n occupied slots follow it
+// with wraparound.  The rings are sized to the next power of two at or
+// above Depth, so FIFO position i lives at (head+i)&mask; Depth, not the
+// ring length, bounds occupancy, so a 12-deep buffer holds 12 entries in
+// 16 slots.  At most the head can be in the middle of retirement
+// (retirement order is FIFO, Table 2), tracked by the retiring flag.
 type Buffer struct {
 	cfg      Config
-	buf      []Entry // fixed backing, len == cfg.Depth
-	head     int     // index of the FIFO head in buf
-	n        int     // occupied slots: buf[head], buf[head+1 mod Depth], …
+	tags     []mem.Addr // entry tags, the array every store and probe scans
+	valid    []uint64   // per-word valid bits
+	alloc    []uint64   // allocation cycles (aging retirement)
+	mask     int        // len(tags) - 1
+	head     int        // slot of the FIFO head
+	n        int        // occupied slots: head, head+1, … (mod len)
 	retiring bool
 	stats    Stats
 
-	wordsShift uint // log2(WordsPerEntry); tag = addr >> (wordShift + wordsShift)
-	tagShift   uint // log2(word bytes) + wordsShift, precomputed for EntryTag/AddrOf
-	wordShift  uint // log2(word bytes), precomputed for wordMask
-}
-
-// slot maps FIFO position i (0 = head) to its index in buf.  Depth need
-// not be a power of two (the paper sweeps 12-deep buffers), so wraparound
-// is a compare-and-subtract rather than a mask; i is always < Depth.
-func (b *Buffer) slot(i int) int {
-	j := b.head + i
-	if j >= len(b.buf) {
-		j -= len(b.buf)
-	}
-	return j
+	tagShift  uint // log2(word bytes) + log2(WordsPerEntry): tag = addr >> tagShift
+	wordShift uint // log2(word bytes), precomputed for wordMask
 }
 
 // NewBuffer constructs a write buffer; it panics on an invalid Config.
@@ -126,15 +126,25 @@ func NewBuffer(cfg Config) *Buffer {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	wordsShift := mem.Log2(cfg.WordsPerEntry)
 	wordShift := mem.Log2(cfg.Geometry.WordBytes())
+	size := 1 << bits.Len(uint(cfg.Depth-1))
 	return &Buffer{
-		cfg:        cfg,
-		buf:        make([]Entry, cfg.Depth),
-		wordsShift: wordsShift,
-		tagShift:   wordShift + wordsShift,
-		wordShift:  wordShift,
+		cfg:       cfg,
+		tags:      make([]mem.Addr, size),
+		valid:     make([]uint64, size),
+		alloc:     make([]uint64, size),
+		mask:      size - 1,
+		tagShift:  wordShift + mem.Log2(cfg.WordsPerEntry),
+		wordShift: wordShift,
 	}
+}
+
+// slot maps FIFO position i (0 = head) to its ring index.
+func (b *Buffer) slot(i int) int { return (b.head + i) & b.mask }
+
+// entry assembles the entry in ring slot j.
+func (b *Buffer) entry(j int) Entry {
+	return Entry{Tag: b.tags[j], Valid: b.valid[j], AllocCycle: b.alloc[j]}
 }
 
 // Config returns the buffer's configuration.
@@ -175,8 +185,8 @@ func (b *Buffer) Retiring() bool { return b.retiring }
 // intended for tests and diagnostics.
 func (b *Buffer) Entries() []Entry {
 	out := make([]Entry, b.n)
-	for i := 0; i < b.n; i++ {
-		out[i] = b.buf[b.slot(i)]
+	for i := range out {
+		out[i] = b.entry(b.slot(i))
 	}
 	return out
 }
@@ -187,24 +197,22 @@ func (b *Buffer) Head() Entry {
 	if b.n == 0 {
 		panic("core: Head of empty buffer")
 	}
-	return b.buf[b.head]
+	return b.entry(b.head)
 }
 
-// FindMerge returns the index of an entry the store to addr may coalesce
-// into, or -1.  Per Section 2.2, stores cannot merge into the entry being
-// retired, but may update any other entry while a retirement is under way.
-func (b *Buffer) FindMerge(addr mem.Addr) int {
-	tag := b.EntryTag(addr)
-	start := 0
-	if b.retiring {
-		start = 1
-	}
-	for i := start; i < b.n; i++ {
-		if b.buf[b.slot(i)].Tag == tag {
-			return i
+// find returns the FIFO position of the first entry at or after position i
+// whose tag is tag, and its ring slot, or (-1, -1).  It is the one linear
+// scan of the dense tag array behind Store, Probe and Find.
+func (b *Buffer) find(tag mem.Addr, i int) (pos, j int) {
+	// Locals: otherwise the compiler reloads these fields from b on every
+	// iteration.
+	tags, h, mask, n := b.tags, b.head, b.mask, b.n
+	for ; i < n; i++ {
+		if j := (h + i) & mask; tags[j] == tag {
+			return i, j
 		}
 	}
-	return -1
+	return -1, -1
 }
 
 // Store applies a store to the buffer: it merges when possible, allocates
@@ -222,62 +230,79 @@ const (
 	StoreBlocked
 )
 
-// Store attempts to insert the store at addr at the given cycle.
+// Store attempts to insert the store at addr at the given cycle.  Per
+// Section 2.2, a store cannot merge into the entry being retired, but may
+// update any other entry while a retirement is under way.
 func (b *Buffer) Store(addr mem.Addr, cycle uint64) StoreResult {
-	if i := b.FindMerge(addr); i >= 0 {
-		b.buf[b.slot(i)].Valid |= b.wordMask(addr)
+	tag := b.EntryTag(addr)
+	start := 0
+	if b.retiring {
+		start = 1
+	}
+	if _, j := b.find(tag, start); j >= 0 {
+		b.valid[j] |= b.wordMask(addr)
 		b.stats.Merges++
 		return StoreMerged
 	}
 	if b.n == b.cfg.Depth {
 		return StoreBlocked
 	}
-	b.buf[b.slot(b.n)] = Entry{
-		Tag:        b.EntryTag(addr),
-		Valid:      b.wordMask(addr),
-		AllocCycle: cycle,
+	b.allocate(tag, addr, cycle)
+	return StoreAllocated
+}
+
+// Allocate is Store for a store that was just blocked and has since seen
+// exactly one retirement complete: its merge scan found nothing, and the
+// retirement only removed the head, so the store can only allocate — the
+// scan is not repeated.  It panics when the buffer is full.
+func (b *Buffer) Allocate(addr mem.Addr, cycle uint64) {
+	if b.n == b.cfg.Depth {
+		panic("core: Allocate into a full buffer")
 	}
+	b.allocate(b.EntryTag(addr), addr, cycle)
+}
+
+// allocate appends a new entry behind the tail.
+func (b *Buffer) allocate(tag, addr mem.Addr, cycle uint64) {
+	j := b.slot(b.n)
+	b.tags[j] = tag
+	b.valid[j] = b.wordMask(addr)
+	b.alloc[j] = cycle
 	b.n++
 	b.stats.Allocations++
-	return StoreAllocated
 }
 
 // Probe checks whether an L1 load miss to addr hits in the buffer — the
 // load-hazard detection of Section 2.2.  A hazard occurs when the *block*
 // is active, even if the needed word is not valid (the L2 copy is stale
-// either way).  The retiring head counts: its data is still in the buffer.
-// It returns the FIFO index of the hit entry and whether the needed word
-// itself is valid (read-from-WB can only forward when it is).
+// either way).  The retiring head counts: its data is still in the buffer,
+// and when a store has reallocated its block behind it, the scan finds the
+// head first.  It returns the FIFO index of the hit entry and whether the
+// needed word itself is valid (read-from-WB can only forward when it is).
 func (b *Buffer) Probe(addr mem.Addr) (idx int, wordValid, hit bool) {
 	b.stats.LoadProbes++
-	tag := b.EntryTag(addr)
-	for i := 0; i < b.n; i++ {
-		j := b.slot(i)
-		if b.buf[j].Tag == tag {
-			b.stats.LoadHits++
-			return i, b.buf[j].Valid&b.wordMask(addr) != 0, true
-		}
+	i, j := b.find(b.EntryTag(addr), 0)
+	if i < 0 {
+		return -1, false, false
 	}
-	return -1, false, false
+	b.stats.LoadHits++
+	return i, b.valid[j]&b.wordMask(addr) != 0, true
 }
 
 // Find returns the FIFO index of the entry holding addr's block, or -1.
 // Unlike Probe it records no statistics; the simulator uses it to re-locate
 // a hazard's entry after an in-flight retirement completes.
 func (b *Buffer) Find(addr mem.Addr) int {
-	tag := b.EntryTag(addr)
-	for i := 0; i < b.n; i++ {
-		if b.buf[b.slot(i)].Tag == tag {
-			return i
-		}
-	}
-	return -1
+	i, _ := b.find(b.EntryTag(addr), 0)
+	return i
 }
 
-// BeginRetire marks the FIFO head as being written to L2.  It panics when
-// the buffer is empty or a retirement is already in flight; the simulator's
-// port arbitration makes those states unreachable.
-func (b *Buffer) BeginRetire() Entry {
+// BeginRetire marks the FIFO head as being written to L2 and returns its
+// block's base byte address, valid mask and allocation cycle — read
+// straight from the rings, with no Entry copy.  It panics when the buffer
+// is empty or a retirement is already in flight; the simulator's port
+// arbitration makes those states unreachable.
+func (b *Buffer) BeginRetire() (addr mem.Addr, valid, alloc uint64) {
 	if b.n == 0 {
 		panic("core: BeginRetire on empty buffer")
 	}
@@ -285,7 +310,8 @@ func (b *Buffer) BeginRetire() Entry {
 		panic("core: BeginRetire while a retirement is in flight")
 	}
 	b.retiring = true
-	return b.buf[b.head]
+	h := b.head
+	return b.tags[h] << b.tagShift, b.valid[h], b.alloc[h]
 }
 
 // CompleteRetire frees the head entry whose write to L2 has finished.
@@ -316,11 +342,8 @@ func (b *Buffer) FlushPrefixInto(dst []Entry, n int) []Entry {
 	if n < 0 || n > b.n {
 		panic(fmt.Sprintf("core: FlushPrefix(%d) with occupancy %d", n, b.n))
 	}
-	if first := len(b.buf) - b.head; n <= first {
-		dst = append(dst, b.buf[b.head:b.head+n]...)
-	} else {
-		dst = append(dst, b.buf[b.head:]...)
-		dst = append(dst, b.buf[:n-first]...)
+	for i := 0; i < n; i++ {
+		dst = append(dst, b.entry(b.slot(i)))
 	}
 	b.head = b.slot(n)
 	b.n -= n
@@ -350,9 +373,10 @@ func (b *Buffer) FlushOne(i int) Entry {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("core: FlushOne(%d) with occupancy %d", i, b.n))
 	}
-	e := b.buf[b.slot(i)]
-	for j := i; j < b.n-1; j++ {
-		b.buf[b.slot(j)] = b.buf[b.slot(j+1)]
+	e := b.entry(b.slot(i))
+	for k := i; k < b.n-1; k++ {
+		to, from := b.slot(k), b.slot(k+1)
+		b.tags[to], b.valid[to], b.alloc[to] = b.tags[from], b.valid[from], b.alloc[from]
 	}
 	b.n--
 	b.stats.Flushes++

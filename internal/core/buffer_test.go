@@ -113,9 +113,8 @@ func TestRetireLifecycle(t *testing.T) {
 	b := newBuf(4)
 	b.Store(0x000, 0)
 	b.Store(0x040, 0)
-	head := b.BeginRetire()
-	if head.Tag != b.EntryTag(0x000) {
-		t.Fatal("BeginRetire returned wrong entry")
+	if addr, valid, alloc := b.BeginRetire(); addr != 0x000 || valid != 1 || alloc != 0 {
+		t.Fatalf("BeginRetire = (%#x, %#b, %d), want the head (0x0, 0b1, 0)", addr, valid, alloc)
 	}
 	if !b.Retiring() {
 		t.Fatal("Retiring flag not set")

@@ -315,8 +315,8 @@ func (f *FTL) Find(addr mem.Addr) int {
 }
 
 // BeginRetire implements BufferOrg: mark the fullest buffer's oldest entry
-// as being written to L2.
-func (f *FTL) BeginRetire() Entry {
+// as being written to L2 and return its block address, mask and age.
+func (f *FTL) BeginRetire() (addr mem.Addr, valid, alloc uint64) {
 	if f.n == 0 {
 		panic("core: BeginRetire on empty organization")
 	}
@@ -325,7 +325,8 @@ func (f *FTL) BeginRetire() Entry {
 	}
 	f.retBuf = f.victim()
 	f.retiring = true
-	return f.buf[f.slot(f.retBuf, 0)]
+	e := &f.buf[f.slot(f.retBuf, 0)]
+	return e.Tag << f.tagShift, e.Valid, e.AllocCycle
 }
 
 // CompleteRetire implements BufferOrg.

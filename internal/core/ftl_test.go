@@ -89,9 +89,9 @@ func TestFTLFullestVictim(t *testing.T) {
 	if got := f.HeadAllocCycle(); got != 2 {
 		t.Fatalf("HeadAllocCycle = %d, want 2 (buffer 1's head)", got)
 	}
-	e := f.BeginRetire()
-	if e.Tag != 1 {
-		t.Fatalf("victim tag = %d, want 1 (fullest buffer)", e.Tag)
+	if addr, valid, alloc := f.BeginRetire(); addr != addrOf(1, 0) || valid != 0b11 || alloc != 2 {
+		t.Fatalf("victim = (%#x, %#b, %d), want (%#x, 0b11, 2): buffer 1's head",
+			addr, valid, alloc, addrOf(1, 0))
 	}
 	f.CompleteRetire()
 	if got := f.Stats().Retirements; got != 1 {
@@ -100,8 +100,8 @@ func TestFTLFullestVictim(t *testing.T) {
 	// Now both buffers tie at 1 sector each after refilling buffer 1; the
 	// cursor (buffer 1, where the last retirement drained) wins the tie.
 	f.Store(addrOf(3, 0), 4)
-	if e := f.BeginRetire(); e.Tag != 3 {
-		t.Fatalf("tie-break victim tag = %d, want 3 (cursor buffer)", e.Tag)
+	if addr, _, _ := f.BeginRetire(); addr != addrOf(3, 0) {
+		t.Fatalf("tie-break victim = %#x, want %#x (cursor buffer)", addr, addrOf(3, 0))
 	}
 	f.AbandonRetireForTest()
 }
@@ -224,9 +224,11 @@ func TestFTLDegenerateCoreEquivalence(t *testing.T) {
 				b.CompleteRetire()
 				f.CompleteRetire()
 			} else if b.Occupancy() > 0 {
-				eb, ef := b.BeginRetire(), f.BeginRetire()
-				if eb != ef {
-					t.Fatalf("step %d: BeginRetire fifo=%+v ftl=%+v", step, eb, ef)
+				ab, vb, cb := b.BeginRetire()
+				af, vf, cf := f.BeginRetire()
+				if ab != af || vb != vf || cb != cf {
+					t.Fatalf("step %d: BeginRetire fifo=(%#x,%#b,%d) ftl=(%#x,%#b,%d)",
+						step, ab, vb, cb, af, vf, cf)
 				}
 				if b.HeadAllocCycle() != f.HeadAllocCycle() {
 					t.Fatalf("step %d: HeadAllocCycle diverged", step)

@@ -25,6 +25,13 @@ import "repro/internal/mem"
 // means it did not; StoreBlocked means nothing changed and the store must
 // wait for a retirement to complete.
 //
+// Retirement contract: BeginRetire returns the victim's block address,
+// valid mask and allocation cycle as values — everything the retirement
+// engine needs to time the write and apply it to L2 — so retiring copies
+// no Entry and needs no AddrOf call.  HeadAllocCycle must report the same
+// allocation cycle BeginRetire would return, without selecting anything.
+// Flushes, far rarer, surrender whole Entry values that AddrOf converts.
+//
 // Index contract: Probe and Find return an opaque entry index that the
 // simulator hands back unchanged to FlushThroughInto (flush everything the
 // organization's ordering discipline requires to drain before and
@@ -44,8 +51,9 @@ type BufferOrg interface {
 	// Retiring reports whether a retirement is currently in flight.
 	Retiring() bool
 	// HeadAllocCycle returns the AllocCycle of the entry BeginRetire would
-	// select now — the age the aging retirement policies inspect.  It
-	// panics when empty; the simulator always checks Occupancy first.
+	// select now — the age the aging retirement policies inspect.  It is
+	// meaningless when empty (the FIFO returns a stale cycle, the other
+	// organizations panic); the simulator always checks Occupancy first.
 	HeadAllocCycle() uint64
 	// Store applies a store at the given cycle: merge, allocate, or report
 	// StoreBlocked so the simulator can charge a buffer-full stall (see the
@@ -58,8 +66,11 @@ type BufferOrg interface {
 	// Find re-locates addr's entry without recording statistics, or -1.
 	Find(addr mem.Addr) int
 	// BeginRetire selects the organization's retirement victim and marks it
-	// in flight, returning a copy.  Panics when empty or already retiring.
-	BeginRetire() Entry
+	// in flight, returning the victim block's base byte address, its Valid
+	// mask and its AllocCycle — the three things a retirement needs, with
+	// no Entry copy and no AddrOf call.  Panics when empty or already
+	// retiring.
+	BeginRetire() (addr mem.Addr, valid, alloc uint64)
 	// CompleteRetire frees the in-flight victim.
 	CompleteRetire()
 	// FlushThroughInto removes the entry at idx and everything the
@@ -70,7 +81,7 @@ type BufferOrg interface {
 	FlushAllInto(dst []Entry) []Entry
 	// FlushOne removes exactly the entry at idx, preserving the rest.
 	FlushOne(idx int) Entry
-	// AddrOf reconstructs the base byte address of an entry's block.
+	// AddrOf reconstructs the base byte address of a flushed entry's block.
 	AddrOf(e Entry) mem.Addr
 	// FullLineMask is the Valid mask that proves every word of a cache line
 	// is present (so an L2 write miss may skip its fetch-merge), or a value
@@ -126,8 +137,9 @@ func (b *Buffer) Capacity() int { return b.cfg.Depth }
 // Held implements BufferOrg: a store observes every FIFO entry.
 func (b *Buffer) Held() int { return b.n }
 
-// HeadAllocCycle implements BufferOrg: the FIFO's victim is its head.
-func (b *Buffer) HeadAllocCycle() uint64 { return b.Head().AllocCycle }
+// HeadAllocCycle implements BufferOrg: the FIFO's victim is its head, read
+// straight from the allocation-cycle ring.
+func (b *Buffer) HeadAllocCycle() uint64 { return b.alloc[b.head] }
 
 // FlushThroughInto implements BufferOrg: everything ahead of the hit entry
 // in FIFO order drains with it (the Alpha 21164 flush-partial discipline).

@@ -194,7 +194,7 @@ func (w *WriteCache) Find(addr mem.Addr) int {
 }
 
 // BeginRetire implements BufferOrg: the victim starts its write to L2.
-func (w *WriteCache) BeginRetire() Entry {
+func (w *WriteCache) BeginRetire() (addr mem.Addr, valid, alloc uint64) {
 	if !w.hasVictim {
 		panic("core: BeginRetire on an empty victim slot")
 	}
@@ -202,7 +202,7 @@ func (w *WriteCache) BeginRetire() Entry {
 		panic("core: BeginRetire while a retirement is in flight")
 	}
 	w.retiring = true
-	return w.victim
+	return w.victim.Tag << w.tagShift, w.victim.Valid, w.victim.AllocCycle
 }
 
 // CompleteRetire implements BufferOrg: the victim slot is free again.

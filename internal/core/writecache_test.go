@@ -17,9 +17,9 @@ func newWC(depth int) *WriteCache {
 // retire writes the parked victim out, as the simulator's eager
 // retirement would, and returns it.
 func retire(w *WriteCache) Entry {
-	e := w.BeginRetire()
+	addr, valid, alloc := w.BeginRetire()
 	w.CompleteRetire()
-	return e
+	return Entry{Tag: w.EntryTag(addr), Valid: valid, AllocCycle: alloc}
 }
 
 func TestWriteCacheStoreMergeAllocate(t *testing.T) {

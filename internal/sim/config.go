@@ -230,10 +230,6 @@ func (c Config) WithIssueWidth(w int) Config {
 	return c
 }
 
-// writeLat returns the cycles one block write occupies the L2 port,
-// including any narrow-datapath transfer beats.
-func (c Config) writeLat() uint64 { return c.L2WriteLat + c.WriteTransferCycles }
-
 // WithDepth returns a copy with the write-buffer depth replaced — the
 // experiment sweeps use these helpers to stay terse.
 func (c Config) WithDepth(depth int) Config {

@@ -29,6 +29,10 @@ type Machine struct {
 	rb *core.Buffer
 	// lineMask is org.FullLineMask(), cached for l2WritePenalty.
 	lineMask uint64
+	// writeLat is the cycles one block write occupies the L2 port before
+	// any fetch-merge penalty: L2WriteLat plus the narrow-datapath
+	// transfer beats, resolved once here rather than per retirement.
+	writeLat uint64
 	// be is the drain-side backend every block write (retirement, hazard
 	// flush, barrier drain) is timed through: flat reproduces the paper's
 	// fixed latency, banked adds DRAM-style bank/row contention, fenced
@@ -150,6 +154,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.rb, _ = m.org.(*core.Buffer)
 	m.lineMask = m.org.FullLineMask()
+	m.writeLat = cfg.L2WriteLat + cfg.WriteTransferCycles
 	m.occHist = make([]uint64, held+1)
 	m.flushBuf = make([]core.Entry, 0, m.org.Capacity())
 	// Resolve the retirement policy from m.cfg: the write cache overrides
@@ -479,19 +484,25 @@ func (m *Machine) drainTo(target uint64) {
 	}
 }
 
-// beginRetire starts writing the FIFO head to L2 at the given cycle.  The
-// L2 state change (allocation, inclusion invalidation) is applied here;
+// beginRetire starts writing the write stage's retirement victim (the
+// FIFO head) to L2 at the given cycle.  The victim's address, mask and age
+// come back from BeginRetire as values, so no Entry is copied.  The L2
+// state change (allocation, inclusion invalidation) is applied here;
 // because retirements are always replayed in logical-time order before any
 // instruction that could observe them, the ordering is exact.
 func (m *Machine) beginRetire(start uint64) {
-	e := m.wbBeginRetire()
-	addr := m.wbAddrOf(e)
-	lat := m.cfg.writeLat() + m.l2WritePenalty(addr, e.Valid)
+	var addr mem.Addr
+	var valid, alloc uint64
+	if rb := m.rb; rb != nil {
+		addr, valid, alloc = rb.BeginRetire()
+	} else {
+		addr, valid, alloc = m.org.BeginRetire()
+	}
 	m.lastRetireStart = start
-	m.retireDone = m.be.Write(addr, start, lat)
+	m.retireDone = m.be.Write(addr, start, m.writeLat+m.l2WritePenalty(addr, valid))
 	m.portBusyUntil = m.retireDone
-	if m.retireDone > e.AllocCycle {
-		m.retLat.Observe(m.retireDone - e.AllocCycle)
+	if m.retireDone > alloc {
+		m.retLat.Observe(m.retireDone - alloc)
 	}
 }
 
@@ -554,13 +565,16 @@ func (m *Machine) store(addr mem.Addr) {
 	// need exactly one freed entry; a striped organization may need
 	// several retirements before one lands in the store's home buffer, so
 	// the wait loops — every cycle of it is still one buffer-full stall.
+	// The FIFO's store allocates without a second merge scan: the first
+	// found nothing, and the one freed entry was the head.
 	m.c.BlockedStores++
 	tFree := m.waitForFree(t)
-	for m.wbStore(addr, tFree) == core.StoreBlocked {
-		if m.rb != nil {
-			panic("sim: store still blocked after an entry was freed")
+	if rb := m.rb; rb != nil {
+		rb.Allocate(addr, tFree)
+	} else {
+		for m.org.Store(addr, tFree) == core.StoreBlocked {
+			tFree = m.waitForFree(tFree)
 		}
-		tFree = m.waitForFree(tFree)
 	}
 	m.stateChangedAt = tFree
 	stall := tFree - t
@@ -736,11 +750,7 @@ func (m *Machine) hazardFlushService(t uint64, addr mem.Addr, idx int) {
 		panic("sim: hazardFlushService with non-flushing policy")
 	}
 
-	portStart := maxU(now, m.portBusyUntil)
-	for _, e := range flushed {
-		addr := m.wbAddrOf(e)
-		portStart = m.be.Write(addr, portStart, m.cfg.writeLat()+m.l2WritePenalty(addr, e.Valid))
-	}
+	portStart := m.writeFlushed(maxU(now, m.portBusyUntil), flushed)
 	m.portBusyUntil = portStart
 	if len(flushed) > 0 {
 		m.stateChangedAt = portStart
@@ -752,6 +762,17 @@ func (m *Machine) hazardFlushService(t uint64, addr mem.Addr, idx int) {
 	m.c.AddStall(stats.L2ReadAccess, extraRA)
 	m.c.MissCycles += missCycles
 	m.clock = t + m.base + hazardStall + extraRA + missCycles
+}
+
+// writeFlushed writes flushed entries to L2 back to back through the
+// backend, starting when the port frees at portStart, and returns the
+// cycle the last write completes.
+func (m *Machine) writeFlushed(portStart uint64, flushed []core.Entry) uint64 {
+	for _, e := range flushed {
+		addr := m.org.AddrOf(e)
+		portStart = m.be.Write(addr, portStart, m.writeLat+m.l2WritePenalty(addr, e.Valid))
+	}
+	return portStart
 }
 
 // ─── memory barriers (multiprocessor-ordering extension) ─────────────────
@@ -796,11 +817,7 @@ func (m *Machine) fenceDrain(t uint64) uint64 {
 		now = m.retireDone
 		m.completeRetire()
 	}
-	portStart := maxU(now, m.portBusyUntil)
-	for _, e := range m.wbFlushAllInto(m.flushBuf[:0]) {
-		addr := m.wbAddrOf(e)
-		portStart = m.be.Write(addr, portStart, m.cfg.writeLat()+m.l2WritePenalty(addr, e.Valid))
-	}
+	portStart := m.writeFlushed(maxU(now, m.portBusyUntil), m.wbFlushAllInto(m.flushBuf[:0]))
 	m.portBusyUntil = portStart
 	m.stateChangedAt = portStart
 	return portStart

@@ -35,10 +35,12 @@ func (m *Machine) wbRetiring() bool {
 }
 
 // wbHeadAlloc is the AllocCycle of the entry the next retirement would
-// select (the FIFO head; the fullest buffer's oldest entry for ftl).
+// select (the FIFO head; the fullest buffer's oldest entry for ftl).  It
+// tests m.rb without the local the other accessors take: that keeps it
+// inside the inlining budget, and drainTo calls it on every store.
 func (m *Machine) wbHeadAlloc() uint64 {
-	if rb := m.rb; rb != nil {
-		return rb.Head().AllocCycle
+	if m.rb != nil {
+		return m.rb.HeadAllocCycle()
 	}
 	return m.org.HeadAllocCycle()
 }
@@ -62,13 +64,6 @@ func (m *Machine) wbFind(addr mem.Addr) int {
 		return rb.Find(addr)
 	}
 	return m.org.Find(addr)
-}
-
-func (m *Machine) wbBeginRetire() core.Entry {
-	if rb := m.rb; rb != nil {
-		return rb.BeginRetire()
-	}
-	return m.org.BeginRetire()
 }
 
 func (m *Machine) wbCompleteRetire() {
@@ -98,11 +93,4 @@ func (m *Machine) wbFlushOne(idx int) core.Entry {
 		return rb.FlushOne(idx)
 	}
 	return m.org.FlushOne(idx)
-}
-
-func (m *Machine) wbAddrOf(e core.Entry) mem.Addr {
-	if rb := m.rb; rb != nil {
-		return rb.AddrOf(e)
-	}
-	return m.org.AddrOf(e)
 }

@@ -10,20 +10,36 @@ import (
 )
 
 // Trace files use a compact binary framing so recorded runs replay quickly:
-// a magic header, then one varint-encoded record per reference.  Exec runs
-// are run-length encoded, since they typically make up two thirds of a
-// stream.
+// a magic header, then one varint-encoded record per reference, then a
+// trailer that lets the reader prove it decoded what was written.  Exec
+// runs are run-length encoded, since they typically make up two thirds of
+// a stream.
 //
-//	header:  "WBT1"
+//	header:  "WBT2"
 //	record:  kind byte ('x' exec-run, 'l' load, 's' store, 'b' membar,
 //	         'r' release)
 //	         'x' → uvarint run length
 //	         'l'/'s' → uvarint byte address
 //	         'b'/'r' → no payload
-const traceMagic = "WBT1"
+//	trailer: 'e', uvarint record count, 8-byte little-endian FNV-64a of
+//	         every record byte (kind bytes and payloads, header and
+//	         trailer excluded); nothing may follow it
+//
+// "WBT1" files, written before the trailer existed, are the same records
+// with no trailer; they still read, unchecked, and end at end of file.
+const (
+	traceMagic   = "WBT2"
+	uncheckedV1  = "WBT1"
+	trailerKind  = 'e'
+	fnv64aOffset = 14695981039346656037
+	fnv64aPrime  = 1099511628211
+)
 
 // recordKind maps each non-Exec Kind to its record byte.
 var recordKind = [...]byte{Load: 'l', Store: 's', Membar: 'b', Release: 'r'}
+
+// fnv64a folds one byte into a running FNV-64a sum.
+func fnv64a(sum uint64, b byte) uint64 { return (sum ^ uint64(b)) * fnv64aPrime }
 
 // Write serialises the stream to w, returning the number of references
 // written.  The stream is consumed.
@@ -32,18 +48,23 @@ func Write(w io.Writer, s Stream) (uint64, error) {
 	if _, err := bw.WriteString(traceMagic); err != nil {
 		return 0, err
 	}
-	var count, execRun uint64
-	buf := make([]byte, binary.MaxVarintLen64)
+	var count, execRun, records uint64
+	sum := uint64(fnv64aOffset)
+	rec := make([]byte, 0, 1+binary.MaxVarintLen64)
+	emit := func(rec []byte) error {
+		records++
+		for _, b := range rec {
+			sum = fnv64a(sum, b)
+		}
+		_, err := bw.Write(rec)
+		return err
+	}
 	flushExecs := func() error {
 		if execRun == 0 {
 			return nil
 		}
-		if err := bw.WriteByte('x'); err != nil {
-			return err
-		}
-		n := binary.PutUvarint(buf, execRun)
+		err := emit(binary.AppendUvarint(append(rec[:0], 'x'), execRun))
 		execRun = 0
-		_, err := bw.Write(buf[:n])
 		return err
 	}
 	for {
@@ -59,19 +80,20 @@ func Write(w io.Writer, s Stream) (uint64, error) {
 		if err := flushExecs(); err != nil {
 			return count, err
 		}
-		kind := recordKind[r.Kind]
-		if err := bw.WriteByte(kind); err != nil {
-			return count, err
+		rec = append(rec[:0], recordKind[r.Kind])
+		if r.Kind == Load || r.Kind == Store {
+			rec = binary.AppendUvarint(rec, uint64(r.Addr))
 		}
-		if kind == 'b' || kind == 'r' {
-			continue
-		}
-		n := binary.PutUvarint(buf, uint64(r.Addr))
-		if _, err := bw.Write(buf[:n]); err != nil {
+		if err := emit(rec); err != nil {
 			return count, err
 		}
 	}
 	if err := flushExecs(); err != nil {
+		return count, err
+	}
+	trailer := binary.AppendUvarint([]byte{trailerKind}, records)
+	trailer = binary.LittleEndian.AppendUint64(trailer, sum)
+	if _, err := bw.Write(trailer); err != nil {
 		return count, err
 	}
 	return count, bw.Flush()
@@ -79,9 +101,31 @@ func Write(w io.Writer, s Stream) (uint64, error) {
 
 // Reader streams references from a trace file produced by Write.
 type Reader struct {
-	br       *bufio.Reader
+	in       summingReader
 	execLeft uint64
 	err      error
+	done     bool
+
+	// checked is set for "WBT2" files: records counts the records read,
+	// and the trailer must match it and in.sum.
+	checked bool
+	records uint64
+}
+
+// summingReader is the record-byte source: every byte read through it
+// folds into a running FNV-64a sum.
+type summingReader struct {
+	br  *bufio.Reader
+	sum uint64
+}
+
+// ReadByte implements io.ByteReader, so varint payloads decode through it.
+func (s *summingReader) ReadByte() (byte, error) {
+	b, err := s.br.ReadByte()
+	if err == nil {
+		s.sum = fnv64a(s.sum, b)
+	}
+	return b, err
 }
 
 // NewReader validates the header and returns a streaming reader.
@@ -91,32 +135,47 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if string(head) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
+	switch string(head) {
+	case traceMagic:
+		return &Reader{in: summingReader{br: br, sum: fnv64aOffset}, checked: true}, nil
+	case uncheckedV1:
+		return &Reader{in: summingReader{br: br}}, nil
 	}
-	return &Reader{br: br}, nil
+	return nil, fmt.Errorf("trace: bad magic %q", head)
 }
 
 // Next implements Stream.  After exhaustion or a decode error, it keeps
 // returning false; Err distinguishes the two.
 func (r *Reader) Next() (Ref, bool) {
-	if r.err != nil {
+	if r.err != nil || r.done {
 		return Ref{}, false
 	}
 	if r.execLeft > 0 {
 		r.execLeft--
 		return Ref{Kind: Exec}, true
 	}
-	kind, err := r.br.ReadByte()
-	if err != nil {
-		if err != io.EOF {
-			r.err = err
+	if r.checked {
+		if b, err := r.in.br.Peek(1); err == nil && b[0] == trailerKind {
+			r.err = r.checkTrailer()
+			r.done = true
+			return Ref{}, false
 		}
+	}
+	kind, err := r.in.ReadByte()
+	if err != nil {
+		switch {
+		case err != io.EOF:
+			r.err = err
+		case r.checked:
+			r.err = fmt.Errorf("trace: missing trailer after %d records (truncated file)", r.records)
+		}
+		r.done = true
 		return Ref{}, false
 	}
+	r.records++
 	switch kind {
 	case 'x':
-		n, err := binary.ReadUvarint(r.br)
+		n, err := binary.ReadUvarint(&r.in)
 		if err != nil || n == 0 {
 			r.err = fmt.Errorf("trace: bad exec run: %v", err)
 			return Ref{}, false
@@ -128,7 +187,7 @@ func (r *Reader) Next() (Ref, bool) {
 	case 'r':
 		return Ref{Kind: Release}, true
 	case 'l', 's':
-		addr, err := binary.ReadUvarint(r.br)
+		addr, err := binary.ReadUvarint(&r.in)
 		if err != nil {
 			r.err = fmt.Errorf("trace: bad address: %v", err)
 			return Ref{}, false
@@ -144,5 +203,29 @@ func (r *Reader) Next() (Ref, bool) {
 	}
 }
 
-// Err reports the first decode error, if any.
+// checkTrailer reads the trailer and compares it with what was decoded.
+func (r *Reader) checkTrailer() error {
+	br := r.in.br
+	br.ReadByte() // the trailer kind, already peeked
+	records, err := binary.ReadUvarint(br)
+	if err != nil {
+		return fmt.Errorf("trace: bad trailer: %v", err)
+	}
+	var sum [8]byte
+	if _, err := io.ReadFull(br, sum[:]); err != nil {
+		return fmt.Errorf("trace: bad trailer: %v", err)
+	}
+	if records != r.records {
+		return fmt.Errorf("trace: trailer counts %d records, decoded %d", records, r.records)
+	}
+	if got := binary.LittleEndian.Uint64(sum[:]); got != r.in.sum {
+		return fmt.Errorf("trace: checksum mismatch: trailer %#016x, records hash to %#016x", got, r.in.sum)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return fmt.Errorf("trace: data after trailer")
+	}
+	return nil
+}
+
+// Err reports the first decode or integrity error, if any.
 func (r *Reader) Err() error { return r.err }

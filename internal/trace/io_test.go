@@ -111,7 +111,9 @@ func TestExecRunLengthEncoding(t *testing.T) {
 	if _, err := Write(&buf, NewSliceStream(make([]Ref, 1_000_000))); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() > 16 {
+	// The fixed 10-byte trailer ('e', a one-byte record count, the 8-byte
+	// checksum) rides on top of the header and the records.
+	if buf.Len() > 16+10 {
 		t.Errorf("1M execs encoded in %d bytes, expected run-length encoding", buf.Len())
 	}
 }
@@ -145,5 +147,71 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReaderReadsUncheckedV1: a file written before the trailer existed
+// ("WBT1", records only) still decodes, and its end of file is a clean end.
+func TestReaderReadsUncheckedV1(t *testing.T) {
+	r, err := NewReader(strings.NewReader("WBT1" + "x\x03" + "l\x40" + "s\x48" + "b" + "r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Ref{{Kind: Exec}, {Kind: Exec}, {Kind: Exec}, {Kind: Load, Addr: 0x40},
+		{Kind: Store, Addr: 0x48}, {Kind: Membar}, {Kind: Release}}
+	got := collect(r)
+	if r.Err() != nil {
+		t.Fatalf("WBT1 read failed: %v", r.Err())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ref %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestReaderChecksTrailer: damage that leaves every record decodable —
+// a changed address, a dropped record, a cut-off or extended trailer — is
+// caught by the trailer and reported through Err.
+func TestReaderChecksTrailer(t *testing.T) {
+	refs := []Ref{{Kind: Exec}, {Kind: Exec}, {Kind: Exec}, {Kind: Load, Addr: 0x40},
+		{Kind: Store, Addr: 0x48}, {Kind: Membar}, {Kind: Exec}, {Kind: Exec}}
+	var buf bytes.Buffer
+	if _, err := Write(&buf, NewSliceStream(refs)); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if !bytes.HasPrefix(good, []byte("WBT2")) {
+		t.Fatalf("header %q, want WBT2", good[:4])
+	}
+	records := good[4 : len(good)-10] // 'x' 3 'l' 0x40 's' 0x48 'b' 'x' 2
+	damaged := func(edit func(recs []byte) []byte, trailer []byte) []byte {
+		recs := edit(append([]byte(nil), records...))
+		out := append([]byte("WBT2"), recs...)
+		return append(out, trailer...)
+	}
+	trailer := good[len(good)-10:]
+	for name, data := range map[string][]byte{
+		"address changed": damaged(func(r []byte) []byte { r[3] ^= 0x08; return r }, trailer),
+		"record dropped":  damaged(func(r []byte) []byte { return append(r[:6], r[7:]...) }, trailer),
+		"trailer cut off": damaged(func(r []byte) []byte { return r }, trailer[:9]),
+		"no trailer":      damaged(func(r []byte) []byte { return r }, nil),
+		"data after it":   damaged(func(r []byte) []byte { return r }, append(append([]byte(nil), trailer...), 'b')),
+	} {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		collect(r)
+		if r.Err() == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	r, _ := NewReader(bytes.NewReader(good))
+	if got := collect(r); len(got) != len(refs) || r.Err() != nil {
+		t.Fatalf("undamaged file: %d refs, err %v", len(got), r.Err())
 	}
 }
