@@ -45,11 +45,14 @@ func main() {
 
 	fmt.Printf("A: %s\nB: %s\n\n", *aSpec, *bSpec)
 	fmt.Printf("%-12s %10s %10s %10s\n", "benchmark", "A stall%", "B stall%", "Δ (B−A)")
+	// Each benchmark's two configurations step one shared stream (a
+	// lockstep row), in parallel across benchmarks.
+	benches := workload.All()
+	specs := []experiment.ConfigSpec{{Label: "a", Cfg: cfgA}, {Label: "b", Cfg: cfgB}}
+	matrix := experiment.RunMatrixOpts(benches, specs, experiment.Options{Instructions: *n})
 	var sumA, sumB float64
-	for _, b := range workload.All() {
-		ma := experiment.Run(b, "a", cfgA, *n)
-		mb := experiment.Run(b, "b", cfgB, *n)
-		ta, tb := ma.C.TotalStallPct(), mb.C.TotalStallPct()
+	for i, b := range benches {
+		ta, tb := matrix[i][0].C.TotalStallPct(), matrix[i][1].C.TotalStallPct()
 		sumA += ta
 		sumB += tb
 		marker := ""
@@ -61,7 +64,7 @@ func main() {
 		}
 		fmt.Printf("%-12s %10.2f %10.2f %+10.2f%s\n", b.Name, ta, tb, tb-ta, marker)
 	}
-	k := float64(len(workload.All()))
+	k := float64(len(benches))
 	fmt.Printf("%-12s %10.2f %10.2f %+10.2f\n", "mean", sumA/k, sumB/k, (sumB-sumA)/k)
 }
 

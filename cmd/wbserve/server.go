@@ -450,21 +450,6 @@ func (s *server) storeHas(key string) bool {
 	return ok
 }
 
-// resolveBench looks a benchmark name up in the registered suite, falling
-// back to the deterministic transformed variants (same lookup POST /run has
-// always done).
-func resolveBench(name string) (workload.Benchmark, bool) {
-	if b, ok := workload.ByName(name); ok {
-		return b, true
-	}
-	for _, t := range workload.Transformed() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return workload.Benchmark{}, false
-}
-
 // dispatchLoop is one simulation worker: dequeue, execute through the
 // store-backed backend, journal the done marker, fan completion out to
 // every waiting run.  The store write happens inside backend.Run (the
@@ -766,7 +751,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	benches := req.benchList()
 	for _, name := range benches {
-		if _, ok := resolveBench(name); !ok {
+		if _, ok := workload.ByName(name); !ok {
 			httpError(w, http.StatusBadRequest, "unknown benchmark %q", name)
 			return
 		}

@@ -29,25 +29,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	configs := []struct {
-		label string
-		cfg   sim.Config
-	}{
-		{"write buffer, 4-deep, flush-full (21064)", sim.Baseline()},
-		{"write buffer, 8-deep, read-from-WB", sim.Baseline().WithDepth(8).
+	specs := []experiment.ConfigSpec{
+		{Label: "write buffer, 4-deep, flush-full (21064)", Cfg: sim.Baseline()},
+		{Label: "write buffer, 8-deep, read-from-WB", Cfg: sim.Baseline().WithDepth(8).
 			WithRetire(core.RetireAt{N: 4}).WithHazard(core.ReadFromWB)},
-		{"write cache, 4 entries", sim.Baseline().WithWriteCache(4)},
-		{"write cache, 8 entries", sim.Baseline().WithWriteCache(8)},
+		{Label: "write cache, 4 entries", Cfg: sim.Baseline().WithWriteCache(4)},
+		{Label: "write cache, 8 entries", Cfg: sim.Baseline().WithWriteCache(8)},
 	}
 
 	fmt.Printf("benchmark %s, %d instructions\n\n", b.Name, *n)
 	fmt.Printf("%-44s %8s %10s %14s\n", "configuration", "stall%", "WB hit%", "writes/100 st")
-	for _, c := range configs {
-		m := experiment.Run(b, c.label, c.cfg, *n)
+	// The configurations step shared streams in lockstep rows.
+	matrix := experiment.RunMatrix([]workload.Benchmark{b}, specs, *n)
+	for _, m := range matrix[0] {
 		writes := m.C.Retirements + m.C.FlushedEntries
 		per100 := 100 * float64(writes) / float64(m.C.Stores)
 		fmt.Printf("%-44s %8.2f %10.1f %14.1f\n",
-			c.label, m.C.TotalStallPct(), 100*m.WBHit, per100)
+			m.Label, m.C.TotalStallPct(), 100*m.WBHit, per100)
 	}
 	fmt.Println("\nthe write cache coalesces best (fewest L2 writes) but serialises")
 	fmt.Println("evictions through one victim register, so bursty stores stall more;")

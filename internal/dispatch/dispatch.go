@@ -12,8 +12,9 @@
 //
 // Three Backend implementations cover the deployment spectrum:
 //
-//   - Local runs the job in-process (the default used by
-//     experiment.RunMatrix when no backend is configured).
+//   - Local runs one job per call in-process, through Execute.  (The
+//     backend-less default of experiment.RunMatrix is not Local: it steps
+//     each benchmark's configurations in lockstep rows with ExecuteRow.)
 //   - Remote dispatches jobs over HTTP to a pool of `wbserve -worker`
 //     processes (the POST /job endpoint served by WorkerHandler), with
 //     per-job timeouts, bounded retries under exponential backoff with
@@ -90,31 +91,24 @@ var ErrUnknownBenchmark = errors.New("dispatch: unknown benchmark")
 
 // Execute runs a job in this process.  When reg is non-nil the finished
 // machine's counters are folded into it (sim_* series).  Bench resolves
-// through the registered suite, falling back to the deterministic
-// transformed variants — both regenerate bit-identical streams on any
-// machine, so either kind of name is safe to ship.  The error is
-// ErrUnknownBenchmark-wrapped for an unresolvable benchmark name, and for
-// an inconsistent configuration it wraps the sim validation error, naming
+// through workload.ByName — the suite, the transformed variants and the
+// stress scenarios, all of which regenerate bit-identical streams on any
+// machine, so every such name is safe to ship.  The error is
+// ErrUnknownBenchmark-wrapped for an unresolvable benchmark name (a
+// derived benchmark, workload.Derive, is never resolvable), and for an
+// inconsistent configuration it wraps the sim validation error, naming
 // the job's label.
 func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 	b, ok := workload.ByName(job.Bench)
-	if !ok {
-		for _, t := range workload.Transformed() {
-			if t.Name == job.Bench {
-				b, ok = t, true
-				break
-			}
-		}
-	}
 	if !ok {
 		return Measurement{}, fmt.Errorf("%w: %q", ErrUnknownBenchmark, job.Bench)
 	}
 	return ExecuteBench(b, job.Label, job.Cfg, job.N, reg)
 }
 
-// ExecuteBench is Execute for a benchmark value already in hand.  The
-// experiment harness uses it directly so benchmark variants that are not
-// name-resolvable (reseeded generators) still run locally.
+// ExecuteBench is Execute for a benchmark value already in hand, so
+// derived benchmarks (workload.Derive) that are not name-resolvable still
+// run locally.
 func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, reg *metrics.Registry) (Measurement, error) {
 	out, _, err := ExecuteRow(context.Background(), b, []string{label}, []sim.Config{cfg}, n, reg)
 	if err != nil {
@@ -136,8 +130,19 @@ func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, 
 // The error wraps the sim validation error of an inconsistent
 // configuration, naming its label, and is reported before anything runs;
 // or it is ctx.Err() when ctx is cancelled, which the row observes between
-// batches.
+// batches.  Either way the generator is closed, which stops a kernel's
+// producer goroutine even inside a composed stream (trace.Concat,
+// Interleave, Inject).
 func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry) ([]Measurement, []time.Duration, error) {
+	return ExecuteRowVisit(ctx, b, labels, cfgs, n, reg, nil)
+}
+
+// ExecuteRowVisit is ExecuteRow that also hands each finished machine to
+// visit (when non-nil) with its configuration's index, for callers that
+// read machine state a Measurement does not carry, such as the occupancy
+// histogram.  visit runs on the calling goroutine before ExecuteRowVisit
+// returns.
+func ExecuteRowVisit(ctx context.Context, b workload.Benchmark, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry, visit func(int, *sim.Machine)) ([]Measurement, []time.Duration, error) {
 	if len(cfgs) == 0 {
 		return nil, nil, nil
 	}
@@ -155,7 +160,7 @@ func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs
 	}
 	g := b.Generator(n)
 	if c, ok := g.(io.Closer); ok {
-		defer c.Close() // stops a kernel's producer when the row is cancelled
+		defer c.Close() // stops kernel producers when the row is cancelled
 	}
 	row := sim.NewRow(ms)
 	if err := row.Run(ctx, g, n/4); err != nil {
@@ -167,6 +172,9 @@ func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs
 		out[i] = measure(m, b.Name, labels[i], cfgs[i])
 		if reg != nil {
 			m.PublishMetrics(reg)
+		}
+		if visit != nil {
+			visit(i, m)
 		}
 		own[i] += row.Step[i] + time.Since(t)
 	}
@@ -200,8 +208,8 @@ func measure(m *sim.Machine, bench, label string, cfg sim.Config) Measurement {
 
 // WarmRunGenerator executes the first quarter of the generator's n
 // instructions unmeasured, then the remainder with statistics on — the
-// repository's standard warm-up split (experiment.Run documents why) — as
-// a one-machine sim.Row.
+// repository's standard warm-up split (experiment.Options.Instructions
+// documents why) — as a one-machine sim.Row.
 func WarmRunGenerator(m *sim.Machine, g trace.Generator, n uint64) {
 	// A background context never cancels, so Run cannot fail.
 	_ = sim.NewRow([]*sim.Machine{m}).Run(context.Background(), g, n/4)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // wireConfigs is a spread of machines covering every Config field class:
@@ -112,19 +113,52 @@ func TestJobKey(t *testing.T) {
 	}
 }
 
+// TestLocalMatchesExecute resolves a suite benchmark and both Table 6
+// transformed variants by name: Local.Run and Execute must equal
+// ExecuteBench on the benchmark value itself.
 func TestLocalMatchesExecute(t *testing.T) {
-	job := Job{Bench: "compress", Label: "base", Cfg: sim.Baseline(), N: 50_000}
-	want, err := Execute(job, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range []workload.Benchmark{
+		mustBenchmark(t, "compress"), transformed(t, "gmtry-t"), transformed(t, "cholsky-t"),
+	} {
+		job := Job{Bench: b.Name, Label: "base", Cfg: sim.Baseline(), N: 50_000}
+		want, err := ExecuteBench(b, job.Label, job.Cfg, job.N, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := Execute(job, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		got, err := (&Local{}).Run(context.Background(), job)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if exec != want || got != want {
+			t.Errorf("%s: Execute = %+v, Local.Run = %+v, want %+v", b.Name, exec, got, want)
+		}
 	}
-	got, err := (&Local{}).Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func mustBenchmark(t *testing.T, name string) workload.Benchmark {
+	t.Helper()
+	b, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("benchmark %q not registered", name)
 	}
-	if got != want {
-		t.Errorf("Local.Run = %+v, want %+v", got, want)
+	return b
+}
+
+// transformed finds a Table 6 variant by scanning workload.Transformed, not
+// through ByName, so the test pins name resolution against the list.
+func transformed(t *testing.T, name string) workload.Benchmark {
+	t.Helper()
+	for _, b := range workload.Transformed() {
+		if b.Name == name {
+			return b
+		}
 	}
+	t.Fatalf("no transformed variant %q", name)
+	return workload.Benchmark{}
 }
 
 func TestLocalErrors(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -83,16 +84,24 @@ func TestExecuteRowErrors(t *testing.T) {
 // TestExecuteRowCancelStopsGenerator: a cancelled row must not strand a
 // kernel benchmark's producer goroutine parked on its channel send.
 func TestExecuteRowCancelStopsGenerator(t *testing.T) {
-	b, _ := workload.ByName("fft")
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for i := 0; i < 20; i++ {
-		if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 1_000_000, nil); err != context.Canceled {
-			t.Fatalf("cancelled row: err = %v, want context.Canceled", err)
+	fft, _ := workload.ByName("fft")
+	espresso, _ := workload.ByName("espresso")
+	// A derived stream hides the kernel's generator behind combinators;
+	// closing the row must still reach it.
+	mix := workload.Derive("espresso+fft / 1000", func(n uint64) trace.Generator {
+		return trace.GeneratorOf(trace.NewInterleave(1000, espresso.Stream(n/2), fft.Stream(n/2)))
+	})
+	for _, b := range []workload.Benchmark{fft, mix} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for i := 0; i < 20; i++ {
+			if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 1_000_000, nil); err != context.Canceled {
+				t.Fatalf("cancelled %s row: err = %v, want context.Canceled", b.Name, err)
+			}
 		}
-	}
-	if !goroutinesSettle(before) {
-		t.Errorf("%d goroutines after 20 cancelled fft rows, %d before", runtime.NumGoroutine(), before)
+		if !goroutinesSettle(before) {
+			t.Errorf("%d goroutines after 20 cancelled %s rows, %d before", runtime.NumGoroutine(), b.Name, before)
+		}
 	}
 }

@@ -343,3 +343,19 @@ func (s *serialProbe) maxInflight() int {
 	defer s.mu.Unlock()
 	return s.max
 }
+
+// A reseeded benchmark shares its source's profile but not its name: a
+// backend resolving jobs by name must refuse it, never substitute the
+// registered benchmark's stream.
+func TestBackendRefusesDerivedBenchmark(t *testing.T) {
+	rb, ok := workload.Reseeded(bench(t, "li"), 1)
+	if !ok {
+		t.Fatal("li should be reseedable")
+	}
+	_, err := RunMatrixCtx(context.Background(), []workload.Benchmark{rb},
+		[]ConfigSpec{{Label: "base", Cfg: sim.Baseline()}},
+		Options{Instructions: 10_000, Backend: &dispatch.Local{}})
+	if !errors.Is(err, dispatch.ErrUnknownBenchmark) {
+		t.Fatalf("err = %v, want dispatch.ErrUnknownBenchmark", err)
+	}
+}

@@ -47,7 +47,10 @@ import (
 // Options controls experiment execution.
 type Options struct {
 	// Instructions is the dynamic instruction count per benchmark run.
-	// Zero selects the default of one million.
+	// Zero selects the default of one million.  The first quarter of each
+	// run is warm-up: it executes normally but is excluded from the
+	// statistics, so cold-start misses do not distort hit rates the way
+	// they would not in the paper's full-execution runs.
 	Instructions uint64
 	// Benchmarks overrides the benchmark list (default: the full suite).
 	Benchmarks []workload.Benchmark
@@ -69,8 +72,8 @@ type Options struct {
 	// jobs for resumption, and dispatch.Local reproduces the default path
 	// explicitly.  nil keeps today's behaviour exactly.
 	// Benchmarks handed to a matrix run must be name-resolvable
-	// (workload.ByName) for a distributed backend, since jobs travel by
-	// benchmark name; every registered experiment satisfies this.
+	// (workload.ByName) for a backend, since jobs travel by benchmark
+	// name; experiments over derived ones run in-process instead.
 	Backend dispatch.Backend
 }
 
@@ -93,28 +96,15 @@ func (o Options) benchmarks() []workload.Benchmark {
 // backends share one type; fields are documented there.
 type Measurement = dispatch.Measurement
 
-// Run executes one benchmark on one configuration.  The first quarter of
-// the stream is warm-up: it executes normally but is excluded from the
-// statistics, so cold-start misses do not distort hit rates the way they
-// would not in the paper's full-execution runs.
-//
-// Execution lives in dispatch.ExecuteBench, so the local path and the
-// distributed workers run byte-for-byte the same code; an invalid
-// configuration panics, matching the sim.MustNew behaviour this wrapped
-// historically.
-func Run(b workload.Benchmark, label string, cfg sim.Config, n uint64) Measurement {
-	m, err := dispatch.ExecuteBench(b, label, cfg, n, nil)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // ConfigSpec pairs a configuration with its display label.
 type ConfigSpec struct {
 	Label string
 	Cfg   sim.Config
 }
+
+// baseline is the one-spec list of the reports that vary the workload, not
+// the machine.
+var baseline = []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}
 
 // Canonical renders the spec's machine in machconf's canonical form — the
 // same bytes the dispatch wire format ships and wbsim -dump-config prints.
@@ -157,7 +147,12 @@ func RunMatrix(benches []workload.Benchmark, specs []ConfigSpec, n uint64) [][]M
 // error channel.  Callers driving remote sweeps recover it at the top
 // (cmd/wbexp) or call RunMatrixCtx directly.
 func RunMatrixOpts(benches []workload.Benchmark, specs []ConfigSpec, o Options) [][]Measurement {
-	out, err := RunMatrixCtx(context.Background(), benches, specs, o)
+	return mustRunMatrix(benches, specs, o, noVisit)
+}
+
+// mustRunMatrix is RunMatrixOpts with runMatrix's visit hook.
+func mustRunMatrix(benches []workload.Benchmark, specs []ConfigSpec, o Options, visit func(bi, ci int, m *sim.Machine)) [][]Measurement {
+	out, err := runMatrix(context.Background(), benches, specs, o, visit)
 	if err != nil {
 		panic(&BackendError{Err: err})
 	}
@@ -194,6 +189,14 @@ func (e *BackendError) Unwrap() error { return e.Err }
 // discarded (a store-backed dispatch.Cached keeps the completed jobs for
 // the rerun).
 func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []ConfigSpec, o Options) ([][]Measurement, error) {
+	return runMatrix(ctx, benches, specs, o, noVisit)
+}
+
+func noVisit(bi, ci int, m *sim.Machine) {}
+
+// runMatrix is RunMatrixCtx that hands job (bi, ci)'s finished machine to
+// visit on the worker that ran it; a backend has no machines to hand over.
+func runMatrix(ctx context.Context, benches []workload.Benchmark, specs []ConfigSpec, o Options, visit func(bi, ci int, m *sim.Machine)) ([][]Measurement, error) {
 	n := o.instructions()
 	out := make([][]Measurement, len(benches))
 	for i := range out {
@@ -262,7 +265,8 @@ func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []Con
 		for i, spec := range specs[lo:hi] {
 			labels[i], cfgs[i] = spec.Label, spec.Cfg
 		}
-		mnts, times, err := dispatch.ExecuteRow(ctx, benches[bi], labels, cfgs, n, o.Metrics)
+		mnts, times, err := dispatch.ExecuteRowVisit(ctx, benches[bi], labels, cfgs, n, o.Metrics,
+			func(i int, m *sim.Machine) { visit(bi, lo+i, m) })
 		if err != nil {
 			if ctx.Err() == nil {
 				fail(fmt.Errorf("experiment: benchmark %s: %w", benches[bi].Name, err))

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -19,6 +21,16 @@ func bench(t *testing.T, name string) workload.Benchmark {
 		t.Fatalf("benchmark %q missing", name)
 	}
 	return b
+}
+
+// run measures one benchmark on one configuration, alone.
+func run(t *testing.T, b workload.Benchmark, label string, cfg sim.Config, n uint64) Measurement {
+	t.Helper()
+	m, err := dispatch.ExecuteBench(b, label, cfg, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -59,7 +71,7 @@ func TestIDOrdering(t *testing.T) {
 }
 
 func TestRunProducesConsistentCounters(t *testing.T) {
-	m := Run(bench(t, "compress"), "base", sim.Baseline(), testN)
+	m := run(t, bench(t, "compress"), "base", sim.Baseline(), testN)
 	if err := m.C.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +191,8 @@ func TestBestConfigurationBeatsBaseline(t *testing.T) {
 	best := sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB)
 	for _, name := range names {
 		b := bench(t, name)
-		base := Run(b, "base", sim.Baseline(), testN)
-		rwb := Run(b, "best", best, testN)
+		base := run(t, b, "base", sim.Baseline(), testN)
+		rwb := run(t, b, "best", best, testN)
 		if rwb.C.TotalStallPct() > base.C.TotalStallPct() {
 			t.Errorf("%s: best config stalls %.2f%% > baseline %.2f%%",
 				name, rwb.C.TotalStallPct(), base.C.TotalStallPct())
@@ -229,8 +241,8 @@ func TestFig10L1SizeTrend(t *testing.T) {
 // write-buffer stalls from the NASA kernels.
 func TestTable6TransformationWins(t *testing.T) {
 	for _, pair := range [][2]string{{"gmtry", "gmtry-t"}, {"cholsky", "cholsky-t"}} {
-		before := Run(bench(t, pair[0]), "before", sim.Baseline(), testN)
-		after := Run(bench(t, pair[1]), "after", sim.Baseline(), testN)
+		before := run(t, bench(t, pair[0]), "before", sim.Baseline(), testN)
+		after := run(t, bench(t, pair[1]), "after", sim.Baseline(), testN)
 		if after.L1Hit < before.L1Hit+0.2 {
 			t.Errorf("%s: L1 hit rate %.2f -> %.2f, expected a large jump",
 				pair[0], before.L1Hit, after.L1Hit)
@@ -267,8 +279,8 @@ func TestTable7L2SizeTrend(t *testing.T) {
 func TestAblationFixedRateWorse(t *testing.T) {
 	for _, name := range []string{"li", "wave5"} {
 		b := bench(t, name)
-		occ := Run(b, "occ", sim.Baseline(), testN)
-		fixed := Run(b, "fixed", sim.Baseline().WithRetire(core.FixedRate{Interval: 32}), testN)
+		occ := run(t, b, "occ", sim.Baseline(), testN)
+		fixed := run(t, b, "fixed", sim.Baseline().WithRetire(core.FixedRate{Interval: 32}), testN)
 		if fixed.C.TotalStallPct() < occ.C.TotalStallPct() {
 			t.Errorf("%s: fixed-rate (%.2f%%) beat occupancy-based (%.2f%%)",
 				name, fixed.C.TotalStallPct(), occ.C.TotalStallPct())
@@ -284,8 +296,8 @@ func TestAblationNonCoalescingWorse(t *testing.T) {
 	narrow = narrow.WithDepth(16)
 	for _, name := range []string{"sc", "compress"} {
 		b := bench(t, name)
-		wide := Run(b, "wide", sim.Baseline(), testN)
-		nar := Run(b, "narrow", narrow, testN)
+		wide := run(t, b, "wide", sim.Baseline(), testN)
+		nar := run(t, b, "narrow", narrow, testN)
 		if nar.C.TotalStallPct() < wide.C.TotalStallPct() {
 			t.Errorf("%s: non-coalescing (%.2f%%) beat coalescing (%.2f%%)",
 				name, nar.C.TotalStallPct(), wide.C.TotalStallPct())
@@ -293,17 +305,38 @@ func TestAblationNonCoalescingWorse(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentRuns runs each registered experiment at a small size.
+// The ext-* reports are pinned by FNV-64a digest of their rendered text,
+// recorded when they still ran their own serial loops; the experiments
+// over derived benchmarks must report one Progress event per
+// (benchmark, configuration) job.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep is slow")
 	}
-	small := Options{
-		Instructions: 20_000,
-		Benchmarks:   []workload.Benchmark{bench(t, "espresso"), bench(t, "li"), bench(t, "fft")},
+	digests := map[string]uint64{
+		"ext-analytic":   0xcff5e9096a532356,
+		"ext-membar":     0xb4a71cbb329117f5,
+		"ext-multiprog":  0xc1b743ea847da6ff,
+		"ext-occupancy":  0x10bc78abf28b0641,
+		"ext-variance":   0x1407fde0c6bce7ff,
+		"ext-writecache": 0xe1cf7c2b39b7d68d,
+	}
+	jobs := map[string]int{
+		"ext-membar":    3 * 4 * 3, // benchmarks × barrier periods × configs
+		"ext-multiprog": 3 * 4,     // pairs × quanta, baseline only
+		"ext-variance":  2 * 5,     // reseedable benchmarks × seeds
+		"ext-analytic":  5,         // one Bernoulli stream × depth/retire configs
 	}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			var last ProgressEvent
+			small := Options{
+				Instructions: 20_000,
+				Benchmarks:   []workload.Benchmark{bench(t, "espresso"), bench(t, "li"), bench(t, "fft")},
+				Progress:     func(ev ProgressEvent) { last = ev },
+			}
 			rep := e.Run(small)
 			if rep.ID != e.ID {
 				t.Errorf("report ID %q, want %q", rep.ID, e.ID)
@@ -314,6 +347,16 @@ func TestEveryExperimentRuns(t *testing.T) {
 			out := rep.String()
 			if !strings.Contains(out, e.ID) {
 				t.Error("rendered report missing its ID")
+			}
+			if want, ok := digests[e.ID]; ok {
+				h := fnv.New64a()
+				h.Write([]byte(out))
+				if got := h.Sum64(); got != want {
+					t.Errorf("report digest %#016x, want %#016x:\n%s", got, want, out)
+				}
+			}
+			if want, ok := jobs[e.ID]; ok && (last.Done != want || last.Total != want) {
+				t.Errorf("last progress event %d/%d, want %d/%d", last.Done, last.Total, want, want)
 			}
 		})
 	}

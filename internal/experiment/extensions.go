@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/mem"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -24,31 +24,43 @@ func init() {
 		Title: "Write buffer vs Jouppi-style write cache: stalls and write traffic",
 		Run:   runWriteCache,
 	})
-	registerExperiment(Experiment{
+	registerInProcess(Experiment{
 		ID:    "ext-membar",
 		Title: "Memory-barrier cost vs write-stage organisation (drain stalls at varying barrier frequency)",
 		Run:   runMembar,
 	})
-	registerExperiment(Experiment{
+	registerInProcess(Experiment{
 		ID:    "ext-occupancy",
 		Title: "Store-observed occupancy distribution: the headroom picture behind Figures 4 and 5",
 		Run:   runOccupancy,
 	})
-	registerExperiment(Experiment{
+	registerInProcess(Experiment{
 		ID:    "ext-analytic",
 		Title: "Analytic Markov model vs simulator: blocking probability across depths",
 		Run:   runAnalytic,
 	})
-	registerExperiment(Experiment{
+	registerInProcess(Experiment{
 		ID:    "ext-multiprog",
 		Title: "Multiprogramming: write-buffer and cache behaviour under context-switch quanta",
 		Run:   runMultiprog,
 	})
-	registerExperiment(Experiment{
+	registerInProcess(Experiment{
 		ID:    "ext-variance",
 		Title: "Seed robustness: baseline stall percentages as mean ± sd over 5 generator seeds",
 		Run:   runVariance,
 	})
+}
+
+// registerInProcess registers an experiment that ignores o.Backend: it
+// runs derived benchmarks (workload.Derive), which no backend can resolve
+// by name, or reads machine state a Measurement does not carry.
+func registerInProcess(e Experiment) {
+	run := e.Run
+	e.Run = func(o Options) *Report {
+		o.Backend = nil
+		return run(o)
+	}
+	registerExperiment(e)
 }
 
 // runVariance reruns each profile-driven benchmark with shifted generator
@@ -64,22 +76,23 @@ func runVariance(o Options) *Report {
 		},
 	}
 	const seeds = 5
+	var seeded []workload.Benchmark // seeds variants per benchmark, b.Name~s0 first
 	for _, b := range o.benchmarks() {
-		var vals []float64
 		for s := uint64(0); s < seeds; s++ {
-			rb, ok := workload.Reseeded(b, s)
-			if !ok {
-				break
+			if rb, ok := workload.Reseeded(b, s); ok {
+				seeded = append(seeded, rb)
 			}
-			m := Run(rb, "seeded", sim.Baseline(), o.instructions())
-			vals = append(vals, m.C.TotalStallPct())
 		}
-		if len(vals) == 0 {
-			continue
+	}
+	matrix := RunMatrixOpts(seeded, baseline, o)
+	for i := 0; i < len(seeded); i += seeds {
+		vals := make([]float64, seeds)
+		for s := range vals {
+			vals[s] = matrix[i+s][0].C.TotalStallPct()
 		}
 		mean, sd, lo, hi := meanSD(vals)
 		rep.Rows = append(rep.Rows, []string{
-			b.Name,
+			strings.TrimSuffix(seeded[i].Name, "~s0"),
 			fmt.Sprintf("%.2f", mean), fmt.Sprintf("%.2f", sd),
 			fmt.Sprintf("%.2f", lo), fmt.Sprintf("%.2f", hi),
 		})
@@ -91,12 +104,7 @@ func meanSD(vals []float64) (mean, sd, lo, hi float64) {
 	lo, hi = vals[0], vals[0]
 	for _, v := range vals {
 		mean += v
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
 	mean /= float64(len(vals))
 	for _, v := range vals {
@@ -120,37 +128,39 @@ func runMultiprog(o Options) *Report {
 			"quantum 'none' runs the pair back to back; smaller quanta switch more often",
 		},
 	}
+	var mixes []workload.Benchmark
 	for _, pair := range pairs {
-		a, ok := workload.ByName(pair[0])
-		if !ok {
-			panic("experiment: missing benchmark " + pair[0])
-		}
-		b, ok := workload.ByName(pair[1])
-		if !ok {
-			panic("experiment: missing benchmark " + pair[1])
-		}
+		a, b := mustBench(pair[0]), mustBench(pair[1])
 		for _, q := range quanta {
-			half := o.instructions() / 2
-			var s trace.Stream
-			label := fmt.Sprintf("%s+%s / none", pair[0], pair[1])
+			name := fmt.Sprintf("%s+%s / %d", a.Name, b.Name, q)
 			if q == 0 {
-				s = trace.NewConcat(a.Stream(half), b.Stream(half))
-			} else {
-				s = trace.NewInterleave(q, a.Stream(half), b.Stream(half))
-				label = fmt.Sprintf("%s+%s / %d", pair[0], pair[1], q)
+				name = fmt.Sprintf("%s+%s / none", a.Name, b.Name)
 			}
-			m := sim.MustNew(sim.Baseline())
-			dispatch.WarmRunGenerator(m, trace.GeneratorOf(s), o.instructions())
-			c := m.Counters()
-			rep.Rows = append(rep.Rows, []string{
-				label,
-				fmt.Sprintf("%.2f", c.TotalStallPct()),
-				fmt.Sprintf("%.2f", 100*c.L1LoadHitRate()),
-				fmt.Sprintf("%.2f", 100*m.WBStoreHitRate()),
-			})
+			mixes = append(mixes, workload.Derive(name, func(n uint64) trace.Generator {
+				if q == 0 {
+					return trace.GeneratorOf(trace.NewConcat(a.Stream(n/2), b.Stream(n/2)))
+				}
+				return trace.GeneratorOf(trace.NewInterleave(q, a.Stream(n/2), b.Stream(n/2)))
+			}))
 		}
 	}
+	matrix := RunMatrixOpts(mixes, baseline, o)
+	for i, mix := range mixes {
+		m := matrix[i][0]
+		rep.Rows = append(rep.Rows, []string{
+			mix.Name, fmt.Sprintf("%.2f", m.C.TotalStallPct()), pct(m.L1Hit), pct(m.WBHit),
+		})
+	}
 	return rep
+}
+
+// mustBench resolves a benchmark the experiment hard-codes.
+func mustBench(name string) workload.Benchmark {
+	b, ok := workload.ByName(name)
+	if !ok {
+		panic("experiment: missing benchmark " + name)
+	}
+	return b
 }
 
 func runWriteCache(o Options) *Report {
@@ -163,73 +173,58 @@ func runWriteCache(o Options) *Report {
 	benches := o.benchmarks()
 	rep := &Report{
 		ID: "ext-writecache", Title: "Write buffer vs write cache",
-		Columns: []string{"benchmark"},
 		Notes: []string{
 			"cells: total stall % | L2 block-writes per 100 stores (the traffic-aggregation metric Jouppi optimised)",
 		},
 	}
-	for _, s := range specs {
-		rep.Columns = append(rep.Columns, s.Label)
-	}
 	matrix := RunMatrixOpts(benches, specs, o)
-	for bi, b := range benches {
-		row := []string{b.Name}
-		for ci := range specs {
-			c := matrix[bi][ci].C
-			writes := c.Retirements + c.FlushedEntries
-			per100 := float64(0)
-			if c.Stores > 0 {
-				per100 = 100 * float64(writes) / float64(c.Stores)
-			}
-			row = append(row, fmt.Sprintf("%5.2f | %5.1f", c.TotalStallPct(), per100))
+	rep.addSpecTable("benchmark", benches, specs, func(bi, ci int) string {
+		c := matrix[bi][ci].C
+		per100 := float64(0)
+		if c.Stores > 0 {
+			per100 = 100 * float64(c.Retirements+c.FlushedEntries) / float64(c.Stores)
 		}
-		rep.Rows = append(rep.Rows, row)
-	}
+		return fmt.Sprintf("%5.2f | %5.1f", c.TotalStallPct(), per100)
+	})
 	return rep
 }
 
 func runMembar(o Options) *Report {
-	periods := []uint64{0, 1000, 200, 50}
+	periods := []uint64{1000, 200, 50} // instructions between barriers
 	configs := []ConfigSpec{
 		{Label: "buf-4", Cfg: sim.Baseline()},
 		{Label: "buf-12 RWB", Cfg: sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB)},
 		{Label: "wcache-8", Cfg: sim.Baseline().WithWriteCache(8)},
 	}
-	benches := o.benchmarks()
 	rep := &Report{
 		ID: "ext-membar", Title: "Membar drain cost",
-		Columns: []string{"benchmark / period"},
 		Notes: []string{
 			"cells: total stall % (membar-drain component) — deeper/lazier write stages pay more per barrier",
 		},
 	}
-	for _, cfgSpec := range configs {
-		rep.Columns = append(rep.Columns, cfgSpec.Label)
-	}
-	for _, b := range benches {
+	// One derived benchmark per (benchmark, period), the barrier-free
+	// stream first; the three configurations share each one's stream.
+	var fenced []workload.Benchmark
+	for _, b := range o.benchmarks() {
+		fenced = append(fenced, workload.Derive(b.Name+" / none", b.Generator))
 		for _, period := range periods {
-			label := fmt.Sprintf("%s / none", b.Name)
-			if period > 0 {
-				label = fmt.Sprintf("%s / %d", b.Name, period)
-			}
-			row := []string{label}
-			for _, cfgSpec := range configs {
-				m := sim.MustNew(cfgSpec.Cfg)
-				s := trace.Stream(b.Stream(o.instructions()))
-				if period > 0 {
-					s = trace.NewInject(s, trace.Ref{Kind: trace.Membar}, period)
-				}
-				dispatch.WarmRunGenerator(m, trace.GeneratorOf(s), o.instructions())
-				c := m.Counters()
-				row = append(row, fmt.Sprintf("%5.2f (mb %4.2f)",
-					c.TotalStallPct(), c.StallPct(stats.MembarDrain)))
-			}
-			rep.Rows = append(rep.Rows, row)
+			fenced = append(fenced, workload.Derive(fmt.Sprintf("%s / %d", b.Name, period),
+				func(n uint64) trace.Generator {
+					return trace.GeneratorOf(trace.NewInject(b.Stream(n), trace.Ref{Kind: trace.Membar}, period))
+				}))
 		}
 	}
+	matrix := RunMatrixOpts(fenced, configs, o)
+	rep.addSpecTable("benchmark / period", fenced, configs, func(bi, ci int) string {
+		c := matrix[bi][ci].C
+		return fmt.Sprintf("%5.2f (mb %4.2f)", c.TotalStallPct(), c.StallPct(stats.MembarDrain))
+	})
 	return rep
 }
 
+// runOccupancy and runAnalytic read the store-observed occupancy
+// histogram, which a Measurement does not carry, from each finished
+// machine through the matrix's visit hook.
 func runOccupancy(o Options) *Report {
 	specs := []ConfigSpec{
 		{Label: "4d/r2", Cfg: sim.Baseline()},
@@ -240,35 +235,30 @@ func runOccupancy(o Options) *Report {
 	benches := o.benchmarks()
 	rep := &Report{
 		ID: "ext-occupancy", Title: "Store-observed write-buffer occupancy",
-		Columns: []string{"benchmark"},
 		Notes: []string{
 			"cells: mean occupancy | % of stores finding <2 entries free — lazy policies erase headroom",
 		},
 	}
-	for _, s := range specs {
-		rep.Columns = append(rep.Columns, s.Label)
+	cells := make([][]string, len(benches))
+	for bi := range cells {
+		cells[bi] = make([]string, len(specs))
 	}
-	for _, b := range benches {
-		row := []string{b.Name}
-		for _, s := range specs {
-			m := sim.MustNew(s.Cfg)
-			dispatch.WarmRunGenerator(m, b.Generator(o.instructions()), o.instructions())
-			h := m.OccupancyHistogram()
-			var total, tight uint64
-			for k, v := range h {
-				total += v
-				if k >= len(h)-2 {
-					tight += v
-				}
+	mustRunMatrix(benches, specs, o, func(bi, ci int, m *sim.Machine) {
+		h := m.OccupancyHistogram()
+		var total, tight uint64
+		for k, v := range h {
+			total += v
+			if k >= len(h)-2 {
+				tight += v
 			}
-			pctTight := float64(0)
-			if total > 0 {
-				pctTight = 100 * float64(tight) / float64(total)
-			}
-			row = append(row, fmt.Sprintf("%4.1f | %5.2f", m.MeanOccupancy(), pctTight))
 		}
-		rep.Rows = append(rep.Rows, row)
-	}
+		pctTight := float64(0)
+		if total > 0 {
+			pctTight = 100 * float64(tight) / float64(total)
+		}
+		cells[bi][ci] = fmt.Sprintf("%4.1f | %5.2f", m.MeanOccupancy(), pctTight)
+	})
+	rep.addSpecTable("benchmark", benches, specs, func(bi, ci int) string { return cells[bi][ci] })
 	return rep
 }
 
@@ -281,28 +271,34 @@ func runAnalytic(o Options) *Report {
 		},
 	}
 	const q = 0.10
-	for _, tc := range []struct{ depth, hwm int }{{2, 2}, {4, 2}, {6, 2}, {8, 2}, {12, 10}} {
+	cases := []struct{ depth, hwm int }{{2, 2}, {4, 2}, {6, 2}, {8, 2}, {12, 10}}
+	specs := make([]ConfigSpec, len(cases))
+	rep.Rows = make([][]string, len(cases))
+	for i, tc := range cases {
 		pred, err := analytic.Solve(analytic.Params{
 			AllocRate: q, ServiceLat: 6, Depth: tc.depth, HighWater: tc.hwm,
 		})
 		if err != nil {
 			panic(err)
 		}
-		m := sim.MustNew(sim.Baseline().WithDepth(tc.depth).WithRetire(core.RetireAt{N: tc.hwm}))
-		dispatch.WarmRunGenerator(m, bernoulliStores(q, o.instructions()), o.instructions())
+		specs[i] = ConfigSpec{
+			Label: fmt.Sprintf("%dd/retire-at-%d", tc.depth, tc.hwm),
+			Cfg:   sim.Baseline().WithDepth(tc.depth).WithRetire(core.RetireAt{N: tc.hwm}),
+		}
+		rep.Rows[i] = []string{specs[i].Label,
+			fmt.Sprintf("%.4f", pred.PBlocked), "",
+			fmt.Sprintf("%.2f", pred.MeanOccupancy), ""}
+	}
+	bernoulli := workload.Derive("bernoulli-q0.10", func(n uint64) trace.Generator { return bernoulliStores(q, n) })
+	mustRunMatrix([]workload.Benchmark{bernoulli}, specs, o, func(_, ci int, m *sim.Machine) {
 		c := m.Counters()
 		simBlock := float64(0)
 		if c.Stores > 0 {
 			simBlock = float64(c.BlockedStores) / float64(c.Stores)
 		}
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%dd/retire-at-%d", tc.depth, tc.hwm),
-			fmt.Sprintf("%.4f", pred.PBlocked),
-			fmt.Sprintf("%.4f", simBlock),
-			fmt.Sprintf("%.2f", pred.MeanOccupancy),
-			fmt.Sprintf("%.2f", m.MeanOccupancy()),
-		})
-	}
+		rep.Rows[ci][2] = fmt.Sprintf("%.4f", simBlock)
+		rep.Rows[ci][4] = fmt.Sprintf("%.2f", m.MeanOccupancy())
+	})
 	return rep
 }
 

@@ -10,9 +10,7 @@ import (
 func init() {
 	registerExperiment(stallFigure("fig3",
 		"Write-buffer-induced stall cycles, base model (4-deep, retire-at-2, flush-full)",
-		func() []ConfigSpec {
-			return []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}
-		}))
+		func() []ConfigSpec { return baseline }))
 
 	registerExperiment(stallFigure("fig4",
 		"Stall cycles as a function of depth, base model, depth = 2-12",

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Report is a formatted experiment result: a titled table plus notes.
@@ -91,21 +92,30 @@ func stallFigure(id, title string, specs func() []ConfigSpec, notes ...string) E
 			benches := o.benchmarks()
 			matrix := RunMatrixOpts(benches, ss, o)
 			rep := &Report{ID: id, Title: title, Notes: notes}
-			rep.Columns = append(rep.Columns, "benchmark")
-			for _, s := range ss {
-				rep.Columns = append(rep.Columns, s.Label)
-			}
 			rep.Notes = append(rep.Notes,
 				"cells: total write-buffer stall % of run time (L2-read-access/buffer-full/load-hazard)")
-			for bi, b := range benches {
-				row := []string{b.Name}
-				for ci := range ss {
-					row = append(row, stallCell(matrix[bi][ci]))
-				}
-				rep.Rows = append(rep.Rows, row)
-			}
+			rep.addSpecTable("benchmark", benches, ss, func(bi, ci int) string {
+				return stallCell(matrix[bi][ci])
+			})
 			return rep
 		},
+	}
+}
+
+// addSpecTable appends the matrix report shape: a column named first, then
+// one per spec label; a row per benchmark, its name, then cell(bi, ci) for
+// each spec.
+func (r *Report) addSpecTable(first string, benches []workload.Benchmark, specs []ConfigSpec, cell func(bi, ci int) string) {
+	r.Columns = append(r.Columns, first)
+	for _, s := range specs {
+		r.Columns = append(r.Columns, s.Label)
+	}
+	for bi, b := range benches {
+		row := []string{b.Name}
+		for ci := range specs {
+			row = append(row, cell(bi, ci))
+		}
+		r.Rows = append(r.Rows, row)
 	}
 }
 

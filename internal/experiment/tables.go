@@ -32,7 +32,7 @@ func init() {
 
 func runTable4(o Options) *Report {
 	benches := o.benchmarks()
-	matrix := RunMatrixOpts(benches, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	matrix := RunMatrixOpts(benches, baseline, o)
 	rep := &Report{
 		ID: "table4", Title: "Dynamic instruction mix (percent of instructions)",
 		Columns: []string{"benchmark", "loads", "paper", "stores", "paper"},
@@ -52,7 +52,7 @@ func runTable4(o Options) *Report {
 
 func runTable5(o Options) *Report {
 	benches := o.benchmarks()
-	matrix := RunMatrixOpts(benches, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	matrix := RunMatrixOpts(benches, baseline, o)
 	rep := &Report{
 		ID: "table5", Title: "Baseline hit rates (percent)",
 		Columns: []string{"benchmark", "L1 hit", "paper", "WB hit", "paper"},
@@ -79,13 +79,9 @@ func runTable6(o Options) *Report {
 	}
 	var pairs []workload.Benchmark
 	for _, name := range []string{"gmtry", "gmtry-t", "cholsky", "cholsky-t"} {
-		b, ok := workload.ByName(name)
-		if !ok {
-			panic("experiment: missing kernel " + name)
-		}
-		pairs = append(pairs, b)
+		pairs = append(pairs, mustBench(name))
 	}
-	matrix := RunMatrixOpts(pairs, []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}, o)
+	matrix := RunMatrixOpts(pairs, baseline, o)
 	for bi, b := range pairs {
 		m := matrix[bi][0]
 		rep.Rows = append(rep.Rows, []string{

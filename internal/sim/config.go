@@ -23,11 +23,11 @@
 // The machine executes references two ways.  Step executes one reference
 // at a time — the reference path, kept as the differential oracle.  Run
 // consumes a trace.Generator in 4096-reference batches (StepBatch) with
-// execute runs run-length encoded and retired in closed form; it is the
-// production path every experiment and sweep runs, and it reproduces
-// Step's counters, stall attribution, occupancy histograms, and CPI bit
-// for bit (TestRunGeneratorMatchesRun).  A Row steps several
-// machines over one generated stream; machines whose L1 contents follow
+// execute runs run-length encoded and retired in closed form, and it
+// reproduces Step's counters, stall attribution, occupancy histograms, and
+// CPI bit for bit (TestRunGeneratorMatchesRun).  A Row steps several
+// machines over one generated stream; Row.Run is the production path
+// every experiment and sweep runs.  Machines whose L1 contents follow
 // the stream alone (perfect L2, no write cache, a flushing hazard policy,
 // no statistical I-cache) share one L1 lookup per load with the others of
 // their L1 geometry, and step a batch in which the L1 hits are folded

@@ -48,6 +48,9 @@ func (g *streamGenerator) Fill(buf []Ref) int {
 	return n
 }
 
+// Close closes the wrapped stream (see closeAll).
+func (g *streamGenerator) Close() error { return closeAll(g.s) }
+
 // Fill implements Generator for SliceStream: one copy per batch instead of
 // one interface call per reference.
 func (s *SliceStream) Fill(buf []Ref) int {
@@ -96,6 +99,9 @@ func (s *GeneratorStream) Next() (Ref, bool) {
 	}
 	return r, true
 }
+
+// Close closes the wrapped generator (see closeAll).
+func (s *GeneratorStream) Close() error { return closeAll(s.g) }
 
 // Fill implements Generator.  It first delivers what Next has decoded but
 // not yet handed out — the rest of a split Exec run, then the buffered

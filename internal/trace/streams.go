@@ -1,6 +1,11 @@
 package trace
 
-import "repro/internal/mem"
+import (
+	"errors"
+	"io"
+
+	"repro/internal/mem"
+)
 
 // SliceStream replays a fixed slice of references.  It is the workhorse of
 // unit tests and of trace recording/replay.
@@ -41,6 +46,9 @@ func (c *Concat) Next() (Ref, bool) {
 	}
 	return Ref{}, false
 }
+
+// Close closes the streams not yet exhausted (see closeAll).
+func (c *Concat) Close() error { return closeAll(c.streams...) }
 
 // Interleave round-robins several streams with a fixed quantum, modelling
 // multiprogrammed execution: quantum references from the first stream,
@@ -85,6 +93,9 @@ func (in *Interleave) Next() (Ref, bool) {
 	return Ref{}, false
 }
 
+// Close closes every interleaved stream (see closeAll).
+func (in *Interleave) Close() error { return closeAll(in.streams...) }
+
 // Inject interleaves a fixed reference into a stream every period yielded
 // references — e.g. a memory barrier every 1000 instructions, modelling
 // synchronisation-heavy multiprocessor code.
@@ -112,6 +123,23 @@ func (in *Inject) Next() (Ref, bool) {
 		in.count++
 	}
 	return r, ok
+}
+
+// Close closes the inner stream (see closeAll).
+func (in *Inject) Close() error { return closeAll(in.inner) }
+
+// closeAll closes every element that implements io.Closer.  The
+// combinators and the Stream/Generator adapters pass Close down this way,
+// so closing a composed stream stops the kernel producer goroutines of the
+// workloads inside it, which an abandoned stream would otherwise leak.
+func closeAll[T any](xs ...T) error {
+	var errs []error
+	for _, x := range xs {
+		if c, ok := any(x).(io.Closer); ok {
+			errs = append(errs, c.Close())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Builder assembles reference slices with a fluent API.  Workload kernels

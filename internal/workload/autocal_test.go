@@ -26,7 +26,7 @@ func TestAutoCalibrate(t *testing.T) {
 		var l1, wb float64
 		for round := 0; round < 8; round++ {
 			m := sim.MustNew(sim.Baseline())
-			// Warm up on the first quarter, as experiment.Run does.
+			// Warm up on the first quarter, as every experiment does.
 			if err := sim.NewRow([]*sim.Machine{m}).Run(context.Background(), newSynth(p, n), n/4); err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/experiment"
+	"repro/internal/dispatch"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -13,7 +13,10 @@ import (
 // warm-up) and returns its (pctLoads, pctStores, l1HitPct, wbHitPct).
 func measure(t *testing.T, b workload.Benchmark, n uint64) (pl, ps, l1, wb float64) {
 	t.Helper()
-	m := experiment.Run(b, "base", sim.Baseline(), n)
+	m, err := dispatch.ExecuteBench(b, "base", sim.Baseline(), n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := m.C.Check(); err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}

@@ -125,32 +125,15 @@ func All() []Benchmark {
 	return out
 }
 
-// Names returns the benchmark names in figure order.
-func Names() []string {
-	names := make([]string, len(registry))
-	for i, b := range registry {
-		names[i] = b.Name
-	}
-	return names
-}
-
 // ByName finds a benchmark (including the transformed NASA kernel variants
 // "cholsky-t" and "gmtry-t" and the stress scenarios "burstw" and
 // "fenceprod").
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range registry {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	for _, b := range extras {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	for _, b := range scenarios {
-		if b.Name == name {
-			return b, true
+	for _, list := range [][]Benchmark{registry, extras, scenarios} {
+		for _, b := range list {
+			if b.Name == name {
+				return b, true
+			}
 		}
 	}
 	return Benchmark{}, false
@@ -167,19 +150,31 @@ func Scenarios() []Benchmark {
 	return out
 }
 
+// Derive returns an unregistered benchmark generated by gen.  It panics on
+// a name ByName resolves: name-keyed execution (result store, workers)
+// must fail on a derived benchmark, not run a registered one in its place.
+func Derive(name string, gen func(n uint64) trace.Generator) Benchmark {
+	if _, ok := ByName(name); ok {
+		panic(fmt.Sprintf("workload: derived benchmark %q shadows a registered one", name))
+	}
+	return Benchmark{Name: name, gen: gen}
+}
+
 // Reseeded returns a copy of a profile-driven benchmark whose generator
 // uses a shifted seed, producing a statistically equivalent but distinct
 // reference stream — the repository's stand-in for running a benchmark on
-// a different input, used to put error bars on stall measurements.
-// Kernel benchmarks (whose streams are deterministic loop nests) are
-// returned unchanged, and ok reports whether reseeding had any effect.
+// a different input, used to put error bars on stall measurements, named
+// b.Name~s<delta> (li~s1).  Kernel benchmarks (whose streams are
+// deterministic loop nests) are returned unchanged, and ok reports whether
+// reseeding had any effect.
 func Reseeded(b Benchmark, delta uint64) (Benchmark, bool) {
 	for _, np := range syntheticProfiles {
 		if np.Name == b.Name {
 			p := np.Profile
 			p.Seed += delta * 1_000_003 // spread shifted seeds far apart
-			out := b
-			out.gen = func(n uint64) trace.Generator { return newSynth(p, n) }
+			out := Derive(fmt.Sprintf("%s~s%d", b.Name, delta),
+				func(n uint64) trace.Generator { return newSynth(p, n) })
+			out.Group, out.Target = b.Group, b.Target
 			return out, true
 		}
 	}

@@ -12,13 +12,13 @@ func TestRegistryOrder(t *testing.T) {
 		"doduc", "hydro2d", "mdljsp2", "tomcatv", "fpppp", "mdljdp2", "wave5", "su2cor",
 		"fft", "cholsky", "gmtry",
 	}
-	got := Names()
+	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d benchmarks, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("position %d: %s, want %s", i, got[i], want[i])
+		if got[i].Name != want[i] {
+			t.Errorf("position %d: %s, want %s", i, got[i].Name, want[i])
 		}
 	}
 }
@@ -258,6 +258,29 @@ func TestAllRegisteredProfilesValid(t *testing.T) {
 		if err := np.Profile.Validate(); err != nil {
 			t.Errorf("%s: %v", np.Name, err)
 		}
+	}
+}
+
+// TestDeriveNamesNeverResolve: a derived benchmark must not answer to a
+// registered name, or name-keyed execution would run the registered one.
+func TestDeriveNamesNeverResolve(t *testing.T) {
+	li, _ := ByName("li")
+	for _, name := range []string{"li", "gmtry-t", "fenceprod"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Derive(%q) did not refuse a registered name", name)
+				}
+			}()
+			Derive(name, li.Generator)
+		}()
+	}
+	r1, _ := Reseeded(li, 1)
+	if r1.Name != "li~s1" {
+		t.Errorf("Reseeded(li, 1).Name = %q, want li~s1", r1.Name)
+	}
+	if _, ok := ByName(r1.Name); ok {
+		t.Errorf("reseeded variant %q resolves by name", r1.Name)
 	}
 }
 
