@@ -96,8 +96,10 @@ func (r RunRequest) benchList() []string {
 	return []string{r.Bench}
 }
 
-// normalize fills baseline defaults so equivalent requests share one store
-// key, and validates ranges the simulator cannot (the instruction cap).
+// normalize fills the instruction count and validates what the simulator
+// cannot: the instruction cap and the request's shape.  Machine fields
+// left zero take the baseline in config, so equivalent requests build one
+// machine and share one store key.
 func (r RunRequest) normalize(maxN uint64) (RunRequest, error) {
 	if r.Bench != "" && len(r.Benches) > 0 {
 		return r, fmt.Errorf("bench and benches are mutually exclusive")
@@ -121,32 +123,8 @@ func (r RunRequest) normalize(maxN uint64) (RunRequest, error) {
 	if r.N > maxN {
 		return r, fmt.Errorf("n %d exceeds the server cap of %d", r.N, maxN)
 	}
-	if len(r.Config) > 0 {
-		if r.hasScalarConfig() {
-			return r, fmt.Errorf("config blob and machine fields are mutually exclusive")
-		}
-		return r, nil
-	}
-	if r.Depth == 0 {
-		r.Depth = 4
-	}
-	if r.Width == 0 {
-		r.Width = 4
-	}
-	if r.RetireAt == 0 {
-		r.RetireAt = 2
-	}
-	if r.Hazard == "" {
-		r.Hazard = core.FlushFull.String()
-	}
-	if r.L1Size == 0 {
-		r.L1Size = 8 << 10
-	}
-	if r.L2Lat == 0 {
-		r.L2Lat = 6
-	}
-	if r.MemLat == 0 {
-		r.MemLat = 25
+	if len(r.Config) > 0 && r.hasScalarConfig() {
+		return r, fmt.Errorf("config blob and machine fields are mutually exclusive")
 	}
 	return r, nil
 }
@@ -158,38 +136,36 @@ func (r RunRequest) normalize(maxN uint64) (RunRequest, error) {
 var errInvalidConfig = errors.New("invalid machine configuration")
 
 // config builds the simulator configuration — decoding the machconf blob
-// when one was sent, assembling the scalars otherwise — and relies on
-// machconf.Validate for the microarchitectural invariants; validation
-// failures are wrapped in errInvalidConfig.
+// when one was sent, applying the scalars that were set to the baseline as
+// machconf settings otherwise — and relies on machconf.Validate for the
+// microarchitectural invariants; validation failures are wrapped in
+// errInvalidConfig.
 func (r RunRequest) config() (sim.Config, error) {
+	var cfg sim.Config
 	if len(r.Config) > 0 {
-		cfg, err := machconf.Decode(r.Config)
-		if err != nil {
+		var err error
+		if cfg, err = machconf.Decode(r.Config); err != nil {
 			return sim.Config{}, err
 		}
-		if err := machconf.Validate(cfg); err != nil {
-			return sim.Config{}, fmt.Errorf("%w: %v", errInvalidConfig, err)
+	} else {
+		var settings []machconf.Setting
+		for _, f := range []struct {
+			key string
+			val any
+		}{
+			{"depth", r.Depth}, {"width", r.Width}, {"retire", r.RetireAt},
+			{"aging", r.AgingTimeout}, {"hazard", r.Hazard}, {"l1", r.L1Size},
+			{"l2lat", r.L2Lat}, {"l2", r.L2Size}, {"memlat", r.MemLat},
+			{"wcache", r.WriteCache}, {"issue", r.IssueWidth},
+		} {
+			if val := fmt.Sprint(f.val); val != "0" && val != "" {
+				settings = append(settings, f.key+"="+val)
+			}
 		}
-		return cfg, nil
-	}
-	hazard, ok := machconf.HazardByName(r.Hazard)
-	if !ok {
-		return sim.Config{}, fmt.Errorf("unknown hazard policy %q", r.Hazard)
-	}
-	cfg := sim.Baseline().
-		WithDepth(r.Depth).
-		WithRetire(core.RetireAt{N: r.RetireAt, Timeout: r.AgingTimeout}).
-		WithHazard(hazard).
-		WithL1Size(r.L1Size).
-		WithL2Latency(r.L2Lat).
-		WithMemLat(r.MemLat).
-		WithIssueWidth(r.IssueWidth)
-	cfg.WB.WordsPerEntry = r.Width
-	if r.L2Size > 0 {
-		cfg = cfg.WithL2(r.L2Size)
-	}
-	if r.WriteCache > 0 {
-		cfg = cfg.WithWriteCache(r.WriteCache)
+		var err error
+		if cfg, err = machconf.Apply(sim.Baseline(), settings...); err != nil {
+			return sim.Config{}, err
+		}
 	}
 	if err := machconf.Validate(cfg); err != nil {
 		return sim.Config{}, fmt.Errorf("%w: %v", errInvalidConfig, err)
@@ -197,13 +173,16 @@ func (r RunRequest) config() (sim.Config, error) {
 	return cfg, nil
 }
 
-// label renders the request as a compact descriptor: the non-baseline
-// scalars, or the canonical hash prefix when the machine arrived as a blob.
-func (r RunRequest) label(hash string) string {
+// label renders the request as a compact descriptor: the machine's buffer
+// shape and policies, or the canonical hash prefix when the machine
+// arrived as a blob.
+func (r RunRequest) label(cfg sim.Config, hash string) string {
 	if len(r.Config) > 0 {
 		return "machconf:" + hash[:12]
 	}
-	return fmt.Sprintf("depth=%d,width=%d,retire=%d,hazard=%s", r.Depth, r.Width, r.RetireAt, r.Hazard)
+	retire, _ := cfg.Retire.(core.RetireAt)
+	return fmt.Sprintf("depth=%d,width=%d,retire=%d,hazard=%s",
+		cfg.WB.Depth, cfg.WB.WordsPerEntry, retire.N, cfg.Hazard)
 }
 
 // RunResponse is the JSON reply of POST /run: the paper's measurement for
@@ -776,7 +755,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	label := req.label(hash)
+	label := req.label(cfg, hash)
 	jobs := make([]jobqueue.Job, 0, len(benches))
 	for _, name := range benches {
 		jobs = append(jobs, jobqueue.Job{

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/machconf"
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 )
 
@@ -427,4 +428,68 @@ func TestConcurrentRuns(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestRunScalarFrontEnd pins the scalar front end of POST /run: each body's
+// response label and the store key its measurement lands under (bench, n
+// and the canonical machconf hash) are the ones recorded for it.
+func TestRunScalarFrontEnd(t *testing.T) {
+	s, ts := testServer(t)
+	for _, tc := range []struct {
+		body  string
+		bench string
+		n     uint64
+		label string
+		hash  string
+	}{
+		{`{"bench":"li"}`, "li", 1_000_000,
+			"depth=4,width=4,retire=2,hazard=flush-full",
+			"d25ca2f471bec36f6cd198671a843e36321020c29063e40d7318c4463165655f"},
+		{`{"bench":"li","n":20000,"depth":12,"retire_at":8,"hazard":"read-from-WB"}`, "li", 20000,
+			"depth=12,width=4,retire=8,hazard=read-from-WB",
+			"d25b0b3aa637c93381b8ed9e6fbd9d741bd9942029bb86b8098ca3d1d9ff217e"},
+		{`{"bench":"li","n":20000,"retire_at":4,"aging_timeout":50}`, "li", 20000,
+			"depth=4,width=4,retire=4,hazard=flush-full",
+			"aa2f17590b61083c5e608e51ad55d9de25d0434ee0e9c808e83bc721f06f3cde"},
+		{`{"bench":"li","n":20000,"width":1}`, "li", 20000,
+			"depth=4,width=1,retire=2,hazard=flush-full",
+			"55c4a04ab300a79d2f0d9be6db0390f7c4a41657253b2a690fe5b3f4eb837a66"},
+		{`{"bench":"li","n":20000,"l2_size":1048576,"mem_lat":50}`, "li", 20000,
+			"depth=4,width=4,retire=2,hazard=flush-full",
+			"e001dad325a7014e57b64765bc2960a4abd9940cffc1ca2964c116d14609cb1a"},
+		{`{"bench":"li","n":20000,"write_cache":8}`, "li", 20000,
+			"depth=4,width=4,retire=2,hazard=flush-full",
+			"b96c7c7b7ee85458696e58a8bf2dc538cc6a555101be9f4083f5f719e04bdb0b"},
+		{`{"bench":"li","n":20000,"issue_width":2}`, "li", 20000,
+			"depth=4,width=4,retire=2,hazard=flush-full",
+			"bacec5df2c07a2759c6a0b8e78ec83ddb44c880717d5f8f277af071655c1a17f"},
+		{`{"bench":"li","n":20000,"l1_size":16384}`, "li", 20000,
+			"depth=4,width=4,retire=2,hazard=flush-full",
+			"462ff7965e17ed3c8ec5f3000193074fbeb4264425bcb6fd29a5ee30658a28f1"},
+		{`{"bench":"compress","n":20000,"l2_lat":10,"hazard":"flush-partial","depth":8}`, "compress", 20000,
+			"depth=8,width=4,retire=2,hazard=flush-partial",
+			"ee6d2dd8af51f25d85b0269f441e84fab2a761f03e9642ba1d90a1e99dbe860d"},
+	} {
+		resp, out := postRun(t, ts, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d", tc.body, resp.StatusCode)
+			continue
+		}
+		if out.Config != tc.label {
+			t.Errorf("%s: label %q, want %q", tc.body, out.Config, tc.label)
+		}
+		if _, ok := s.store.Get(resultstore.Key(tc.bench, tc.n, tc.hash)); !ok {
+			t.Errorf("%s: no store entry under hash %s", tc.body, tc.hash)
+		}
+	}
+	for body, want := range map[string]int{
+		`{"bench":"li","hazard":"explode"}`:      http.StatusBadRequest,
+		`{"bench":"li","depth":4,"retire_at":8}`: http.StatusUnprocessableEntity,
+		`{"bench":"li","depth":-1}`:              http.StatusUnprocessableEntity,
+		`{"bench":"li","depth":4,"config":{}}`:   http.StatusBadRequest,
+	} {
+		if resp, _ := postRun(t, ts, body); resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
 }

@@ -30,7 +30,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/machconf"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -44,18 +43,18 @@ func main() {
 		traceFile  = flag.String("trace", "", "run a recorded trace file instead of a benchmark")
 		list       = flag.Bool("list", false, "list benchmarks and exit")
 		n          = flag.Uint64("n", 1_000_000, "dynamic instructions to simulate")
-		depth      = flag.Int("depth", 4, "write buffer depth (entries)")
-		width      = flag.Int("width", 4, "write buffer entry width (words); 1 = non-coalescing")
-		retire     = flag.Int("retire", 2, "retire-at high-water mark")
-		aging      = flag.Uint64("aging", 0, "aging timeout in cycles (0 = off)")
-		hazard     = flag.String("hazard", "flush-full", "load-hazard policy: flush-full, flush-partial, flush-item-only, read-from-WB")
-		l1size     = flag.Int("l1size", 8192, "L1 data cache size in bytes")
-		l2lat      = flag.Uint64("l2lat", 6, "L2 access latency in cycles")
-		l2size     = flag.Int("l2size", 0, "finite L2 size in bytes (0 = perfect)")
-		memlat     = flag.Uint64("memlat", 25, "main memory latency in cycles")
 		configFile = flag.String("config", "", "machine spec: machconf key=value string, @file.json, or a bare JSON path (replaces the machine flags)")
 		dumpConfig = flag.Bool("dump-config", false, "print the machine's canonical machconf JSON and exit")
 	)
+	flag.Int("depth", 4, "write buffer depth (entries)")
+	flag.Int("width", 4, "write buffer entry width (words); 1 = non-coalescing")
+	flag.Int("retire", 2, "retire-at high-water mark")
+	flag.Uint64("aging", 0, "aging timeout in cycles (0 = off)")
+	flag.String("hazard", "flush-full", "load-hazard policy: flush-full, flush-partial, flush-item-only, read-from-WB")
+	flag.Int("l1size", 8192, "L1 data cache size in bytes")
+	flag.Uint64("l2lat", 6, "L2 access latency in cycles")
+	flag.Int("l2size", 0, "finite L2 size in bytes (0 = perfect)")
+	flag.Uint64("memlat", 25, "main memory latency in cycles")
 	flag.Parse()
 
 	if *list {
@@ -68,35 +67,19 @@ func main() {
 		return
 	}
 
-	var cfg sim.Config
+	names, settings := machineFlagsSet()
+	spec := strings.Join(settings, ",")
 	if *configFile != "" {
-		if set := machineFlagsSet(); len(set) > 0 {
-			fmt.Fprintf(os.Stderr, "wbsim: -config replaces the machine flags; drop %s\n", set)
+		if len(names) > 0 {
+			fmt.Fprintf(os.Stderr, "wbsim: -config replaces the machine flags; drop %s\n", names)
 			os.Exit(1)
 		}
-		var err error
-		cfg, err = machconf.ParseSpec(specArg(*configFile))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wbsim:", err)
-			os.Exit(1)
-		}
-	} else {
-		cfg = sim.Baseline().
-			WithDepth(*depth).
-			WithRetire(core.RetireAt{N: *retire, Timeout: *aging}).
-			WithL1Size(*l1size).
-			WithL2Latency(*l2lat).
-			WithMemLat(*memlat)
-		cfg.WB.WordsPerEntry = *width
-		if *l2size > 0 {
-			cfg = cfg.WithL2(*l2size)
-		}
-		h, err := parseHazard(*hazard)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wbsim:", err)
-			os.Exit(1)
-		}
-		cfg = cfg.WithHazard(h)
+		spec = specArg(*configFile)
+	}
+	cfg, err := machconf.ParseSpec(spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wbsim:", err)
+		os.Exit(1)
 	}
 
 	if *dumpConfig {
@@ -159,27 +142,24 @@ func specArg(s string) string {
 	return "@" + s
 }
 
-// machineFlagsSet lists the machine-shaping flags the user set explicitly,
-// which conflict with -config.
-func machineFlagsSet() []string {
-	machine := map[string]bool{
-		"depth": true, "width": true, "retire": true, "aging": true,
-		"hazard": true, "l1size": true, "l2lat": true, "l2size": true, "memlat": true,
-	}
-	var set []string
-	flag.Visit(func(f *flag.Flag) {
-		if machine[f.Name] {
-			set = append(set, "-"+f.Name)
-		}
-	})
-	return set
+// machineFlags maps each machine-shaping flag to its machconf spec key;
+// their defaults are the baseline's, so only the flags the user set shape
+// the machine.
+var machineFlags = map[string]string{
+	"depth": "depth", "width": "width", "retire": "retire", "aging": "aging",
+	"hazard": "hazard", "l1size": "l1", "l2lat": "l2lat", "l2size": "l2", "memlat": "memlat",
 }
 
-func parseHazard(s string) (core.HazardPolicy, error) {
-	if h, ok := machconf.HazardByName(s); ok {
-		return h, nil
-	}
-	return 0, fmt.Errorf("unknown hazard policy %q", s)
+// machineFlagsSet returns the machine flags the user set explicitly, both
+// as flag names (which conflict with -config) and as machconf settings.
+func machineFlagsSet() (names []string, settings []machconf.Setting) {
+	flag.Visit(func(f *flag.Flag) {
+		if key, ok := machineFlags[f.Name]; ok {
+			names = append(names, "-"+f.Name)
+			settings = append(settings, key+"="+f.Value.String())
+		}
+	})
+	return names, settings
 }
 
 func printResult(name string, m *sim.Machine) {

@@ -110,3 +110,40 @@ func TestCancelDuringHedgedAttempt(t *testing.T) {
 			baseline, runtime.NumGoroutine())
 	}
 }
+
+// A caller's cancellation is not the worker's fault on the unhedged path
+// either: jobs whose context ends while a healthy worker holds them must
+// not count against it, so QuarantineAfter of them leave it in rotation.
+func TestCancelUnhedgedKeepsWorkerHealthy(t *testing.T) {
+	hang := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte("ok"))
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	})
+	ts := httptest.NewServer(hang)
+	defer ts.Close()
+
+	opts := fastOpts(nil)
+	opts.QuarantineAfter = 2
+	opts.JobTimeout = 10 * time.Second
+	rem, err := NewRemote([]string{ts.URL}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rem.Close()
+
+	for i := 0; i < opts.QuarantineAfter; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := rem.Run(ctx, testJob())
+		cancel()
+		if err == nil {
+			t.Fatal("Run succeeded against a worker that never answers")
+		}
+	}
+	if got := rem.Healthy(); len(got) != 1 {
+		t.Errorf("healthy workers after two cancelled jobs = %v, want the one worker", got)
+	}
+}

@@ -16,8 +16,9 @@ import (
 //
 // The checksum travels in the ChecksumHeader response header, so the
 // measurement JSON itself is unchanged and old coordinators interoperate
-// with new workers (they ignore the header) and vice versa (no header
-// means no verification unless RemoteOptions.RequireChecksum is set).
+// with new workers (they ignore the header) and vice versa (a response
+// without the header is accepted unverified; a VerifyFraction sample is
+// the defense against such workers).
 //
 // Checksums catch transport- and encode-side corruption.  A worker whose
 // *simulation* is wrong computes a valid checksum over a wrong answer;

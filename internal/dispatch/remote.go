@@ -21,7 +21,7 @@ import (
 // defaults suited to LAN workers running million-instruction jobs; the
 // resilience features (hedging, local fallback, result verification) are
 // opt-in so library users get exactly the behaviour they configure, and
-// BuildBackend turns the defenses on for the CLIs.
+// BuildBackendOpts turns the defenses on for the CLIs.
 type RemoteOptions struct {
 	// JobTimeout bounds one dispatch attempt, connection to decoded
 	// response (default 2 minutes — a sim job is milliseconds to seconds,
@@ -62,14 +62,6 @@ type RemoteOptions struct {
 	// the percentile estimate — chiefly for tests and for pools whose
 	// latency the operator already knows.
 	HedgeAfter time.Duration
-	// HedgeMinSamples is how many job latencies must accumulate before
-	// the percentile estimate is trusted (default 16); until then no
-	// hedge fires (unless HedgeAfter forces one).
-	HedgeMinSamples int
-	// HedgeMinDelay floors the computed hedge delay (default 1ms) so a
-	// burst of fast jobs cannot turn hedging into double-dispatching
-	// everything.
-	HedgeMinDelay time.Duration
 
 	// FallbackLocal enables graceful degradation: when no healthy worker
 	// remains (all quarantined or partitioned), jobs run in this process
@@ -81,15 +73,10 @@ type RemoteOptions struct {
 	// jobs locally and compares bit-for-bit.  Every job is deterministic,
 	// so any divergence proves a fault (a worker with bad hardware, a
 	// mismatched binary, a hostile pool) and aborts the sweep loudly
-	// rather than letting a wrong measurement contaminate results.
-	// VerifySeed seeds the sample choice (0 picks a fixed seed).
+	// rather than letting a wrong measurement contaminate results.  The
+	// sample depends only on each job's key, so the same jobs verify on
+	// every run.
 	VerifyFraction float64
-	VerifySeed     uint64
-
-	// RequireChecksum rejects measurement responses that lack the
-	// integrity checksum header (old or foreign workers).  Off by
-	// default: responses carrying the header are always verified.
-	RequireChecksum bool
 
 	// Metrics, when non-nil, receives the dispatcher-side series:
 	// dispatch_jobs_dispatched_total / _retried_total / _failed_total,
@@ -107,6 +94,18 @@ type RemoteOptions struct {
 	// spread, not secrecy).
 	Seed int64
 }
+
+const (
+	// hedgeMinSamples is how many job latencies must accumulate before the
+	// percentile hedge estimate is trusted; until then no hedge fires
+	// (unless HedgeAfter forces one).
+	hedgeMinSamples = 16
+	// hedgeMinDelay floors the computed hedge delay so a burst of fast jobs
+	// cannot turn hedging into double-dispatching everything.
+	hedgeMinDelay = time.Millisecond
+	// verifySeed seeds the VerifyFraction sample choice.
+	verifySeed = 1
+)
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.JobTimeout <= 0 {
@@ -131,15 +130,6 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	}
 	if o.ConcurrencyPerWorker <= 0 {
 		o.ConcurrencyPerWorker = 4
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = 16
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = time.Millisecond
-	}
-	if o.VerifySeed == 0 {
-		o.VerifySeed = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -387,7 +377,7 @@ func (r *Remote) maybeVerify(ctx context.Context, job Job, got Measurement) erro
 	if err != nil {
 		return nil // unkeyable jobs cannot travel in the first place
 	}
-	if !sampleHash(key, r.opts.VerifySeed, r.opts.VerifyFraction) {
+	if !sampleHash(key, verifySeed, r.opts.VerifyFraction) {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -410,24 +400,12 @@ func (r *Remote) maybeVerify(ctx context.Context, job Job, got Measurement) erro
 // attempt performs one (possibly hedged) dispatch of a job.  Worker
 // health accounting happens here: the worker that produced the winning
 // answer is marked good, a worker whose attempt failed is marked bad, and
-// an attempt abandoned because the race was already won counts neither
-// way.  Exactly one measurement is returned no matter how many requests
-// were in flight, so the result store and the dispatched/failed counters
-// never double-count a job.
+// an attempt abandoned because the race was already won or the caller
+// cancelled counts neither way.  Exactly one measurement is returned no
+// matter how many requests were in flight, so the result store and the
+// dispatched/failed counters never double-count a job.  An unhedged
+// attempt is the same race whose hedge timer never fires.
 func (r *Remote) attempt(ctx context.Context, w *remoteWorker, body []byte, cfgHash string) (Measurement, error) {
-	delay, hedge := r.hedgeDelay()
-	if !hedge {
-		m, err := r.post(ctx, w, body, cfgHash)
-		if err == nil {
-			r.noteSuccess(w)
-		} else if !isPermanent(err) {
-			r.noteFailure(w)
-		} else {
-			r.noteSuccess(w) // the job was bad, not the worker
-		}
-		return m, err
-	}
-
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the loser is cancelled the moment a winner returns
 
@@ -446,9 +424,12 @@ func (r *Remote) attempt(ctx context.Context, w *remoteWorker, body []byte, cfgH
 	}
 	launch(w, false)
 	inFlight := 1
-	hedgeFired := false
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
+	var hedgeC <-chan time.Time // nil, and so never ready, when not hedging
+	if delay, hedge := r.hedgeDelay(); hedge {
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		hedgeC = timer.C
+	}
 	var firstErr error
 	for {
 		select {
@@ -462,7 +443,7 @@ func (r *Remote) attempt(ctx context.Context, w *remoteWorker, body []byte, cfgH
 				return o.m, nil
 			}
 			if isPermanent(o.err) {
-				r.noteSuccess(o.w)
+				r.noteSuccess(o.w) // the job was bad, not the worker
 				return Measurement{}, o.err
 			}
 			if ctx.Err() == nil {
@@ -473,19 +454,13 @@ func (r *Remote) attempt(ctx context.Context, w *remoteWorker, body []byte, cfgH
 			if firstErr == nil {
 				firstErr = o.err
 			}
-			if inFlight == 0 && (hedgeFired || ctx.Err() != nil) {
-				return Measurement{}, firstErr
-			}
 			if inFlight == 0 {
-				// Primary failed before the hedge timer; fail the attempt
-				// and let the retry loop re-dispatch with backoff.
+				// Every request failed; fail the attempt and let the retry
+				// loop re-dispatch with backoff.
 				return Measurement{}, firstErr
 			}
-		case <-timer.C:
-			if hedgeFired {
-				continue
-			}
-			hedgeFired = true
+		case <-hedgeC:
+			hedgeC = nil // a hedge fires once
 			if w2 := r.pick(w); w2 != nil {
 				r.hedges.Inc()
 				launch(w2, true)
@@ -505,7 +480,7 @@ func isPermanent(err error) bool {
 // hedgeDelay returns the straggler threshold after which an attempt is
 // hedged, and whether hedging is active at all.  A fixed HedgeAfter wins;
 // otherwise the delay is the configured percentile of the pool-wide job
-// latency histogram, floored by HedgeMinDelay, once enough samples exist.
+// latency histogram, floored by hedgeMinDelay, once enough samples exist.
 func (r *Remote) hedgeDelay() (time.Duration, bool) {
 	if r.opts.HedgeAfter > 0 {
 		return r.opts.HedgeAfter, true
@@ -514,14 +489,10 @@ func (r *Remote) hedgeDelay() (time.Duration, bool) {
 	if p <= 0 || p >= 1 {
 		return 0, false
 	}
-	if r.poolLatency.Count() < uint64(r.opts.HedgeMinSamples) {
+	if r.poolLatency.Count() < hedgeMinSamples {
 		return 0, false
 	}
-	d := time.Duration(r.poolLatency.Quantile(p)) * time.Microsecond
-	if d < r.opts.HedgeMinDelay {
-		d = r.opts.HedgeMinDelay
-	}
-	return d, true
+	return max(time.Duration(r.poolLatency.Quantile(p))*time.Microsecond, hedgeMinDelay), true
 }
 
 // pick chooses the healthy worker with the fewest jobs in flight and
@@ -553,7 +524,9 @@ func (r *Remote) pick(exclude *remoteWorker) *remoteWorker {
 }
 
 // post performs one dispatch attempt against one worker, verifying the
-// response's integrity checksum when present (or required).
+// response's integrity checksum when present.  A response without one
+// (an old or foreign worker) is accepted; VerifyFraction is the defense
+// against those.
 func (r *Remote) post(ctx context.Context, w *remoteWorker, body []byte, cfgHash string) (Measurement, error) {
 	defer func() {
 		w.mu.Lock()
@@ -587,14 +560,9 @@ func (r *Remote) post(ctx context.Context, w *remoteWorker, body []byte, cfgHash
 		return Measurement{}, fmt.Errorf("status %d: %s",
 			resp.StatusCode, strings.TrimSpace(string(payload)))
 	}
-	if sum := resp.Header.Get(ChecksumHeader); sum != "" {
-		if sum != Checksum(cfgHash, payload) {
-			r.integrityRej.Inc()
-			return Measurement{}, fmt.Errorf("integrity: response checksum mismatch (%d payload bytes)", len(payload))
-		}
-	} else if r.opts.RequireChecksum {
+	if sum := resp.Header.Get(ChecksumHeader); sum != "" && sum != Checksum(cfgHash, payload) {
 		r.integrityRej.Inc()
-		return Measurement{}, errors.New("integrity: response carries no checksum and RequireChecksum is set")
+		return Measurement{}, fmt.Errorf("integrity: response checksum mismatch (%d payload bytes)", len(payload))
 	}
 	var m Measurement
 	if err := json.Unmarshal(payload, &m); err != nil {

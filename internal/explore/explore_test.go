@@ -3,10 +3,10 @@ package explore
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machconf"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -120,19 +120,33 @@ func TestEnumerateEmptySpaceErrors(t *testing.T) {
 	}
 }
 
+// TestLabelsAreParseableSpecs: a candidate's label is a machconf spec that
+// parses, over the space's base, to the candidate's own machine.  Write-cache
+// candidates are exempt: the write cache pins a retirement policy (eager)
+// that no spec key names.
 func TestLabelsAreParseableSpecs(t *testing.T) {
-	s := &Space{
-		Depths:  []int{2, 8},
-		Retires: []int{1, 2},
-		Hazards: []core.HazardPolicy{core.FlushFull, core.ReadFromWB},
-	}
-	cands, err := s.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cands {
-		if !strings.Contains(c.Label, "depth=") {
-			t.Fatalf("label %q does not name the varying depth axis", c.Label)
+	spaces := spaceFiles(t)
+	spaces["default"] = Default()
+	spaces["banked"] = bankedSpace()
+	spaces["ftl"] = ftlSpace()
+	spaces["fenced-base"] = fencedBaseSpace(t)
+	for name, s := range spaces {
+		cands, err := s.Enumerate()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, c := range cands {
+			if c.Cfg.WriteCacheDepth > 0 {
+				continue
+			}
+			cfg, err := machconf.ParseSpecFrom(s.base(), c.Label)
+			if err != nil {
+				t.Errorf("%s: label %q does not parse: %v", name, c.Label, err)
+				continue
+			}
+			if hash, _ := machconf.Hash(cfg); hash != c.Hash {
+				t.Errorf("%s: label %q parses to a different machine than its candidate", name, c.Label)
+			}
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	backendpkg "repro/internal/backend"
@@ -254,260 +255,211 @@ func (s *Space) base() sim.Config {
 	return sim.Baseline()
 }
 
-// axis helpers: an empty axis is the singleton holding the base's value.
-func intAxis(vals []int, base int) []int {
-	if len(vals) == 0 {
-		return []int{base}
+// The axes of a space, in enumeration order (the last varies fastest),
+// each named by its machconf spec key in axisKeys.
+const (
+	axDepth = iota
+	axWidth
+	axOrg
+	axNumBufs
+	axSectorBits
+	axRetire
+	axAging
+	axHazard // depth through hazard are the buffer keys a write cache pins
+	axWCache
+	axL1
+	axL2Lat
+	axL2
+	axMemLat
+	axBackend // backend through fencecost compose into one backend
+	axBanks
+	axRowHit
+	axRowMiss
+	axFenceCost
+	numAxes
+)
+
+var axisKeys = [numAxes]string{"depth", "width", "org", "numbuffers", "sectorbits",
+	"retire", "aging", "hazard", "wcache", "l1", "l2lat", "l2", "memlat",
+	"backend", "banks", "rowhit", "rowmiss", "fencecost"}
+
+// labelOrder is the order in which a label names the axes: enumeration
+// order with the width moved behind the write cache.
+var labelOrder = [numAxes]int{axDepth, axOrg, axNumBufs, axSectorBits, axRetire,
+	axAging, axHazard, axWCache, axWidth, axL1, axL2Lat, axL2, axMemLat,
+	axBackend, axBanks, axRowHit, axRowMiss, axFenceCost}
+
+// axes returns every axis's values as machconf settings.  An empty axis is
+// the singleton holding the base's value; the empty setting keeps a custom
+// base organization or backend as it is.
+func (s *Space) axes(base sim.Config) [numAxes][]machconf.Setting {
+	retire, _ := base.Retire.(core.RetireAt)
+	if retire.N == 0 {
+		retire.N = 2
 	}
-	return vals
+	ftl, isFTL := base.Org.(core.FTLOrg)
+	org := ""
+	switch {
+	case base.Org == nil:
+		org = "fifo"
+	case isFTL:
+		org = "ftl"
+	}
+	if !isFTL {
+		ftl = core.FTLOrg{NumBuffers: 1}
+	}
+	inner := base.Backend
+	fenced, isFenced := inner.(backendpkg.FencedSpec)
+	if isFenced {
+		inner = fenced.Inner
+	}
+	banked, isBanked := inner.(backendpkg.BankedSpec)
+	be := ""
+	switch {
+	case inner == nil:
+		be = "flat"
+	case isBanked:
+		be = "banked"
+	}
+	if !isBanked {
+		banked = backendpkg.BankedSpec{Banks: 1}
+	}
+	l2 := 0
+	if base.L2 != nil {
+		l2 = base.L2.SizeBytes
+	}
+	return [numAxes][]machconf.Setting{
+		axis(axDepth, s.Depths, base.WB.Depth),
+		axis(axWidth, s.Widths, base.WB.WordsPerEntry),
+		axis(axOrg, s.Orgs, org),
+		axis(axNumBufs, s.NumBufs, ftl.NumBuffers),
+		axis(axSectorBits, s.SectorBits, ftl.SectorBits),
+		axis(axRetire, s.Retires, retire.N),
+		axis(axAging, s.Agings, retire.Timeout),
+		axis(axHazard, s.Hazards, base.Hazard),
+		axis(axWCache, s.WCaches, base.WriteCacheDepth),
+		axis(axL1, s.L1Sizes, base.L1.SizeBytes),
+		axis(axL2Lat, s.L2Lats, base.L2WriteLat),
+		axis(axL2, s.L2Sizes, l2),
+		axis(axMemLat, s.MemLats, base.MemLat),
+		axis(axBackend, s.Backends, be),
+		axis(axBanks, s.Banks, banked.Banks),
+		axis(axRowHit, s.RowHits, banked.RowHit),
+		axis(axRowMiss, s.RowMisses, banked.RowMiss),
+		axis(axFenceCost, s.FenceCosts, fenced.FullCost),
+	}
 }
 
-func u64Axis(vals []uint64, base uint64) []uint64 {
+// axis renders one axis's values (or, for an empty axis, the base's) as
+// settings of its key; an empty value renders as the empty setting.
+func axis[T any](i int, vals []T, base T) []machconf.Setting {
 	if len(vals) == 0 {
-		return []uint64{base}
+		vals = []T{base}
 	}
-	return vals
+	out := make([]machconf.Setting, len(vals))
+	for j, v := range vals {
+		if val := fmt.Sprint(v); val != "" {
+			out[j] = axisKeys[i] + "=" + val
+		}
+	}
+	return out
 }
 
 // Enumerate expands the space into its legal, deduplicated candidate list.
-// The order is deterministic: nested loops over the axes in the order
-// depth, width, org, numbuffers, sectorbits, retire, aging, hazard,
-// wcache, l1, l2lat, l2, memlat.
+// One odometer walks the axes in the order depth, width, org, numbuffers,
+// sectorbits, retire, aging, hazard, wcache, l1, l2lat, l2, memlat,
+// backend, banks, rowhit, rowmiss, fencecost (the last fastest), and every
+// candidate's machine is machconf.Apply of its axes' settings over the
+// base.  Its label is the settings of the axes that vary, so it parses
+// (machconf.ParseSpecFrom over the base) back to the candidate's machine —
+// except under a write cache, whose pinned policy no spec key names.
 //
-// Constraints applied, in the spirit of the paper's own pruning:
+// Constraints applied, in the spirit of the paper's own pruning (see
+// constrain):
 //
 //   - a retire-at mark above the depth is meaningless (skipped);
 //   - a write-cache point ignores the buffer-shape and policy axes (the
 //     write cache reads its own entries and retires via its victim
 //     buffer), so depth/width/org/numbuffers/sectorbits/retire/aging/
 //     hazard are pinned to their first values for wcache > 0, and the
-//     organization itself to the fifo (sim ignores Org there; pinning
-//     keeps equal machines hash-equal);
-//   - a non-ftl organization pins numbuffers and sectorbits to their
-//     first values (they parameterise only the ftl family);
+//     machine's retirement, hazard policy and organization to eager,
+//     flush-full and the fifo (sim ignores them there; pinning keeps equal
+//     machines hash-equal);
+//   - numbuffers and sectorbits apply only to the ftl organization, and
+//     banks, rowhit and rowmiss only to the banked backend; elsewhere they
+//     are pinned to their first values and left out;
 //   - the memory latency is pinned to the base's for a perfect L2 (it is
 //     unreachable without one);
+//   - a custom base organization or backend is kept whole;
 //   - MaxCost and Filter drop what they reject;
 //   - machines failing sim validation are skipped — this is what drops
 //     ftl shapes whose buffer count does not divide the depth;
 //   - any remaining duplicates are removed by canonical machconf hash.
 func (s *Space) Enumerate() ([]Candidate, error) {
 	base := s.base()
-	baseRetire, _ := base.Retire.(core.RetireAt)
-	if baseRetire.N == 0 {
-		baseRetire.N = 2
+	axes := s.axes(base)
+	var vary [numAxes]bool
+	for i, vals := range axes {
+		vary[i] = len(vals) > 1
 	}
-
-	depths := intAxis(s.Depths, base.WB.Depth)
-	widths := intAxis(s.Widths, base.WB.WordsPerEntry)
-	retires := intAxis(s.Retires, baseRetire.N)
-	agings := u64Axis(s.Agings, baseRetire.Timeout)
-	baseFTL, baseIsFTL := base.Org.(core.FTLOrg)
-	orgs := s.Orgs
-	if len(orgs) == 0 {
-		switch {
-		case base.Org == nil:
-			orgs = []string{"fifo"}
-		case baseIsFTL:
-			orgs = []string{"ftl"}
-		default:
-			orgs = []string{"base"} // keep a custom base spec as-is
+	// The backend keys compose (banks= implies backend=banked, and a zero
+	// fencecost cannot be written), so a label names the whole backend
+	// whenever any of its axes varies.
+	if slices.Contains(vary[axBackend:], true) {
+		for i := axBackend; i < numAxes; i++ {
+			vary[i] = true
 		}
 	}
-	defNB, defSB := 1, 0
-	if baseIsFTL {
-		defNB, defSB = baseFTL.NumBuffers, baseFTL.SectorBits
-	}
-	numbufs := intAxis(s.NumBufs, defNB)
-	secbits := intAxis(s.SectorBits, defSB)
-	hazards := s.Hazards
-	if len(hazards) == 0 {
-		hazards = []core.HazardPolicy{base.Hazard}
-	}
-	wcaches := intAxis(s.WCaches, base.WriteCacheDepth)
-	l1s := intAxis(s.L1Sizes, base.L1.SizeBytes)
-	l2lats := u64Axis(s.L2Lats, base.L2WriteLat)
-	l2sizes := s.L2Sizes
-	if len(l2sizes) == 0 {
-		if base.L2 != nil {
-			l2sizes = []int{base.L2.SizeBytes}
-		} else {
-			l2sizes = []int{0}
-		}
-	}
-	memlats := u64Axis(s.MemLats, base.MemLat)
-
-	// Backend axis defaults come from the base machine, unwrapping a
-	// fenced base to seed the inner shape and the fence-cost axis.
-	baseBE := base.Backend
-	baseFenced, baseIsFenced := baseBE.(backendpkg.FencedSpec)
-	baseInner := baseBE
-	if baseIsFenced {
-		baseInner = baseFenced.Inner
-	}
-	baseBanked, baseIsBanked := baseInner.(backendpkg.BankedSpec)
-	backends := s.Backends
-	if len(backends) == 0 {
-		switch {
-		case baseInner == nil:
-			backends = []string{"flat"}
-		case baseIsBanked:
-			backends = []string{"banked"}
-		default:
-			backends = []string{"basebe"} // keep a custom base spec as-is
-		}
-	}
-	defBanks, defRowHit, defRowMiss := 1, uint64(0), uint64(0)
-	if baseIsBanked {
-		defBanks, defRowHit, defRowMiss = baseBanked.Banks, baseBanked.RowHit, baseBanked.RowMiss
-	}
-	banks := intAxis(s.Banks, defBanks)
-	rowhits := u64Axis(s.RowHits, defRowHit)
-	rowmisses := u64Axis(s.RowMisses, defRowMiss)
-	defFenceCost := uint64(0)
-	if baseIsFenced {
-		defFenceCost = baseFenced.FullCost
-	}
-	fencecosts := u64Axis(s.FenceCosts, defFenceCost)
-
-	vary := map[string]bool{
-		"depth": len(depths) > 1, "width": len(widths) > 1,
-		"org": len(orgs) > 1, "numbuffers": len(numbufs) > 1,
-		"sectorbits": len(secbits) > 1,
-		"retire":     len(retires) > 1, "aging": len(agings) > 1,
-		"hazard": len(hazards) > 1, "wcache": len(wcaches) > 1,
-		"l1": len(l1s) > 1, "l2lat": len(l2lats) > 1,
-		"l2": len(l2sizes) > 1, "memlat": len(memlats) > 1,
-		"backend": len(backends) > 1, "banks": len(banks) > 1,
-		"rowhit": len(rowhits) > 1, "rowmiss": len(rowmisses) > 1,
-		"fencecost": len(fencecosts) > 1,
-	}
+	baseMemLat := axis(axMemLat, nil, base.MemLat)[0]
 
 	var out []Candidate
 	seen := map[string]bool{}
-	for di, depth := range depths {
-		for wi, width := range widths {
-			for oi, org := range orgs {
-				for ni, nb := range numbufs {
-					for si, sb := range secbits {
-						if org != "ftl" && (ni > 0 || si > 0) {
-							continue // numbuffers/sectorbits parameterise only ftl
-						}
-						for ri, retire := range retires {
-							for ai, aging := range agings {
-								for hi, hazard := range hazards {
-									for _, wcache := range wcaches {
-										if wcache > 0 && (di > 0 || wi > 0 || oi > 0 || ni > 0 || si > 0 || ri > 0 || ai > 0 || hi > 0) {
-											continue // wcache ignores these axes; pin them
-										}
-										if retire > depth && wcache == 0 {
-											continue
-										}
-										for _, l1 := range l1s {
-											for _, l2lat := range l2lats {
-												for _, l2size := range l2sizes {
-													for mi, memlat := range memlats {
-														if l2size == 0 && mi > 0 {
-															continue // memlat unreachable behind a perfect L2
-														}
-														for _, be := range backends {
-															for bki, nbanks := range banks {
-																for rhi, rowhit := range rowhits {
-																	for rmi, rowmiss := range rowmisses {
-																		if be != "banked" && (bki > 0 || rhi > 0 || rmi > 0) {
-																			continue // banks/rowhit/rowmiss parameterise only banked
-																		}
-																		for _, fencecost := range fencecosts {
-																			cfg := base.
-																				WithDepth(depth).
-																				WithL1Size(l1).
-																				WithL2Latency(l2lat)
-																			cfg.WB.WordsPerEntry = width
-																			switch org {
-																			case "fifo":
-																				cfg = cfg.WithOrg(nil)
-																			case "ftl":
-																				cfg = cfg.WithOrg(core.FTLOrg{NumBuffers: nb, SectorBits: sb})
-																			case "base":
-																				// keep base.Org
-																			default:
-																				return nil, fmt.Errorf("explore: unknown buffer organization %q in orgs axis", org)
-																			}
-																			if wcache > 0 {
-																				// Pin the policy axes so equal machines
-																				// hash equal regardless of axis order.
-																				cfg = cfg.WithWriteCache(wcache).
-																					WithRetire(core.Eager{}).
-																					WithHazard(core.FlushFull).
-																					WithOrg(nil)
-																			} else {
-																				cfg.WriteCacheDepth = 0
-																				cfg = cfg.WithRetire(core.RetireAt{N: retire, Timeout: aging}).
-																					WithHazard(hazard)
-																			}
-																			if l2size > 0 {
-																				cfg = cfg.WithL2(l2size)
-																			} else {
-																				cfg.L2 = nil
-																				memlat = base.MemLat
-																			}
-																			cfg = cfg.WithMemLat(memlat)
-																			// The backend is deliberately NOT pinned under
-																			// a write cache: it times victim-buffer drains.
-																			switch be {
-																			case "flat":
-																				cfg = cfg.WithBackend(nil)
-																			case "banked":
-																				cfg = cfg.WithBackend(backendpkg.BankedSpec{
-																					Banks: nbanks, RowHit: rowhit, RowMiss: rowmiss})
-																			case "basebe":
-																				// keep base.Backend (including any fenced wrap)
-																			default:
-																				return nil, fmt.Errorf("explore: unknown memory backend %q in backends axis", be)
-																			}
-																			if fencecost > 0 && be != "basebe" {
-																				cfg = cfg.WithBackend(backendpkg.FencedSpec{
-																					Inner: cfg.Backend, FullCost: fencecost})
-																			}
-																			if s.MaxCost > 0 && CostProxy(cfg) > s.MaxCost {
-																				continue
-																			}
-																			if s.Filter != nil && !s.Filter(cfg) {
-																				continue
-																			}
-																			if cfg.Validate() != nil {
-																				continue
-																			}
-																			hash, err := machconf.Hash(cfg)
-																			if err != nil {
-																				return nil, fmt.Errorf("explore: %w", err)
-																			}
-																			if seen[hash] {
-																				continue
-																			}
-																			seen[hash] = true
-																			out = append(out, Candidate{
-																				Label: label(vary, depth, width, org, nb, sb, retire, aging, hazard, wcache, l1, l2lat, l2size, memlat, be, nbanks, rowhit, rowmiss, fencecost),
-																				Hash:  hash,
-																				Cfg:   cfg,
-																			})
-																		}
-																	}
-																}
-															}
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+	var idx [numAxes]int
+	var at [numAxes]machconf.Setting
+	settings := make([]machconf.Setting, 0, numAxes)
+	for more := true; more; more = next(&idx, &axes) {
+		for i := range at {
+			at[i] = axes[i][idx[i]]
+		}
+		if !constrain(&at, &idx, baseMemLat) {
+			continue
+		}
+		settings = settings[:0]
+		for _, set := range at {
+			if set != "" {
+				settings = append(settings, set)
 			}
 		}
+		cfg, err := machconf.Apply(base, settings...)
+		if err != nil {
+			return nil, fmt.Errorf("explore: %w", err)
+		}
+		wcache := cfg.WriteCacheDepth > 0
+		if wcache {
+			// The one edit no spec key names: pin what the simulator
+			// ignores under a write cache.
+			cfg = cfg.WithRetire(core.Eager{}).WithHazard(core.FlushFull).WithOrg(nil)
+		} else if r, ok := cfg.Retire.(core.RetireAt); ok && r.N > cfg.WB.Depth {
+			continue
+		}
+		if s.MaxCost > 0 && CostProxy(cfg) > s.MaxCost {
+			continue
+		}
+		if s.Filter != nil && !s.Filter(cfg) {
+			continue
+		}
+		if cfg.Validate() != nil {
+			continue
+		}
+		hash, err := machconf.Hash(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("explore: %w", err)
+		}
+		if seen[hash] {
+			continue
+		}
+		seen[hash] = true
+		out = append(out, Candidate{Label: label(&at, &vary, wcache), Hash: hash, Cfg: cfg})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("explore: space contains no legal configuration")
@@ -515,57 +467,74 @@ func (s *Space) Enumerate() ([]Candidate, error) {
 	return out, nil
 }
 
-// label renders a candidate as the compact spec string of its varying
-// axes (machconf.ParseSpec syntax), so a reported configuration can be fed
-// straight back to wbsim/wbcompare.
-func label(vary map[string]bool, depth, width int, org string, nb, sb, retire int, aging uint64, hazard core.HazardPolicy, wcache, l1 int, l2lat uint64, l2size int, memlat uint64, be string, nbanks int, rowhit, rowmiss, fencecost uint64) string {
+// next advances idx to the following point of the axes' product, the last
+// axis fastest, and reports false once every point has been visited.
+func next(idx *[numAxes]int, axes *[numAxes][]machconf.Setting) bool {
+	for i := numAxes - 1; i >= 0; i-- {
+		if idx[i]++; idx[i] < len(axes[i]) {
+			return true
+		}
+		idx[i] = 0
+	}
+	return false
+}
+
+// constrain is the space's one applicability predicate.  It empties the
+// settings of the point at (whose value indexes are idx) that do not apply
+// to it, and reports false for a point that varies an axis the point pins
+// to its first value, so pinned axes cannot mint copies of one machine.
+func constrain(at *[numAxes]machconf.Setting, idx *[numAxes]int, baseMemLat machconf.Setting) bool {
+	pinned := func(from, to int) bool {
+		for i := from; i <= to; i++ {
+			if idx[i] > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	drop := func(from, to int) bool {
+		for i := from; i <= to; i++ {
+			at[i] = ""
+		}
+		return !pinned(from, to)
+	}
+	ok := true
+	if at[axWCache] != "wcache=0" {
+		ok = !pinned(axDepth, axHazard)
+	}
+	if at[axOrg] != "org=ftl" {
+		ok = drop(axNumBufs, axSectorBits) && ok
+	}
+	if at[axBackend] != "backend=banked" {
+		ok = drop(axBanks, axRowMiss) && ok
+	}
+	if at[axBackend] == "" {
+		ok = drop(axFenceCost, axFenceCost) && ok
+	}
+	if at[axFenceCost] == "fencecost=0" {
+		at[axFenceCost] = "" // a fencecost key always wraps the backend
+	}
+	if at[axL2] == "l2=0" {
+		ok = ok && !pinned(axMemLat, axMemLat)
+		at[axMemLat] = baseMemLat
+	}
+	return ok
+}
+
+// label renders a candidate as the compact spec of its varying axes, in
+// labelOrder, so a reported configuration can be fed straight back to
+// wbsim/wbcompare.  A write-cache label names no buffer key but the width,
+// which sets the write cache's entry width too; a zero rowhit or rowmiss is
+// the parser's default and goes unnamed.
+func label(at *[numAxes]machconf.Setting, vary *[numAxes]bool, wcache bool) string {
 	var parts []string
-	add := func(key, val string) {
-		if vary[key] {
-			parts = append(parts, key+"="+val)
-		}
-	}
-	if wcache > 0 {
-		add("wcache", fmt.Sprint(wcache))
-	} else {
-		add("depth", fmt.Sprint(depth))
-		add("org", org)
-		if org == "ftl" {
-			add("numbuffers", fmt.Sprint(nb))
-			add("sectorbits", fmt.Sprint(sb))
-		}
-		add("retire", fmt.Sprint(retire))
-		add("aging", fmt.Sprint(aging))
-		add("hazard", hazard.String())
-		if vary["wcache"] {
-			parts = append(parts, "wcache=0")
-		}
-	}
-	add("width", fmt.Sprint(width))
-	add("l1", fmt.Sprint(l1))
-	add("l2lat", fmt.Sprint(l2lat))
-	add("l2", fmt.Sprint(l2size))
-	add("memlat", fmt.Sprint(memlat))
-	// The backend keys compose (banks= without backend=banked would imply
-	// it, fencecost=0 would parse to a degenerate wrap), so unlike the
-	// independent axes above the whole backend description is emitted
-	// whenever any backend axis varies — otherwise a label whose fixed
-	// parameters differ from the parser's defaults would round-trip to a
-	// different machine.
-	if (vary["backend"] || vary["banks"] || vary["rowhit"] || vary["rowmiss"] ||
-		vary["fencecost"]) && be != "basebe" {
-		parts = append(parts, "backend="+be)
-		if be == "banked" {
-			parts = append(parts, "banks="+fmt.Sprint(nbanks))
-			if rowhit > 0 {
-				parts = append(parts, "rowhit="+fmt.Sprint(rowhit))
-			}
-			if rowmiss > 0 {
-				parts = append(parts, "rowmiss="+fmt.Sprint(rowmiss))
-			}
-		}
-		if fencecost > 0 {
-			parts = append(parts, "fencecost="+fmt.Sprint(fencecost))
+	for _, i := range labelOrder {
+		switch {
+		case !vary[i] || at[i] == "":
+		case wcache && i <= axHazard && i != axWidth:
+		case at[i] == "rowhit=0" || at[i] == "rowmiss=0":
+		default:
+			parts = append(parts, at[i])
 		}
 	}
 	if len(parts) == 0 {

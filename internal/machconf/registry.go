@@ -19,89 +19,164 @@ type Policy struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// RetirementCodec makes one retirement-policy family wire-encodable.
-// Encode claims a policy value (returning its parameter payload and true)
-// or declines it; Decode rebuilds the policy from the payload.  Both
-// directions must be deterministic and mutually inverse — the canonical
-// hash and the result store depend on it.
-type RetirementCodec struct {
-	// Kind is the family's wire identifier ("retire-at", "fixed-rate", …).
+// Codec makes one policy family wire-encodable.  Encode claims a value of
+// the family (returning its parameter payload and true) or declines it;
+// Decode rebuilds the value from the payload.  Both directions must be
+// deterministic and mutually inverse — the canonical hash and the result
+// store depend on it.  Decode may return a nil value: that is how the
+// "fifo" organization and "flat" backend kinds map an explicitly-written
+// block back to the canonical omitted form.  A codec may recurse through
+// the family's Encode/Decode functions for nested values (the fenced
+// backend does); the registry lock is released before any codec runs, so
+// the recursion is safe.
+type Codec[T any] struct {
+	// Kind is the family's wire identifier ("retire-at", "ftl",
+	// "banked", …).
 	Kind string
-	// Encode returns the parameter payload for a policy of this family,
-	// or ok=false when the policy belongs to a different family.  A nil
+	// Encode returns the parameter payload for a value of this family, or
+	// ok=false when the value belongs to a different family.  A nil
 	// payload encodes a parameterless kind.
-	Encode func(p core.RetirementPolicy) (params any, ok bool)
-	// Decode rebuilds the policy from its payload; raw is nil when the
-	// wire form carried no params.
-	Decode func(raw json.RawMessage) (core.RetirementPolicy, error)
+	Encode func(v T) (params any, ok bool)
+	// Decode rebuilds the value from its payload; raw is nil when the wire
+	// form carried no params.
+	Decode func(raw json.RawMessage) (T, error)
 }
 
-// OrgCodec makes one write-buffer-organization family wire-encodable, with
-// the same contract as RetirementCodec: Encode claims a spec or declines
-// it, Decode rebuilds it, and the two must be deterministic and mutually
-// inverse.  Decode may return a nil spec — that is how the "fifo" kind
-// maps an explicitly-written organization block back to the canonical
-// omitted form.
-type OrgCodec struct {
-	// Kind is the family's wire identifier ("fifo", "ftl", …).
-	Kind string
-	// Encode returns the parameter payload for a spec of this family, or
-	// ok=false when the spec belongs to a different family.
-	Encode func(o core.OrgSpec) (params any, ok bool)
-	// Decode rebuilds the spec from its payload; raw is nil when the wire
-	// form carried no params.
-	Decode func(raw json.RawMessage) (core.OrgSpec, error)
-}
+// RetirementCodec, OrgCodec and BackendCodec are the codecs of the three
+// pluggable families: retirement policies, write-buffer organizations and
+// drain-side backends.
+type (
+	RetirementCodec = Codec[core.RetirementPolicy]
+	OrgCodec        = Codec[core.OrgSpec]
+	BackendCodec    = Codec[backend.Spec]
+)
 
-// BackendCodec makes one drain-side-backend family wire-encodable, with
-// the same contract as OrgCodec: Encode claims a spec or declines it,
-// Decode rebuilds it, and the two must be deterministic and mutually
-// inverse.  Decode may return a nil spec — that is how the "flat" kind
-// maps an explicitly-written backend block back to the canonical omitted
-// form.  A codec may recurse through EncodeBackend/DecodeBackend for
-// nested backends (the fenced family does); the registry lock is released
-// before any codec runs, so the recursion is safe.
-type BackendCodec struct {
-	// Kind is the family's wire identifier ("flat", "banked", "fenced", …).
-	Kind string
-	// Encode returns the parameter payload for a spec of this family, or
-	// ok=false when the spec belongs to a different family.
-	Encode func(b backend.Spec) (params any, ok bool)
-	// Decode rebuilds the spec from its payload; raw is nil when the wire
-	// form carried no params.
-	Decode func(raw json.RawMessage) (backend.Spec, error)
+// family is one codec registry: its codecs in registration order (encode
+// tries them in turn), its kind index, the noun its errors use, and the
+// Register function that extends it.
+type family[T any] struct {
+	noun, register string
+	name           func(T) string
+	codecs         []Codec[T]
+	kinds          map[string]int // kind -> index into codecs
 }
 
 var (
-	regMu         sync.RWMutex
-	retireCodecs  []RetirementCodec  // encode tries these in registration order
-	retireKinds   = map[string]int{} // kind -> index into retireCodecs
-	hazardKinds   = map[string]core.HazardPolicy{}
-	orgCodecs     []OrgCodec
-	orgKinds      = map[string]int{} // kind -> index into orgCodecs
-	backendCodecs []BackendCodec
-	backendKinds  = map[string]int{} // kind -> index into backendCodecs
+	regMu       sync.RWMutex
+	hazardKinds = map[string]core.HazardPolicy{}
+	retirements = &family[core.RetirementPolicy]{noun: "retirement policy",
+		register: "RegisterRetirement", name: core.RetirementPolicy.Name, kinds: map[string]int{}}
+	orgs = &family[core.OrgSpec]{noun: "buffer organization",
+		register: "RegisterOrg", name: core.OrgSpec.OrgName, kinds: map[string]int{}}
+	backends = &family[backend.Spec]{noun: "backend",
+		register: "RegisterBackend", name: backend.Spec.BackendName, kinds: map[string]int{}}
 )
+
+// add registers a codec.  It panics on a duplicate or incomplete codec,
+// since that is a programming error, not an input error.
+func (f *family[T]) add(c Codec[T]) {
+	if c.Kind == "" || c.Encode == nil || c.Decode == nil {
+		panic("machconf: " + f.register + " needs a kind, an Encode, and a Decode")
+	}
+	regMu.Lock()
+	defer regMu.Unlock()
+	if _, dup := f.kinds[c.Kind]; dup {
+		panic(fmt.Sprintf("machconf: duplicate %s kind %q", f.noun, c.Kind))
+	}
+	f.kinds[c.Kind] = len(f.codecs)
+	f.codecs = append(f.codecs, c)
+}
+
+// encode renders v in the wire form of the first codec that claims it.  A
+// nil value (the implicit default) is never encoded, and a value no codec
+// claims cannot travel; the error says how to fix that.
+func (f *family[T]) encode(v T) (Policy, error) {
+	if any(v) == nil {
+		return Policy{}, fmt.Errorf("machconf: no %s to encode", f.noun)
+	}
+	regMu.RLock()
+	codecs := f.codecs
+	regMu.RUnlock()
+	for _, c := range codecs {
+		params, ok := c.Encode(v)
+		if !ok {
+			continue
+		}
+		var raw json.RawMessage
+		if params != nil {
+			b, err := json.Marshal(params)
+			if err != nil {
+				return Policy{}, fmt.Errorf("machconf: encoding %q params: %w", c.Kind, err)
+			}
+			raw = b
+		}
+		return Policy{Kind: c.Kind, Params: raw}, nil
+	}
+	return Policy{}, fmt.Errorf("machconf: %s %q has no registered codec; "+
+		"call machconf.%s to make it wire-encodable", f.noun, f.name(v), f.register)
+}
+
+// decode rebuilds a value from its wire form through its kind's codec.
+func (f *family[T]) decode(w Policy) (T, error) {
+	regMu.RLock()
+	idx, ok := f.kinds[w.Kind]
+	var c Codec[T]
+	if ok {
+		c = f.codecs[idx]
+	}
+	regMu.RUnlock()
+	var zero T
+	if !ok {
+		return zero, fmt.Errorf("machconf: unknown %s kind %q", f.noun, w.Kind)
+	}
+	v, err := c.Decode(w.Params)
+	if err != nil {
+		return zero, fmt.Errorf("machconf: decoding %q params: %w", w.Kind, err)
+	}
+	return v, nil
+}
 
 // RegisterRetirement adds a retirement-policy family to the wire schema.
 // Registration is typically done from an init function (the built-in
 // families) or at program start-up (examples/custompolicy); once a kind is
 // registered the policy travels through every consumer of this package —
 // the result store, remote workers, wbserve — with no further changes.  It
-// panics on a duplicate or incomplete codec, since that is a programming
-// error, not an input error.
-func RegisterRetirement(c RetirementCodec) {
-	if c.Kind == "" || c.Encode == nil || c.Decode == nil {
-		panic("machconf: RegisterRetirement needs a kind, an Encode, and a Decode")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := retireKinds[c.Kind]; dup {
-		panic(fmt.Sprintf("machconf: duplicate retirement kind %q", c.Kind))
-	}
-	retireKinds[c.Kind] = len(retireCodecs)
-	retireCodecs = append(retireCodecs, c)
-}
+// panics on a duplicate or incomplete codec.
+func RegisterRetirement(c RetirementCodec) { retirements.add(c) }
+
+// EncodeRetirement renders a retirement policy in its registered wire
+// form.
+func EncodeRetirement(p core.RetirementPolicy) (Policy, error) { return retirements.encode(p) }
+
+// DecodeRetirement rebuilds a retirement policy from its wire form.
+func DecodeRetirement(w Policy) (core.RetirementPolicy, error) { return retirements.decode(w) }
+
+// RegisterOrg adds a write-buffer-organization family to the wire schema,
+// with RegisterRetirement's contract.
+func RegisterOrg(c OrgCodec) { orgs.add(c) }
+
+// EncodeOrg renders a buffer-organization spec in its registered wire
+// form.  The implicit FIFO is never encoded (a nil spec is the caller's
+// signal to omit the buffer block), so a nil spec here is an error.
+func EncodeOrg(o core.OrgSpec) (Policy, error) { return orgs.encode(o) }
+
+// DecodeOrg rebuilds a buffer-organization spec from its wire form.  A
+// nil result is valid: it means the block named the implicit FIFO.
+func DecodeOrg(w Policy) (core.OrgSpec, error) { return orgs.decode(w) }
+
+// RegisterBackend adds a drain-side-backend family to the wire schema,
+// with RegisterRetirement's contract.
+func RegisterBackend(c BackendCodec) { backends.add(c) }
+
+// EncodeBackend renders a drain-side backend spec in its registered wire
+// form.  The implicit flat backend is never encoded (a nil spec is the
+// caller's signal to omit the backend block), so a nil spec here is an
+// error.
+func EncodeBackend(b backend.Spec) (Policy, error) { return backends.encode(b) }
+
+// DecodeBackend rebuilds a drain-side backend spec from its wire form.  A
+// nil result is valid: it means the block named the implicit flat backend.
+func DecodeBackend(w Policy) (backend.Spec, error) { return backends.decode(w) }
 
 // RegisterHazard adds a named load-hazard policy to the wire schema.  The
 // four paper policies are pre-registered under their core names.
@@ -123,187 +198,6 @@ func HazardByName(name string) (core.HazardPolicy, bool) {
 	defer regMu.RUnlock()
 	p, ok := hazardKinds[name]
 	return p, ok
-}
-
-// RegisterOrg adds a write-buffer-organization family to the wire schema.
-// Once registered, the organization travels everywhere a configuration
-// does — the result store, remote workers, the wbserve result cache —
-// with no further changes.  It panics on a duplicate or incomplete codec.
-func RegisterOrg(c OrgCodec) {
-	if c.Kind == "" || c.Encode == nil || c.Decode == nil {
-		panic("machconf: RegisterOrg needs a kind, an Encode, and a Decode")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := orgKinds[c.Kind]; dup {
-		panic(fmt.Sprintf("machconf: duplicate organization kind %q", c.Kind))
-	}
-	orgKinds[c.Kind] = len(orgCodecs)
-	orgCodecs = append(orgCodecs, c)
-}
-
-// EncodeOrg renders a buffer-organization spec in its registered wire
-// form.  The implicit FIFO is never encoded (a nil spec is the caller's
-// signal to omit the buffer block), so a nil spec here is an error.
-func EncodeOrg(o core.OrgSpec) (Policy, error) {
-	if o == nil {
-		return Policy{}, fmt.Errorf("machconf: no buffer organization to encode")
-	}
-	regMu.RLock()
-	codecs := orgCodecs
-	regMu.RUnlock()
-	for _, c := range codecs {
-		params, ok := c.Encode(o)
-		if !ok {
-			continue
-		}
-		var raw json.RawMessage
-		if params != nil {
-			b, err := json.Marshal(params)
-			if err != nil {
-				return Policy{}, fmt.Errorf("machconf: encoding %q params: %w", c.Kind, err)
-			}
-			raw = b
-		}
-		return Policy{Kind: c.Kind, Params: raw}, nil
-	}
-	return Policy{}, fmt.Errorf("machconf: buffer organization %q has no registered codec; "+
-		"call machconf.RegisterOrg to make it wire-encodable", o.OrgName())
-}
-
-// DecodeOrg rebuilds a buffer-organization spec from its wire form.  A
-// nil result is valid: it means the block named the implicit FIFO.
-func DecodeOrg(w Policy) (core.OrgSpec, error) {
-	regMu.RLock()
-	idx, ok := orgKinds[w.Kind]
-	var c OrgCodec
-	if ok {
-		c = orgCodecs[idx]
-	}
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("machconf: unknown buffer organization kind %q", w.Kind)
-	}
-	o, err := c.Decode(w.Params)
-	if err != nil {
-		return nil, fmt.Errorf("machconf: decoding %q params: %w", w.Kind, err)
-	}
-	return o, nil
-}
-
-// RegisterBackend adds a drain-side-backend family to the wire schema.
-// Once registered, the backend travels everywhere a configuration does —
-// the result store, remote workers, the wbserve result cache — with no
-// further changes.  It panics on a duplicate or incomplete codec.
-func RegisterBackend(c BackendCodec) {
-	if c.Kind == "" || c.Encode == nil || c.Decode == nil {
-		panic("machconf: RegisterBackend needs a kind, an Encode, and a Decode")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := backendKinds[c.Kind]; dup {
-		panic(fmt.Sprintf("machconf: duplicate backend kind %q", c.Kind))
-	}
-	backendKinds[c.Kind] = len(backendCodecs)
-	backendCodecs = append(backendCodecs, c)
-}
-
-// EncodeBackend renders a drain-side backend spec in its registered wire
-// form.  The implicit flat backend is never encoded (a nil spec is the
-// caller's signal to omit the backend block), so a nil spec here is an
-// error.
-func EncodeBackend(b backend.Spec) (Policy, error) {
-	if b == nil {
-		return Policy{}, fmt.Errorf("machconf: no backend to encode")
-	}
-	regMu.RLock()
-	codecs := backendCodecs
-	regMu.RUnlock()
-	for _, c := range codecs {
-		params, ok := c.Encode(b)
-		if !ok {
-			continue
-		}
-		var raw json.RawMessage
-		if params != nil {
-			p, err := json.Marshal(params)
-			if err != nil {
-				return Policy{}, fmt.Errorf("machconf: encoding %q params: %w", c.Kind, err)
-			}
-			raw = p
-		}
-		return Policy{Kind: c.Kind, Params: raw}, nil
-	}
-	return Policy{}, fmt.Errorf("machconf: backend %q has no registered codec; "+
-		"call machconf.RegisterBackend to make it wire-encodable", b.BackendName())
-}
-
-// DecodeBackend rebuilds a drain-side backend spec from its wire form.  A
-// nil result is valid: it means the block named the implicit flat backend.
-func DecodeBackend(w Policy) (backend.Spec, error) {
-	regMu.RLock()
-	idx, ok := backendKinds[w.Kind]
-	var c BackendCodec
-	if ok {
-		c = backendCodecs[idx]
-	}
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("machconf: unknown backend kind %q", w.Kind)
-	}
-	b, err := c.Decode(w.Params)
-	if err != nil {
-		return nil, fmt.Errorf("machconf: decoding %q params: %w", w.Kind, err)
-	}
-	return b, nil
-}
-
-// EncodeRetirement renders a retirement policy in its registered wire
-// form.  A policy no registered codec claims cannot travel; the error says
-// how to fix that.
-func EncodeRetirement(p core.RetirementPolicy) (Policy, error) {
-	if p == nil {
-		return Policy{}, fmt.Errorf("machconf: no retirement policy to encode")
-	}
-	regMu.RLock()
-	codecs := retireCodecs
-	regMu.RUnlock()
-	for _, c := range codecs {
-		params, ok := c.Encode(p)
-		if !ok {
-			continue
-		}
-		var raw json.RawMessage
-		if params != nil {
-			b, err := json.Marshal(params)
-			if err != nil {
-				return Policy{}, fmt.Errorf("machconf: encoding %q params: %w", c.Kind, err)
-			}
-			raw = b
-		}
-		return Policy{Kind: c.Kind, Params: raw}, nil
-	}
-	return Policy{}, fmt.Errorf("machconf: retirement policy %q has no registered codec; "+
-		"call machconf.RegisterRetirement to make it wire-encodable", p.Name())
-}
-
-// DecodeRetirement rebuilds a retirement policy from its wire form.
-func DecodeRetirement(w Policy) (core.RetirementPolicy, error) {
-	regMu.RLock()
-	idx, ok := retireKinds[w.Kind]
-	var c RetirementCodec
-	if ok {
-		c = retireCodecs[idx]
-	}
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("machconf: unknown retirement policy kind %q", w.Kind)
-	}
-	p, err := c.Decode(w.Params)
-	if err != nil {
-		return nil, fmt.Errorf("machconf: decoding %q params: %w", w.Kind, err)
-	}
-	return p, nil
 }
 
 // decodeParams strictly unmarshals a params payload into dst; a nil or

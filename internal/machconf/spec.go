@@ -11,12 +11,13 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the one compact-spec parser for the whole repository.
-// Historically cmd/wbcompare, cmd/wbsim, and cmd/wbexp each grew a private
-// way of turning user input into a sim.Config (a key=value parser, a flag
-// assembler with its own hazard lookup, and a JSON-file loader); they now
-// all call here, so the spec vocabulary below and the canonical JSON form
-// are the only two ways a machine is ever described from the outside.
+// This file is the one compact-spec vocabulary for the whole repository.
+// Every path from a knob name to a machine comes through Apply: the spec
+// strings of cmd/wbcompare, cmd/wbexp and wbsim -config (ParseSpec), the
+// wbsim machine flags, the scalar fields of wbserve's POST /run, and the
+// candidates explore.Space enumerates.  The spec vocabulary below and the
+// canonical JSON form are the only two ways a machine is ever described
+// from the outside.
 
 // ParseSpec builds a machine from a compact comma-separated key=value
 // string, starting from the paper's baseline.  A spec beginning with '@'
@@ -50,15 +51,15 @@ import (
 //	threshold=N    UltraSPARC-style write-priority threshold
 //	issue=W        superscalar issue width
 //
-// The returned configuration is fully validated.
+// The returned configuration is fully validated.  Apply takes the same keys
+// as separate settings.
 func ParseSpec(spec string) (sim.Config, error) {
 	return ParseSpecFrom(sim.Baseline(), spec)
 }
 
 // ParseSpecFrom is ParseSpec starting from an arbitrary base machine; keys
-// not mentioned in the spec keep the base's values.  When the base uses a
-// retire-at policy, retire=/aging= edit it in place; with any other policy
-// they replace it by a fresh retire-at.
+// not mentioned in the spec keep the base's values.  It is Apply over the
+// spec's comma-separated settings followed by Validate.
 func ParseSpecFrom(base sim.Config, spec string) (sim.Config, error) {
 	if strings.HasPrefix(spec, "@") {
 		path, rest, _ := strings.Cut(strings.TrimPrefix(spec, "@"), ",")
@@ -68,10 +69,27 @@ func ParseSpecFrom(base sim.Config, spec string) (sim.Config, error) {
 		}
 		return ParseSpecFrom(loaded, rest)
 	}
-	cfg := base
 	if spec == "" {
-		return cfg, cfg.Validate()
+		return base, Validate(base)
 	}
+	cfg, err := Apply(base, strings.Split(spec, ",")...)
+	if err != nil {
+		return cfg, err
+	}
+	return cfg, Validate(cfg)
+}
+
+// A Setting is one key=value pair of the spec vocabulary ("depth=12").  It
+// is a plain string, so a split spec applies as it is.
+type Setting = string
+
+// Apply edits base by the settings, in order, and returns the machine
+// without validating it; an unknown key, a malformed pair or an unparsable
+// value is an error.  When the base uses a retire-at policy, retire=/aging=
+// edit it in place; with any other policy they replace it by a fresh
+// retire-at.
+func Apply(base sim.Config, settings ...Setting) (sim.Config, error) {
+	cfg := base
 	retire, _ := cfg.Retire.(core.RetireAt)
 	if retire.N == 0 {
 		retire.N = 2
@@ -102,7 +120,7 @@ func ParseSpecFrom(base sim.Config, spec string) (sim.Config, error) {
 		}
 	}
 	backendTouched := false
-	for _, kv := range strings.Split(spec, ",") {
+	for _, kv := range settings {
 		key, val, found := strings.Cut(kv, "=")
 		if !found {
 			return cfg, fmt.Errorf("machconf: malformed %q (want key=value)", kv)
@@ -224,7 +242,7 @@ func ParseSpecFrom(base sim.Config, spec string) (sim.Config, error) {
 		}
 		cfg = cfg.WithBackend(spec)
 	}
-	return cfg, cfg.Validate()
+	return cfg, nil
 }
 
 // LoadFile reads, decodes, and validates a canonical machconf JSON file —
