@@ -16,10 +16,10 @@ import (
 	"repro/internal/resultstore"
 )
 
-// handleStoreVerify re-validates every stored entry (POST /admin/store/verify).
-// On a replicated store this is a full synchronous scrub pass: corrupt
-// copies are quarantined and repaired from healthy replicas.  On a plain
-// store corrupt entries are quarantined and will re-simulate on demand.
+// handleStoreVerify re-validates every stored entry (POST /admin/store/verify)
+// in one synchronous scrub pass: corrupt copies are quarantined and
+// repaired from healthy replicas; an entry with no healthy copy left (the
+// only case with one directory) re-simulates on demand.
 func (s *server) handleStoreVerify(w http.ResponseWriter, _ *http.Request) {
 	start := time.Now()
 	ok, corrupt, err := s.store.Verify()
@@ -92,8 +92,9 @@ func (s *server) handleStorePrune(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// storeStatusView is GET /admin/store/status: tier sizes, and — for a
-// replicated store — per-replica figures and the last scrub pass.
+// storeStatusView is GET /admin/store/status: tier sizes and the
+// quarantine count, and — for a store of two or more replicas —
+// per-replica figures and the last scrub pass.
 type storeStatusView struct {
 	Replicated  bool                      `json:"replicated"`
 	DiskEntries int                       `json:"disk_entries"`
@@ -113,18 +114,13 @@ type scrubView struct {
 func (s *server) handleStoreStatus(w http.ResponseWriter, _ *http.Request) {
 	var v storeStatusView
 	v.DiskEntries, v.DiskBytes, v.MemEntries = s.store.Stats()
-	switch st := s.store.(type) {
-	case *resultstore.Replicated:
+	v.Quarantined = s.store.Quarantined()
+	if len(s.store.Dirs()) > 1 {
 		v.Replicated = true
-		v.Replicas = st.ReplicaStats()
-		for _, r := range v.Replicas {
-			v.Quarantined += r.Quarantined
-		}
-		if rep, when, passes := st.LastScrub(); passes > 0 {
+		v.Replicas = s.store.ReplicaStats()
+		if rep, when, passes := s.store.LastScrub(); passes > 0 {
 			v.LastScrub = &scrubView{ScrubReport: rep, When: when, Passes: passes}
 		}
-	case *resultstore.Store:
-		v.Quarantined = st.Quarantined()
 	}
 	writeJSON(w, http.StatusOK, v)
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -191,6 +193,60 @@ func TestAdminStoreEndpoints(t *testing.T) {
 	}
 	if resp := adminReq(t, ts, "POST", "/admin/store/prune", "tok-ops", `{}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("prune without max_entries: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// The single-directory status document: no replica list and no scrub
+// block (even after Verify ran a pass), and the quarantine count of the
+// one directory.
+func TestAdminStoreStatusSingleDir(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := testServerCfg(t, serverConfig{CacheSize: 4, MaxN: 5_000_000, StoreDir: dir, Keyring: testKeyring(t)})
+	for _, depth := range []int{4, 12} {
+		body := fmt.Sprintf(`{"bench":"li","n":100000,"depth":%d,"retire_at":2}`, depth)
+		if resp := adminReq(t, ts, "POST", "/run", "tok-ops", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seeding run: status %d", resp.StatusCode)
+		}
+	}
+	var victim string
+	filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() && strings.HasSuffix(p, ".json") && victim == "" {
+			victim = p
+		}
+		return nil
+	})
+	if err := os.WriteFile(victim, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp := adminReq(t, ts, "POST", "/admin/store/verify", "tok-ops", "")
+	var ver struct {
+		OK      int `json:"ok"`
+		Corrupt int `json:"corrupt"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ver); err != nil {
+		t.Fatal(err)
+	}
+	if ver.OK != 1 || ver.Corrupt != 1 {
+		t.Fatalf("verify: ok=%d corrupt=%d, want 1/1", ver.OK, ver.Corrupt)
+	}
+
+	resp = adminReq(t, ts, "GET", "/admin/store/status", "tok-ops", "")
+	var doc map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "disk_bytes,disk_entries,mem_entries,quarantined,replicated"; got != want {
+		t.Errorf("status fields = %s, want %s", got, want)
+	}
+	for field, want := range map[string]string{"replicated": "false", "disk_entries": "1", "mem_entries": "2", "quarantined": "1"} {
+		if got := string(doc[field]); got != want {
+			t.Errorf("status %s = %s, want %s", field, got, want)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@
 //
 //	wbserve                                   # in-memory, listen on :8047
 //	wbserve -store /var/lib/wb/results        # durable shared result store
-//	wbserve -store /var/lib/wb/a,/var/lib/wb/b   # replicated store + scrubber
+//	wbserve -store /var/lib/wb/a,/var/lib/wb/b   # two mirrored replicas + scrubber
 //	wbserve -store /var/lib/wb/results -queue /var/lib/wb/queue.jsonl
 //	wbserve -tenants tenants.json -rate 10 -maxpending 256
 //	wbserve -authkeys keys.json               # bearer-token auth + /admin surface
@@ -91,7 +91,7 @@ func main() {
 		maxPend   = flag.Int("maxpending", 0, "default per-tenant cap on enqueued-but-unfinished simulations (0 = unlimited)")
 		drain     = flag.Duration("draintimeout", 30*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 		authKeys  = flag.String("authkeys", "", "bearer-token keys JSON file (see docs/SERVING.md); enables authentication and the /admin surface")
-		scrubEach = flag.Duration("scrubinterval", 5*time.Minute, "replicated-store background scrub interval (jittered; only meaningful with a comma-separated -store)")
+		scrubEach = flag.Duration("scrubinterval", 5*time.Minute, "background scrub interval of a store with two or more replicas (jittered; only meaningful with a comma-separated -store)")
 		supervise = flag.Bool("supervise", false, "supervise local wbserve -worker subprocesses, scaling them to the queue backlog between -minworkers and -maxworkers")
 		minWorker = flag.Int("minworkers", 0, "supervised worker floor (with -supervise)")
 		maxWorker = flag.Int("maxworkers", 4, "supervised worker ceiling (with -supervise)")

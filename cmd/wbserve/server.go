@@ -254,11 +254,11 @@ type serverConfig struct {
 	// Worker additionally serves POST /job for dispatch coordinators.
 	Worker bool
 	// StoreDir is the durable result-store root — or a comma-separated
-	// list of roots, which opens a self-healing replicated store; empty
-	// keeps results in memory only.
+	// list of roots, which the store mirrors as self-healing replicas;
+	// empty keeps results in memory only.
 	StoreDir string
-	// ScrubInterval starts the replicated store's background scrubber
-	// (ignored for a single-directory or memory-only store).
+	// ScrubInterval starts the store's background scrubber when it has two
+	// or more replicas (ignored with one directory or none).
 	ScrubInterval time.Duration
 	// Keyring, when non-nil, turns bearer-token authentication on: POST
 	// /run requires a valid token and the /admin surface additionally
@@ -308,7 +308,7 @@ type server struct {
 	ready    *dispatch.Readiness
 	inflight atomic.Int64
 
-	store   resultstore.Interface
+	store   *resultstore.Store
 	queue   *jobqueue.Queue
 	tenants *tenant.Registry
 	keys    *tenant.Keyring
@@ -418,7 +418,7 @@ func (s *server) Close() {
 	if s.remote != nil {
 		s.remote.Close()
 	}
-	_ = s.store.Close() // stops the replicated store's scrubber
+	_ = s.store.Close() // stops the store's scrubber, if one runs
 }
 
 // storeHas is the result store's membership test, threaded into queue

@@ -45,8 +45,9 @@ type Cached struct {
 	misses *metrics.Counter
 }
 
-// NewCached wraps inner with the store — any resultstore.KV: a plain
-// Store, a Replicated store, or a test double.  reg, when non-nil,
+// NewCached wraps inner with the store — any resultstore.KV: a
+// resultstore.Store over any number of replica directories, or a test
+// double.  reg, when non-nil,
 // receives dispatch_store_hits_total and dispatch_store_misses_total — the
 // series the zero-resimulation acceptance tests assert on (the store's own
 // resultstore_* series count at store granularity; these count at dispatch

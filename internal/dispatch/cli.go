@@ -15,7 +15,7 @@ type BuildOptions struct {
 	Workers string
 	// Store is the shared content-addressed result-store directory (the
 	// -store flag, also spelled -checkpoint); a comma-separated list opens
-	// a replicated store mirroring across the listed directories.  Empty
+	// one store whose replicas mirror across the listed directories.  Empty
 	// disables the store tier.  When set, the store wraps the whole stack:
 	// a sweep whose results any process already paid for — wbserve, wbexp,
 	// wbopt, any tenant, or an earlier run of a killed sweep — dispatches

@@ -130,6 +130,8 @@ func TestLabelsAreParseableSpecs(t *testing.T) {
 	spaces["banked"] = bankedSpace()
 	spaces["ftl"] = ftlSpace()
 	spaces["fenced-base"] = fencedBaseSpace(t)
+	spaces["fenced-release"] = fencedReleaseBaseSpace(t)
+	spaces["rowhit-base"] = rowHitBaseSpace(t)
 	for name, s := range spaces {
 		cands, err := s.Enumerate()
 		if err != nil {

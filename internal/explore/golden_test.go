@@ -92,6 +92,8 @@ func goldenSpaces(t testing.TB) map[string]*Space {
 		"banked":          bankedSpace(),
 		"ftl":             ftlSpace(),
 		"fenced-base":     fencedBaseSpace(t),
+		"fenced-release":  fencedReleaseBaseSpace(t),
+		"rowhit-base":     rowHitBaseSpace(t),
 		"retire-drop":     {Depths: []int{2}, Retires: []int{1, 2, 8}},
 		"wcache-pins":     {Depths: []int{2, 8}, Retires: []int{1, 2}, Hazards: hazards, WCaches: []int{0, 4}},
 		"max-cost":        {Depths: []int{2, 16}, MaxCost: 16},
@@ -140,6 +142,18 @@ func fencedBaseSpace(t testing.TB) *Space {
 		"backends": ["flat", "banked"], "banks": [4]}`)
 }
 
+// fencedReleaseBaseSpace sweeps only the depth under a base whose fence
+// has a release cost and no full cost: every candidate keeps the fence.
+func fencedReleaseBaseSpace(t testing.TB) *Space {
+	return mustLoad(t, `{"base": "releasecost=4", "depths": [4, 8]}`)
+}
+
+// rowHitBaseSpace sweeps the row-hit time down to zero under a banked base
+// whose row-hit time is not zero.
+func rowHitBaseSpace(t testing.TB) *Space {
+	return mustLoad(t, `{"base": "banks=4,rowhit=6", "depths": [4], "rowhits": [0, 6]}`)
+}
+
 // TestEnumerateGolden pins every golden space's candidate list — count
 // and digest over (label, hash) in order — so a change to how candidates
 // are built cannot move a label, a machine or the order unnoticed.
@@ -161,6 +175,7 @@ func TestEnumerateGolden(t *testing.T) {
 		"example":        {26, "daa488d6c7528e1c"},
 		// The banked points keep the base's release cost, as their labels say.
 		"fenced-base":              {4, "e281a6a5acaa29ff"},
+		"fenced-release":           {2, "684aa195551b6912"},
 		"filter":                   {1, "f6a9551293f118a9"},
 		"ftl":                      {14, "89923d6337a12e76"},
 		"grid":                     {2, "f620b530fb282447"},
@@ -171,6 +186,7 @@ func TestEnumerateGolden(t *testing.T) {
 		"quality":                  {26, "daa488d6c7528e1c"},
 		"random":                   {4, "adc2c8bdb07bd37d"},
 		"retire-drop":              {2, "6114b5ace6ffce8b"},
+		"rowhit-base":              {2, "cc14db3ced990e1f"},
 		"served":                   {3168, "eab22d5c6c4df928"},
 		"shape@0":                  {150, "17755bea2ded37f9"},
 		"shape@1":                  {150, "e9dd64f056016625"},

@@ -291,7 +291,7 @@ var labelOrder = [numAxes]int{axDepth, axOrg, axNumBufs, axSectorBits, axRetire,
 
 // axes returns every axis's values as machconf settings.  An empty axis is
 // the singleton holding the base's value; the empty setting keeps a custom
-// base organization or backend as it is.
+// base organization or backend, or a backend no axis sweeps, as it is.
 func (s *Space) axes(base sim.Config) [numAxes][]machconf.Setting {
 	retire, _ := base.Retire.(core.RetireAt)
 	if retire.N == 0 {
@@ -316,6 +316,9 @@ func (s *Space) axes(base sim.Config) [numAxes][]machconf.Setting {
 	banked, isBanked := inner.(backendpkg.BankedSpec)
 	be := ""
 	switch {
+	case len(s.Backends)+len(s.Banks)+len(s.RowHits)+len(s.RowMisses)+len(s.FenceCosts) == 0:
+		// No backend axis is swept: keep the base's backend whole, so a
+		// fenced base keeps its release cost, which no axis names.
 	case inner == nil:
 		be = "flat"
 	case isBanked:
@@ -390,7 +393,8 @@ func axis[T any](i int, vals []T, base T) []machconf.Setting {
 //     are pinned to their first values and left out;
 //   - the memory latency is pinned to the base's for a perfect L2 (it is
 //     unreachable without one);
-//   - a custom base organization or backend is kept whole;
+//   - a custom base organization or backend is kept whole, and so is any
+//     base backend when the space sweeps no backend axis;
 //   - MaxCost and Filter drop what they reject;
 //   - machines failing sim validation are skipped — this is what drops
 //     ftl shapes whose buffer count does not divide the depth;
@@ -410,7 +414,11 @@ func (s *Space) Enumerate() ([]Candidate, error) {
 			vary[i] = true
 		}
 	}
-	baseMemLat := axis(axMemLat, nil, base.MemLat)[0]
+	var baseAt [numAxes]machconf.Setting // each axis's setting in the base
+	for i, vals := range (&Space{}).axes(base) {
+		baseAt[i] = vals[0]
+	}
+	baseMemLat := baseAt[axMemLat]
 
 	var out []Candidate
 	seen := map[string]bool{}
@@ -459,7 +467,7 @@ func (s *Space) Enumerate() ([]Candidate, error) {
 			continue
 		}
 		seen[hash] = true
-		out = append(out, Candidate{Label: label(&at, &vary, wcache), Hash: hash, Cfg: cfg})
+		out = append(out, Candidate{Label: label(&at, &vary, &baseAt, wcache), Hash: hash, Cfg: cfg})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("explore: space contains no legal configuration")
@@ -524,15 +532,16 @@ func constrain(at *[numAxes]machconf.Setting, idx *[numAxes]int, baseMemLat mach
 // label renders a candidate as the compact spec of its varying axes, in
 // labelOrder, so a reported configuration can be fed straight back to
 // wbsim/wbcompare.  A write-cache label names no buffer key but the width,
-// which sets the write cache's entry width too; a zero rowhit or rowmiss is
-// the parser's default and goes unnamed.
-func label(at *[numAxes]machconf.Setting, vary *[numAxes]bool, wcache bool) string {
+// which sets the write cache's entry width too; a zero rowhit or rowmiss
+// goes unnamed where the base's (at base) is zero too, since the label
+// parses over the base.
+func label(at *[numAxes]machconf.Setting, vary *[numAxes]bool, base *[numAxes]machconf.Setting, wcache bool) string {
 	var parts []string
 	for _, i := range labelOrder {
 		switch {
 		case !vary[i] || at[i] == "":
 		case wcache && i <= axHazard && i != axWidth:
-		case at[i] == "rowhit=0" || at[i] == "rowmiss=0":
+		case (at[i] == "rowhit=0" || at[i] == "rowmiss=0") && at[i] == base[i]:
 		default:
 			parts = append(parts, at[i])
 		}

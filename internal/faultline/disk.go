@@ -108,7 +108,7 @@ func (s DiskScenario) FaultBudget(path string) int {
 
 // DiskInjector implements the result store's Disk interface with the
 // scenario's faults injected.  It is safe for concurrent use and for
-// sharing across every replica of a Replicated store (Root confines it).
+// sharing across every replica of a store (Root confines it).
 type DiskInjector struct {
 	sc DiskScenario
 

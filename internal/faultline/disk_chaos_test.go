@@ -21,7 +21,7 @@ import (
 // scrubUntilClean runs scrub passes until the store reports every entry
 // healthy in every replica (ENOSPC budgets can make the first repair
 // attempt fail), bounded so a non-converging scrubber fails loudly.
-func scrubUntilClean(t *testing.T, store *resultstore.Replicated) resultstore.ScrubReport {
+func scrubUntilClean(t *testing.T, store *resultstore.Store) resultstore.ScrubReport {
 	t.Helper()
 	var rep resultstore.ScrubReport
 	for i := 0; i < 5; i++ {
@@ -49,7 +49,7 @@ func TestChaosDiskFaultParity(t *testing.T) {
 			reg := metrics.NewRegistry()
 			// MemoryEntries 1: every Get goes to disk, so read-side faults
 			// actually fire instead of being absorbed by the memory tier.
-			store, err := resultstore.OpenReplicated([]string{dirA, dirB}, resultstore.Options{
+			store, err := resultstore.OpenDirs([]string{dirA, dirB}, resultstore.Options{
 				Metrics: reg, Disk: inj, MemoryEntries: 1,
 			})
 			if err != nil {
@@ -78,7 +78,7 @@ func TestChaosDiskFaultParity(t *testing.T) {
 			// dispatched, byte-identical assembly — with the injector still
 			// wired in (its budgets are spent; the disk has "recovered").
 			reg2 := metrics.NewRegistry()
-			store2, err := resultstore.OpenReplicated([]string{dirA, dirB}, resultstore.Options{
+			store2, err := resultstore.OpenDirs([]string{dirA, dirB}, resultstore.Options{
 				Metrics: reg2, Disk: inj, MemoryEntries: 1,
 			})
 			if err != nil {
@@ -106,7 +106,7 @@ func TestChaosReplicaLossParity(t *testing.T) {
 	dir := t.TempDir()
 	dirA, dirB := filepath.Join(dir, "replicaA"), filepath.Join(dir, "replicaB")
 	reg := metrics.NewRegistry()
-	store, err := resultstore.OpenReplicated([]string{dirA, dirB}, resultstore.Options{Metrics: reg})
+	store, err := resultstore.OpenDirs([]string{dirA, dirB}, resultstore.Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestChaosReplicaLossParity(t *testing.T) {
 	}
 
 	reg2 := metrics.NewRegistry()
-	store2, err := resultstore.OpenReplicated([]string{dirA, dirB}, resultstore.Options{Metrics: reg2})
+	store2, err := resultstore.OpenDirs([]string{dirA, dirB}, resultstore.Options{Metrics: reg2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func chaosQueueJobs(t *testing.T) []jobqueue.Job {
 // store write.  killAfter > 0 closes the queue after that many completions
 // — the kill -9 — leaving the rest journalled but undone.  Returns how
 // many jobs this "process" completed.
-func platformPump(t *testing.T, backend dispatch.Backend, store resultstore.Interface, queuePath string, reg *metrics.Registry, killAfter int) int {
+func platformPump(t *testing.T, backend dispatch.Backend, store *resultstore.Store, queuePath string, reg *metrics.Registry, killAfter int) int {
 	t.Helper()
 	storeHas := func(key string) bool { _, ok := store.Get(key); return ok }
 	q, err := jobqueue.Open(queuePath, reg, nil)
@@ -135,7 +135,7 @@ func platformPump(t *testing.T, backend dispatch.Backend, store resultstore.Inte
 // matrixFromStore reassembles the sweep's [][]Measurement from the store,
 // re-applying labels — what GET /run/{id} serves — for byte comparison
 // against the fault-free local matrix.
-func matrixFromStore(t *testing.T, store resultstore.Interface) []byte {
+func matrixFromStore(t *testing.T, store *resultstore.Store) []byte {
 	t.Helper()
 	benches, specs := chaosSuite(t)
 	out := make([][]experiment.Measurement, len(benches))

@@ -14,9 +14,9 @@ import (
 	"repro/internal/resultstore"
 )
 
-func openReplicated(t *testing.T, dirs []string, reg *metrics.Registry) *resultstore.Replicated {
+func openReplicated(t *testing.T, dirs []string, reg *metrics.Registry) *resultstore.Store {
 	t.Helper()
-	r, err := resultstore.OpenReplicated(dirs, resultstore.Options{Metrics: reg, MemoryEntries: 8})
+	r, err := resultstore.OpenDirs(dirs, resultstore.Options{Metrics: reg, MemoryEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReplicatedReadRepair(t *testing.T) {
 	corruptFile(t, entryFiles(t, dirA)[0])
 
 	reg := metrics.NewRegistry()
-	fresh, err := resultstore.OpenReplicated([]string{dirA, dirB}, resultstore.Options{Metrics: reg, MemoryEntries: 8})
+	fresh, err := resultstore.OpenDirs([]string{dirA, dirB}, resultstore.Options{Metrics: reg, MemoryEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestReplicatedPruneConvergesAcrossSkewedMtimes(t *testing.T) {
 // and safe concurrently with a running pass.
 func TestReplicatedScrubberShutdownNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	r, err := resultstore.OpenReplicated([]string{t.TempDir(), t.TempDir()}, resultstore.Options{
+	r, err := resultstore.OpenDirs([]string{t.TempDir(), t.TempDir()}, resultstore.Options{
 		MemoryEntries: 8,
 		ScrubInterval: time.Millisecond,
 	})
@@ -401,6 +401,5 @@ func TestReplicatedConcurrentMaintenance(t *testing.T) {
 	}
 }
 
-// Replicated satisfies the full serving-layer interface.
-var _ resultstore.Interface = (*resultstore.Replicated)(nil)
-var _ resultstore.Interface = (*resultstore.Store)(nil)
+// Store satisfies the surface the dispatch layer consumes.
+var _ resultstore.KV = (*resultstore.Store)(nil)

@@ -11,29 +11,32 @@
 // how "no simulation is ever paid for twice" becomes a property of the
 // deployment rather than of one process's memory.
 //
-// Layout and integrity.  Entries live under the store root as
+// Layout and integrity.  Entries live under each replica root as
 // `<2-hex>/<64-hex>.json`, where the hex digits are the SHA-256 of the key
 // (content addressing keeps arbitrary key bytes out of file names and
 // spreads directories).  Each file is a JSON envelope carrying the key, the
 // machine's canonical machconf hash, the payload, and a checksum in the
-// PR 5 result-integrity format (hex SHA-256 over `hash\npayload`, the same
+// result-integrity format (hex SHA-256 over `hash\npayload`, the same
 // construction as dispatch.Checksum — asserted against it by test).  Reads
-// verify the checksum and the embedded key before returning; a corrupt
+// verify the checksum and the entry's address before returning; a corrupt
 // entry counts as a miss, is quarantined into the root's `quarantine/`
 // subdirectory (out of the lookup path, preserved for inspection), and the
 // affected job simply re-simulates.  Writes are write-then-rename with an
 // fsync in between, so a torn write can never be read back as a valid
 // entry.
 //
-// A bounded in-memory LRU tier fronts the disk tier, preserving the O(1)
-// repeated-lookup behaviour the old wbserve cache provided.  Open with an
-// empty directory path for a memory-only store (the old behaviour exactly).
+// Tiers and replicas.  One Store is a bounded in-memory LRU tier over zero
+// or more directory replicas, the same structure at every replica count:
 //
-// Replication.  OpenReplicated (replicated.go) mirrors the same envelope
-// format across N directory replicas with first-healthy-copy-wins reads,
-// read-repair, and a background scrubber that detects bitrot and heals
-// replicas from each other — the store survives disk corruption and whole
-// replica loss without re-simulating anything.
+//   - zero replicas (Open with an empty directory) is a memory-only store:
+//     the LRU tier works as usual and nothing is written to disk;
+//   - one replica is the durable store;
+//   - two or more mirror each other.  Put writes every replica and
+//     succeeds if one accepted the write; Get takes the first healthy copy
+//     and read-repairs the replicas it passed over; a background scrubber
+//     (Options.ScrubInterval) verifies every copy and heals corrupt or
+//     missing ones from any healthy replica, so the store survives disk
+//     corruption and whole-replica loss without re-simulating anything.
 //
 // docs/SERVING.md is the operator guide: sizing, garbage collection
 // (Prune), replication, scrubbing, and the cache-poisoning and disk-fault
@@ -41,18 +44,19 @@
 package resultstore
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -67,7 +71,7 @@ func Key(bench string, n uint64, cfgHash string) string {
 
 // Checksum is the entry-integrity sum: the hex SHA-256 of the canonical
 // machconf hash, a newline, and the payload bytes.  This is byte-for-byte
-// the PR 5 wire-integrity format (dispatch.Checksum); reusing it means one
+// the wire-integrity format (dispatch.Checksum); reusing it means one
 // attestation construction protects a measurement at rest and in flight,
 // and the test suite pins the two implementations equal.
 func Checksum(cfgHash string, payload []byte) string {
@@ -78,9 +82,9 @@ func Checksum(cfgHash string, payload []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// QuarantineDir is the subdirectory of a store root that holds quarantined
-// corrupt entries (renamed with a ".corrupt" suffix so they never match the
-// entry scan).
+// QuarantineDir is the subdirectory of a replica root that holds
+// quarantined corrupt entries (renamed with a ".corrupt" suffix so they
+// never match the entry walk).
 const QuarantineDir = "quarantine"
 
 // entry is the on-disk envelope, one JSON object per file.
@@ -133,57 +137,48 @@ func (osDisk) WriteFile(path string, data []byte) error {
 }
 
 // KV is the minimal Get/Put surface the dispatch layer consumes
-// (dispatch.Cached); both Store and Replicated satisfy it.
+// (dispatch.Cached); Store satisfies it, and tests substitute doubles.
 type KV interface {
 	Get(key string) ([]byte, bool)
 	Put(key, cfgHash string, payload []byte) error
 }
 
-// Interface is the full store surface the serving layer consumes: KV plus
-// the maintenance operations the wbserve admin API exposes.  Store and
-// Replicated both implement it, so `-store dir` and `-store dirA,dirB`
-// plug into the same platform.
-type Interface interface {
-	KV
-	Verify() (ok, corrupt int, err error)
-	EvictHash(cfgHash string) (int, error)
-	Prune(maxEntries int) (int, error)
-	Stats() (diskEntries int, diskBytes int64, memEntries int)
-	Close() error
-}
-
-// Options configures Open.
+// Options configures Open, OpenDirs and OpenSpec.
 type Options struct {
 	// MemoryEntries bounds the in-memory LRU tier; values below 1 select
 	// the default of 256.
 	MemoryEntries int
-	// Metrics, when non-nil, receives the resultstore_* series: hits split
-	// by tier, misses, writes, corrupt-entry detections, and evictions.
+	// Metrics, when non-nil, receives the resultstore_* series (hits split
+	// by tier, misses, writes, corrupt-entry detections, evictions, disk
+	// entries) and the sim_store_* scrub, repair and replica series.
 	Metrics *metrics.Registry
 	// Logf, when non-nil, receives operational events: corrupt entries
-	// quarantined, GC sweeps, evictions by hash.
+	// quarantined, degraded writes, repairs, GC sweeps, evictions by hash.
 	Logf func(format string, args ...any)
 	// Disk, when non-nil, replaces the real filesystem for entry reads and
 	// writes — the deterministic disk-fault seam.  Directory creation,
-	// renames, and scans stay real: faults target entry bytes, not the
+	// renames, and walks stay real: faults target entry bytes, not the
 	// directory tree.
 	Disk Disk
 	// ScrubInterval, when positive, starts the background scrubber on a
-	// Replicated store (OpenReplicated); passes run on a ±20%-jittered
-	// interval until Close.  Ignored by a plain Store.
+	// store of two or more replicas; passes run on a ±20%-jittered
+	// interval until Close.  A store with fewer replicas has nothing to
+	// repair from and runs no scrubber (Verify still runs one pass).
 	ScrubInterval time.Duration
 }
 
-// Store is the two-tier result store.  All methods are safe for concurrent
-// use; the disk tier additionally tolerates multiple processes sharing one
-// directory (atomic rename makes concurrent writers last-write-wins with
-// identical content, which determinism guarantees).
+// Store is the result store: a bounded memory tier over zero or more
+// directory replicas.  All methods are safe for concurrent use, including
+// concurrently with a running scrub; the replicas additionally tolerate
+// multiple processes sharing one directory (atomic rename makes concurrent
+// writers last-write-wins with identical content, which determinism
+// guarantees).  The sim_store_scrub_* / sim_store_repair_* series expose
+// every scrub and repair decision; docs/SERVING.md's disk-fault runbook is
+// built on them.
 type Store struct {
-	dir  string
-	mem  *lru
-	disk Disk
-
-	logf func(format string, args ...any)
+	replicas []*replica
+	mem      *lru
+	logf     func(format string, args ...any)
 
 	hitsMem  *metrics.Counter
 	hitsDisk *metrics.Counter
@@ -191,21 +186,62 @@ type Store struct {
 	writes   *metrics.Counter
 	corrupt  *metrics.Counter
 	evicted  *metrics.Counter
+	degraded *metrics.Counter
 	entries  *metrics.Gauge
 
-	// diskN approximates the disk-tier entry count so Put can keep the
-	// resultstore_disk_entries gauge without a scan.  It is best-effort:
-	// putDisk's stat-then-write freshness check races concurrent writers of
-	// the same key, so the count can drift.  Every full scan (Stats, Prune)
-	// resyncs it to ground truth; nothing load-bearing may read it directly.
-	diskN atomic.Int64
-	mu    sync.Mutex // serialises directory-wide maintenance (Prune, Verify)
+	scrubRuns    *metrics.Counter
+	scrubEntries *metrics.Counter
+	scrubCorrupt *metrics.Counter
+	scrubMissing *metrics.Counter
+	scrubUnrecov *metrics.Counter
+	repairs      *metrics.Counter
+	repairFails  *metrics.Counter
+
+	// maint serialises directory-wide maintenance — scrub passes, Prune,
+	// EvictHash — so a scrub never repairs a copy back from a replica that
+	// a prune or eviction has not reached yet.
+	maint sync.Mutex
+
+	lastScrub struct {
+		sync.Mutex
+		report ScrubReport
+		when   time.Time
+		passes int
+	}
+
+	done      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
 }
 
 // Open opens (creating if needed) the store rooted at dir.  An empty dir
 // selects a memory-only store: the LRU tier works as usual and nothing is
-// ever written to disk — exactly the pre-platform wbserve cache.
+// ever written to disk.
 func Open(dir string, opts Options) (*Store, error) {
+	var dirs []string
+	if dir != "" {
+		dirs = []string{dir}
+	}
+	return OpenDirs(dirs, opts)
+}
+
+// OpenSpec opens the store a CLI `-store` flag describes: a
+// comma-separated list of replica directories, empty for a memory-only
+// store.  This is the one parser wbserve, wbexp, and wbopt share, so
+// `-store a` and `-store a,b,c` plug into the same stack everywhere.
+func OpenSpec(spec string, opts Options) (*Store, error) {
+	var dirs []string
+	for _, d := range strings.Split(spec, ",") {
+		if d = strings.TrimSpace(d); d != "" {
+			dirs = append(dirs, d)
+		}
+	}
+	return OpenDirs(dirs, opts)
+}
+
+// OpenDirs opens (creating if needed) a store over the given replica
+// directories, in read order; none selects a memory-only store.
+func OpenDirs(dirs []string, opts Options) (*Store, error) {
 	if opts.MemoryEntries < 1 {
 		opts.MemoryEntries = 256
 	}
@@ -217,397 +253,460 @@ func Open(dir string, opts Options) (*Store, error) {
 	if disk == nil {
 		disk = osDisk{}
 	}
+	logf := opts.Logf
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	s := &Store{
-		dir:      dir,
-		mem:      newLRU(opts.MemoryEntries),
-		disk:     disk,
-		logf:     opts.Logf,
+		mem:  newLRU(opts.MemoryEntries),
+		logf: logf,
+		done: make(chan struct{}),
+
 		hitsMem:  reg.Counter(metrics.Label("resultstore_hits_total", "tier", "memory")),
 		hitsDisk: reg.Counter(metrics.Label("resultstore_hits_total", "tier", "disk")),
 		misses:   reg.Counter("resultstore_misses_total"),
 		writes:   reg.Counter("resultstore_writes_total"),
 		corrupt:  reg.Counter("resultstore_corrupt_entries_total"),
 		evicted:  reg.Counter("resultstore_evictions_total"),
+		degraded: reg.Counter("sim_store_put_degraded_total"),
 		entries:  reg.Gauge("resultstore_disk_entries"),
+
+		scrubRuns:    reg.Counter("sim_store_scrub_runs_total"),
+		scrubEntries: reg.Counter("sim_store_scrub_entries_total"),
+		scrubCorrupt: reg.Counter("sim_store_scrub_corrupt_total"),
+		scrubMissing: reg.Counter("sim_store_scrub_missing_total"),
+		scrubUnrecov: reg.Counter("sim_store_scrub_unrecoverable_total"),
+		repairs:      reg.Counter("sim_store_repair_total"),
+		repairFails:  reg.Counter("sim_store_repair_failures_total"),
 	}
-	if dir != "" {
+	for _, dir := range dirs {
+		if dir == "" {
+			return nil, errors.New("resultstore: replica directories must be non-empty paths")
+		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
-		n, _, err := s.scan(nil)
-		if err != nil {
+		r := &replica{dir: dir, disk: disk}
+		if _, _, err := r.walk(nil); err != nil {
 			return nil, err
 		}
-		s.diskN.Store(int64(n))
-		s.entries.Set(float64(n))
+		s.replicas = append(s.replicas, r)
+	}
+	s.syncEntries()
+	reg.Gauge("sim_store_replicas").Set(float64(len(s.replicas)))
+	if opts.ScrubInterval > 0 && len(s.replicas) > 1 {
+		s.wg.Add(1)
+		go s.scrubLoop(opts.ScrubInterval)
 	}
 	return s, nil
 }
 
-// Dir reports the disk-tier root, empty for a memory-only store.
-func (s *Store) Dir() string { return s.dir }
+// Dirs reports the replica roots in read order, none for a memory-only
+// store.
+func (s *Store) Dirs() []string {
+	out := make([]string, len(s.replicas))
+	for i, r := range s.replicas {
+		out[i] = r.dir
+	}
+	return out
+}
 
-// Close releases nothing for a plain store — it exists so Store satisfies
-// Interface alongside Replicated, whose Close stops the scrubber.
-func (s *Store) Close() error { return nil }
+// Close stops the background scrubber, if one runs, and waits for an
+// in-flight pass to finish.  Idempotent.
+func (s *Store) Close() error {
+	s.closeOnce.Do(func() { close(s.done) })
+	s.wg.Wait()
+	return nil
+}
 
-// path maps a key to its content-addressed entry file.
-func (s *Store) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, name[:2], name+".json")
+// syncEntries publishes the widest replica's entry count — the figure
+// Stats reports — on the resultstore_disk_entries gauge.
+func (s *Store) syncEntries() {
+	var widest int64
+	for _, r := range s.replicas {
+		widest = max(widest, r.n.Load())
+	}
+	s.entries.Set(float64(widest))
 }
 
 // Get returns the stored payload for key.  The memory tier answers first;
-// a disk hit is checksum-verified, promoted into the memory tier, and
-// counted under its own tier label.  A corrupt disk entry is quarantined
-// (moved into quarantine/ so it stops matching) and reported as a miss.
+// then the replicas in order, and the first healthy copy wins: it is
+// promoted into the memory tier, counted under the disk tier label, and
+// read-repaired into every replica the lookup passed over.  A corrupt copy
+// is quarantined (moved into quarantine/ so it stops matching) on the way.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if p, ok := s.mem.get(key); ok {
 		s.hitsMem.Inc()
 		return p, true
 	}
-	payload, cfgHash, ok := s.getEntry(key)
-	if !ok {
-		s.misses.Inc()
-		return nil, false
-	}
-	s.mem.put(key, cfgHash, payload)
-	s.hitsDisk.Inc()
-	return payload, true
-}
-
-// getEntry reads and validates one disk entry without touching the memory
-// tier, returning the payload and its attesting machconf hash — the
-// building block Replicated's first-healthy-copy-wins reads and read-repair
-// are made of.  A corrupt entry is quarantined and reported missing.
-func (s *Store) getEntry(key string) (payload []byte, cfgHash string, ok bool) {
-	if s.dir == "" {
-		return nil, "", false
-	}
-	path := s.path(key)
-	data, err := s.disk.ReadFile(path)
-	if err != nil {
-		return nil, "", false
-	}
-	e, err := decodeEntry(data, key)
-	if err != nil {
-		s.corrupt.Inc()
-		s.quarantine(path, err)
-		return nil, "", false
-	}
-	return e.Payload, e.CfgHash, true
-}
-
-// decodeEntry validates one envelope against the key it was looked up by.
-func decodeEntry(data []byte, key string) (entry, error) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return entry{}, fmt.Errorf("unparsable envelope: %w", err)
-	}
-	if e.Key != key {
-		return entry{}, fmt.Errorf("entry key %q does not match lookup key %q", e.Key, key)
-	}
-	if got := Checksum(e.CfgHash, e.Payload); got != e.Checksum {
-		return entry{}, errors.New("checksum mismatch")
-	}
-	return e, nil
-}
-
-// quarantine moves a failed entry into the root's quarantine/ subdirectory
-// so the corruption is preserved for inspection but never served; the job
-// re-simulates (or, under a Replicated store, is repaired from a healthy
-// replica).  The ".corrupt" suffix keeps quarantined files out of entry
-// scans.
-func (s *Store) quarantine(path string, cause error) {
-	qdir := filepath.Join(s.dir, QuarantineDir)
-	dst := filepath.Join(qdir, filepath.Base(path)+".corrupt")
-	err := os.MkdirAll(qdir, 0o755)
-	if err == nil {
-		err = os.Rename(path, dst)
-	}
-	if err != nil {
-		os.Remove(path) // last resort: make the bad bytes unreachable
-		dst = "(removed)"
-	}
-	if s.logf != nil {
-		s.logf("resultstore: quarantined corrupt entry %s → %s: %v", path, dst, cause)
-	}
-}
-
-// Quarantined reports how many corrupt entries sit in the quarantine
-// subdirectory — the admin status endpoint's "how bad was it" figure.
-func (s *Store) Quarantined() int {
-	if s.dir == "" {
-		return 0
-	}
-	names, err := os.ReadDir(filepath.Join(s.dir, QuarantineDir))
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, d := range names {
-		if !d.IsDir() && strings.HasSuffix(d.Name(), ".corrupt") {
-			n++
+	for i, r := range s.replicas {
+		path := r.path(key)
+		e, st, err := r.load(path)
+		if st == copyBad {
+			s.quarantine(r, path, err)
 		}
+		if st != copyOK {
+			continue
+		}
+		for _, passed := range s.replicas[:i] {
+			s.repair(passed, e)
+		}
+		s.mem.put(key, e.CfgHash, e.Payload)
+		s.hitsDisk.Inc()
+		return e.Payload, true
 	}
-	return n
+	s.misses.Inc()
+	return nil, false
+}
+
+// quarantine moves a corrupt copy out of the lookup path; the job
+// re-simulates, or is repaired from a healthy replica.
+func (s *Store) quarantine(r *replica, path string, cause error) {
+	s.corrupt.Inc()
+	s.logf("resultstore: quarantined corrupt entry %s → %s: %v", path, r.quarantine(path), cause)
+}
+
+// repair rewrites a replica's copy from a healthy one, reporting success.
+// It writes the disk entry only, leaving the memory tier's recency order
+// alone.
+func (s *Store) repair(r *replica, e entry) bool {
+	if err := s.putDisk(r, e.Key, e.CfgHash, e.Payload); err != nil {
+		s.repairFails.Inc()
+		s.logf("resultstore: repair of %s into %s failed: %v", e.Key, r.dir, err)
+		return false
+	}
+	s.repairs.Inc()
+	return true
+}
+
+// putDisk writes one replica's entry, counting the write and publishing
+// the entry count.
+func (s *Store) putDisk(r *replica, key, cfgHash string, payload []byte) error {
+	err := r.putDisk(key, cfgHash, payload)
+	if err == nil {
+		s.writes.Inc()
+	}
+	s.syncEntries()
+	return err
 }
 
 // Put stores a payload under key, attested by the machine's canonical
-// machconf hash.  The write is atomic: a temp file in the final directory,
-// fsync, then rename — a reader (or a crash) can never observe a torn
-// entry.  The memory tier is updated even when the disk write fails: the
-// result is correct and serving it for this process's lifetime is the
-// point.  Callers that need durability must treat the returned error as
-// "not stored" (dispatch.ErrResultNotStored wraps it) — membership in the
+// machconf hash, in the memory tier and in every replica.  It succeeds
+// when at least one replica accepted the write; a degraded write is
+// counted and logged, and the scrubber (or read-repair) completes the
+// mirror once the sick replica recovers.  Only a total failure is an
+// error: with zero durable copies the caller's "it is stored" assumption
+// would be a lie.  The memory tier is updated even then (the result is
+// correct and serving it for this process's lifetime is the point), so
+// callers that need durability must treat the returned error as "not
+// stored" (dispatch.ErrResultNotStored wraps it) — membership in the
 // memory tier is NOT a durability signal.
 func (s *Store) Put(key, cfgHash string, payload []byte) error {
 	s.mem.put(key, cfgHash, payload)
-	if s.dir == "" {
-		return nil
+	stored := 0
+	var firstErr error
+	for _, r := range s.replicas {
+		if err := s.putDisk(r, key, cfgHash, payload); err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			s.logf("resultstore: replica %s rejected put %s: %v", r.dir, key, err)
+			continue
+		}
+		stored++
 	}
-	return s.putDisk(key, cfgHash, payload)
-}
-
-// putDisk writes the disk entry only — the repair path, which must not
-// disturb the memory tier's recency order.
-func (s *Store) putDisk(key, cfgHash string, payload []byte) error {
-	e := entry{V: 1, Key: key, CfgHash: cfgHash, Checksum: Checksum(cfgHash, payload), Payload: payload}
-	blob, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("resultstore: encoding %s: %w", key, err)
-	}
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	// Stat-then-write is racy when two writers land the same new key at
-	// once — both see "fresh" and diskN double-counts.  Tolerated: the count
-	// is advisory (see the field comment) and the next Stats/Prune scan
-	// resyncs it; taking s.mu here would serialise every Put instead.
-	fresh := true
-	if _, err := os.Stat(path); err == nil {
-		fresh = false // deterministic overwrite of an identical entry
-	}
-	if err := s.disk.WriteFile(path, blob); err != nil {
-		return fmt.Errorf("resultstore: writing %s: %w", key, err)
-	}
-	s.writes.Inc()
-	if fresh {
-		s.entries.Set(float64(s.diskN.Add(1)))
+	switch {
+	case stored == 0 && firstErr != nil:
+		return fmt.Errorf("resultstore: put %s failed on every replica: %w", key, firstErr)
+	case stored < len(s.replicas):
+		s.degraded.Inc()
 	}
 	return nil
 }
 
-// scan walks the disk tier, counting entries and total bytes; visit, when
-// non-nil, is called with each entry path.  Quarantined files carry a
-// ".corrupt" suffix and never match.
-func (s *Store) scan(visit func(path string, info fs.FileInfo)) (int, int64, error) {
-	n, bytes := 0, int64(0)
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return err
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil // raced with a concurrent rename; skip
-		}
-		n++
-		bytes += info.Size()
-		if visit != nil {
-			visit(path, info)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("resultstore: scanning %s: %w", s.dir, err)
-	}
-	return n, bytes, nil
+// ScrubReport is one scrub pass's findings.
+type ScrubReport struct {
+	// Entries is the number of distinct entries examined (the union of all
+	// replicas' directories).
+	Entries int `json:"entries"`
+	// Healthy counts entries whose every replica copy verified clean.
+	Healthy int `json:"healthy"`
+	// CorruptCopies counts replica copies that failed checksum or envelope
+	// validation (or could not be read while a healthy copy could replace
+	// them) and were quarantined.
+	CorruptCopies int `json:"corrupt_copies"`
+	// MissingCopies counts replica copies that were absent (a wiped or
+	// newly added replica shows up here until healed).
+	MissingCopies int `json:"missing_copies"`
+	// Repaired counts copies rewritten from a healthy replica this pass.
+	Repaired int `json:"repaired"`
+	// RepairFailures counts repair writes that themselves failed (disk
+	// full, injected ENOSPC); the next pass retries them.
+	RepairFailures int `json:"repair_failures"`
+	// Unrecoverable counts entries with no healthy copy in any replica;
+	// their next Get misses and the job re-simulates.
+	Unrecoverable int `json:"unrecoverable"`
 }
 
-// entryNames lists the relative entry paths ("ab/ab…cd.json") currently in
-// the disk tier — the scrubber's unit of work.
-func (s *Store) entryNames() ([]string, error) {
-	if s.dir == "" {
-		return nil, nil
-	}
-	var names []string
-	_, _, err := s.scan(func(p string, _ fs.FileInfo) {
-		if rel, err := filepath.Rel(s.dir, p); err == nil {
-			names = append(names, rel)
-		}
-	})
-	return names, err
-}
+// Scrub runs one synchronous pass over the union of every replica's
+// entries: verify every copy, quarantine corrupt ones, and repair corrupt
+// and missing copies from any healthy replica.  An unreadable copy is
+// quarantined only when a healthy copy can replace it; otherwise it stays
+// for a later pass.  An entry with no healthy copy anywhere is counted
+// unrecoverable and left to re-simulation — the one cost determinism makes
+// merely a cache miss, never data loss.  Passes are serialised with each
+// other and with Prune and EvictHash; Get/Put remain safe (and answer from
+// healthy copies) while a pass runs.
+func (s *Store) Scrub() ScrubReport {
+	s.maint.Lock()
+	defer s.maint.Unlock()
+	s.scrubRuns.Inc()
 
-// scanRel reports each entry's store-relative name and modification time —
-// the per-replica view the replicated pruner ages entries by.
-func (s *Store) scanRel(visit func(rel string, mod int64)) error {
-	if s.dir == "" {
-		return nil
-	}
-	_, _, err := s.scan(func(p string, info fs.FileInfo) {
-		if rel, rerr := filepath.Rel(s.dir, p); rerr == nil {
-			visit(rel, info.ModTime().UnixNano())
-		}
-	})
-	return err
-}
-
-// removeEntries deletes the named entries (store-relative, as produced by
-// scanRel/entryNames) and returns how many removes actually succeeded — the
-// only number the freshness accounting may trust.  Absent names are not an
-// error: a replica that never held the copy simply has nothing to remove.
-func (s *Store) removeEntries(rels []string) int {
-	if s.dir == "" {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	removed := 0
-	for _, rel := range rels {
-		if os.Remove(filepath.Join(s.dir, rel)) == nil {
-			removed++
-			s.evicted.Inc()
+	// The union of entry names across replicas: a copy missing everywhere
+	// is invisible (nothing to repair from), which is exactly right.
+	union := map[string]bool{}
+	for _, r := range s.replicas {
+		if _, _, err := r.walk(func(rel string, _ fs.FileInfo) { union[rel] = true }); err != nil {
+			s.logf("resultstore: scrub scan of %s: %v", r.dir, err)
 		}
 	}
-	if removed > 0 {
-		s.entries.Set(float64(s.diskN.Add(int64(-removed))))
-	}
-	return removed
-}
 
-// Stats reports the disk tier's entry count and total size in bytes, plus
-// the memory tier's entry count.  The scan is ground truth, so it also
-// resyncs the best-effort diskN counter (and its gauge) that concurrent
-// same-key Puts can drift.
-func (s *Store) Stats() (diskEntries int, diskBytes int64, memEntries int) {
-	memEntries = s.mem.len()
-	if s.dir == "" {
-		return 0, 0, memEntries
-	}
-	diskEntries, diskBytes, _ = s.scan(nil)
-	s.diskN.Store(int64(diskEntries))
-	s.entries.Set(float64(diskEntries))
-	return diskEntries, diskBytes, memEntries
-}
+	var rep ScrubReport
+	states := make([]copyState, len(s.replicas))
+	causes := make([]error, len(s.replicas))
+	for rel := range union {
+		rep.Entries++
+		s.scrubEntries.Inc()
 
-// Verify decodes and checksums every disk entry — the first step of the
-// cache-poisoning runbook in docs/SERVING.md.  Corrupt entries are
-// quarantined exactly as a Get would, so a verify pass leaves the store
-// clean; the counts let the operator decide whether to dig further.
-func (s *Store) Verify() (ok, corrupt int, err error) {
-	if s.dir == "" {
-		return 0, 0, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var paths []string
-	if _, _, err := s.scan(func(p string, _ fs.FileInfo) { paths = append(paths, p) }); err != nil {
-		return 0, 0, err
-	}
-	for _, p := range paths {
-		data, rerr := s.disk.ReadFile(p)
-		if rerr != nil {
-			continue // raced with eviction
-		}
-		var e entry
-		derr := json.Unmarshal(data, &e)
-		if derr != nil || Checksum(e.CfgHash, e.Payload) != e.Checksum || s.path(e.Key) != p {
-			s.corrupt.Inc()
-			corrupt++
-			cause := derr
-			if cause == nil {
-				cause = errors.New("checksum or address mismatch")
+		var healthy *entry
+		for i, r := range s.replicas {
+			e, st, err := r.load(filepath.Join(r.dir, rel))
+			states[i], causes[i] = st, err
+			if st == copyOK && healthy == nil {
+				healthy = &e
 			}
-			s.quarantine(p, cause)
-			continue
 		}
-		ok++
+
+		allOK := true
+		for i, r := range s.replicas {
+			switch st := states[i]; {
+			case st == copyOK:
+				continue
+			case st == copyAbsent:
+				rep.MissingCopies++
+				s.scrubMissing.Inc()
+			case st == copyBad || healthy != nil:
+				rep.CorruptCopies++
+				s.scrubCorrupt.Inc()
+				s.quarantine(r, filepath.Join(r.dir, rel), causes[i])
+			}
+			allOK = false
+			if healthy == nil {
+				continue
+			}
+			if s.repair(r, *healthy) {
+				rep.Repaired++
+			} else {
+				rep.RepairFailures++
+			}
+		}
+		if allOK {
+			rep.Healthy++
+		}
+		if healthy == nil {
+			rep.Unrecoverable++
+			s.scrubUnrecov.Inc()
+			s.logf("resultstore: scrub: %s has no healthy copy in any replica; it will re-simulate on demand", rel)
+		}
 	}
-	return ok, corrupt, nil
+
+	s.lastScrub.Lock()
+	s.lastScrub.report = rep
+	s.lastScrub.when = time.Now()
+	s.lastScrub.passes++
+	s.lastScrub.Unlock()
+
+	if rep.CorruptCopies > 0 || rep.MissingCopies > 0 || rep.Unrecoverable > 0 {
+		s.logf("resultstore: scrub pass: %d entries, %d corrupt copies quarantined, %d missing, %d repaired, %d unrecoverable",
+			rep.Entries, rep.CorruptCopies, rep.MissingCopies, rep.Repaired, rep.Unrecoverable)
+	}
+	return rep
+}
+
+// LastScrub reports the most recent pass's findings, when it ran, and how
+// many passes have completed — the admin status endpoint's scrub block.
+func (s *Store) LastScrub() (rep ScrubReport, when time.Time, passes int) {
+	s.lastScrub.Lock()
+	defer s.lastScrub.Unlock()
+	return s.lastScrub.report, s.lastScrub.when, s.lastScrub.passes
+}
+
+// scrubLoop runs Scrub on a jittered interval until Close.  The jitter
+// (±20%) keeps a fleet of processes sharing replica directories from
+// synchronising their scan I/O.
+func (s *Store) scrubLoop(interval time.Duration) {
+	defer s.wg.Done()
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	for {
+		d := interval + time.Duration((rng.Float64()-0.5)*0.4*float64(interval))
+		select {
+		case <-s.done:
+			return
+		case <-time.After(d):
+			s.Scrub()
+		}
+	}
+}
+
+// Verify runs one synchronous scrub pass — the first step of the
+// cache-poisoning runbook in docs/SERVING.md — and reports ok, the number
+// of entries left with a healthy copy, and corrupt, the number of copies
+// quarantined.  The pass leaves the store clean; the counts let the
+// operator decide whether to dig further.  A replica that cannot be walked
+// is logged, not returned: its entries count missing and are healed from
+// the others.  This is what POST /admin/store/verify calls.
+func (s *Store) Verify() (ok, corrupt int, err error) {
+	rep := s.Scrub()
+	return rep.Entries - rep.Unrecoverable, rep.CorruptCopies, nil
 }
 
 // EvictHash removes every entry whose machine is the given canonical
 // machconf hash, across all benchmarks and instruction counts — the
 // runbook's targeted response when one configuration's results are
 // suspect.  The memory tier drops exactly the entries carrying that hash;
-// unrelated hot entries stay resident.  Returns how many disk entries were
-// removed.
+// unrelated hot entries stay resident.  Returns how many copies were
+// removed across replicas.
 func (s *Store) EvictHash(cfgHash string) (int, error) {
 	s.mem.evictHash(cfgHash)
-	if s.dir == "" {
-		return 0, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var victims []string
-	_, _, err := s.scan(func(p string, _ fs.FileInfo) {
-		data, err := s.disk.ReadFile(p)
-		if err != nil {
-			return
-		}
-		var e entry
-		if json.Unmarshal(data, &e) == nil && e.CfgHash == cfgHash {
-			victims = append(victims, p)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
+	s.maint.Lock()
+	defer s.maint.Unlock()
 	removed := 0
-	for _, p := range victims {
-		// Only a successful Remove may decrement the freshness count; a
-		// victim that raced a concurrent prune (already gone) or hit an
-		// unremovable file is still on the scan's books.
-		if os.Remove(p) == nil {
-			removed++
-			s.evicted.Inc()
+	var firstErr error
+	for _, r := range s.replicas {
+		var victims []string
+		_, _, err := r.walk(func(rel string, _ fs.FileInfo) {
+			path := filepath.Join(r.dir, rel)
+			if e, _, _ := r.load(path); e.CfgHash == cfgHash {
+				victims = append(victims, path)
+			}
+		})
+		if err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			continue
+		}
+		for _, path := range victims {
+			if r.remove(path) {
+				removed++
+				s.evicted.Inc()
+			}
 		}
 	}
-	if s.logf != nil && removed > 0 {
+	s.syncEntries()
+	if removed > 0 {
 		s.logf("resultstore: evicted %d entries for config hash %s", removed, cfgHash)
 	}
-	s.entries.Set(float64(s.diskN.Add(int64(-removed))))
+	return removed, firstErr
+}
+
+// Prune is the store's garbage collector: when the replicas hold more than
+// maxEntries distinct entries, the oldest are removed until the bound
+// holds, and returns how many copies were removed.  One victim set is
+// computed over the union of every replica's entries — each entry aged by
+// the NEWEST copy any replica holds (write time, since entries are
+// immutable), entry name as the tie-break — and that same set is removed
+// from every replica.  Pruning each replica independently looks equivalent
+// but is not: repair rewrites reset copy mtimes per replica, so each
+// replica would keep a different survivor set, the scrubber would heal
+// every victim back from the others, and prune+scrub would ping-pong
+// forever.  Safe to run while the store serves.
+func (s *Store) Prune(maxEntries int) (int, error) {
+	if maxEntries < 0 {
+		return 0, nil
+	}
+	s.maint.Lock()
+	defer s.maint.Unlock()
+
+	newest := map[string]int64{} // rel name → newest copy mtime anywhere
+	for _, r := range s.replicas {
+		_, _, err := r.walk(func(rel string, info fs.FileInfo) {
+			if mod := info.ModTime().UnixNano(); mod > newest[rel] {
+				newest[rel] = mod
+			}
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	if len(newest) <= maxEntries {
+		s.syncEntries()
+		return 0, nil
+	}
+	victims := make([]string, 0, len(newest))
+	for rel := range newest {
+		victims = append(victims, rel)
+	}
+	sort.Slice(victims, func(i, j int) bool {
+		if a, b := newest[victims[i]], newest[victims[j]]; a != b {
+			return a < b
+		}
+		return victims[i] < victims[j]
+	})
+	victims = victims[:len(victims)-maxEntries]
+	removed := 0
+	for _, r := range s.replicas {
+		for _, rel := range victims {
+			if r.remove(filepath.Join(r.dir, rel)) {
+				removed++
+				s.evicted.Inc()
+			}
+		}
+	}
+	s.syncEntries()
+	if removed > 0 {
+		s.logf("resultstore: pruned %d entries (%d copies) down to bound %d", len(victims), removed, maxEntries)
+	}
 	return removed, nil
 }
 
-// Prune is the store's garbage collector: when the disk tier holds more
-// than maxEntries, the oldest entries (by modification time — write time,
-// since entries are immutable) are removed until the bound holds.  Returns
-// how many entries were removed.  Safe to run while the store serves.
-func (s *Store) Prune(maxEntries int) (int, error) {
-	if s.dir == "" || maxEntries < 0 {
-		return 0, nil
+// ReplicaStat is one replica's view for the admin status endpoint.
+type ReplicaStat struct {
+	Dir         string `json:"dir"`
+	Entries     int    `json:"entries"`
+	Bytes       int64  `json:"bytes"`
+	Quarantined int    `json:"quarantined"`
+}
+
+// ReplicaStats walks every replica and reports its entry count, byte size,
+// and quarantine population.  The walks are ground truth, so they also
+// resync the best-effort entry counts (and the gauge) that concurrent
+// same-key Puts can drift.
+func (s *Store) ReplicaStats() []ReplicaStat {
+	out := make([]ReplicaStat, len(s.replicas))
+	for i, r := range s.replicas {
+		n, b, _ := r.walk(nil)
+		out[i] = ReplicaStat{Dir: r.dir, Entries: n, Bytes: b, Quarantined: r.quarantined()}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	type aged struct {
-		path string
-		mod  int64
+	s.syncEntries()
+	return out
+}
+
+// Stats reports the widest replica's entry count and byte size (replicas
+// converge on the same contents; the max is the least surprising single
+// number while one of them is healing), plus the memory tier's entry
+// count.  Per-replica truth is ReplicaStats.
+func (s *Store) Stats() (diskEntries int, diskBytes int64, memEntries int) {
+	for _, st := range s.ReplicaStats() {
+		diskEntries = max(diskEntries, st.Entries)
+		diskBytes = max(diskBytes, st.Bytes)
 	}
-	var all []aged
-	if _, _, err := s.scan(func(p string, info fs.FileInfo) {
-		all = append(all, aged{p, info.ModTime().UnixNano()})
-	}); err != nil {
-		return 0, err
+	return diskEntries, diskBytes, s.mem.len()
+}
+
+// Quarantined reports how many corrupt copies sit in the replicas'
+// quarantine subdirectories — the admin status endpoint's "how bad was it"
+// figure.
+func (s *Store) Quarantined() int {
+	n := 0
+	for _, r := range s.replicas {
+		n += r.quarantined()
 	}
-	if len(all) <= maxEntries {
-		return 0, nil
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mod < all[j].mod })
-	removed := 0
-	for _, a := range all[:len(all)-maxEntries] {
-		if os.Remove(a.path) == nil {
-			removed++
-			s.evicted.Inc()
-		}
-	}
-	s.diskN.Store(int64(len(all) - removed))
-	s.entries.Set(float64(len(all) - removed))
-	if s.logf != nil && removed > 0 {
-		s.logf("resultstore: pruned %d entries (bound %d)", removed, maxEntries)
-	}
-	return removed, nil
+	return n
 }
