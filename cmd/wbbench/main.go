@@ -198,7 +198,7 @@ func main() {
 			fail(err)
 		}
 		res.Row = measureBest(benches, "row", *quiet, *repeat, func(b workload.Benchmark) uint64 {
-			if _, _, err := dispatch.ExecuteRow(context.Background(), b, labels, cfgs, *n, nil); err != nil {
+			if _, _, err := dispatch.ExecuteRow(context.Background(), b, labels, cfgs, *n, nil, nil); err != nil {
 				fail(fmt.Errorf("%s: %w", b.Name, err))
 			}
 			return uint64(len(cfgs)) * *n

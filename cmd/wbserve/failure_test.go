@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -20,19 +23,6 @@ type failBackend struct{}
 
 func (failBackend) Run(context.Context, dispatch.Job) (dispatch.Measurement, error) {
 	return dispatch.Measurement{}, errors.New("injected: backend down")
-}
-
-// unstoredBackend executes through the real store-backed backend but reports
-// the result as not durably stored — the contract Cached.Run exposes when
-// the disk rejects the Put while the measurement is already in hand.
-type unstoredBackend struct{ inner dispatch.Backend }
-
-func (b unstoredBackend) Run(ctx context.Context, job dispatch.Job) (dispatch.Measurement, error) {
-	m, err := b.inner.Run(ctx, job)
-	if err != nil {
-		return m, err
-	}
-	return m, fmt.Errorf("%w: injected", dispatch.ErrResultNotStored)
 }
 
 // getRunDoc fetches and decodes GET /run/{id}.
@@ -54,8 +44,8 @@ func getRunDoc(t *testing.T, url string) runView {
 }
 
 // A failed job must never be recorded as completed: the run document shows
-// it failed (complete stays false), the journal holds no done marker, and a
-// synchronous request answers 500 rather than fabricating a result.
+// it failed (complete stays false), the store holds no result for it, and
+// a synchronous request answers 500 rather than fabricating a result.
 func TestJobFailureKeepsLedgerHonest(t *testing.T) {
 	s, ts := testServerCfg(t, serverConfig{
 		CacheSize: 4, MaxN: 5_000_000,
@@ -91,8 +81,8 @@ func TestJobFailureKeepsLedgerHonest(t *testing.T) {
 	if !doc.Jobs[0].Failed || doc.Jobs[0].Done {
 		t.Errorf("job row after failure: %+v, want failed and not done", doc.Jobs[0])
 	}
-	if s.queue.IsDone(doc.Jobs[0].Key) {
-		t.Error("failed job journaled a done marker — a restart would never retry it")
+	if s.storeHas(doc.Jobs[0].Key) {
+		t.Error("failed job has a stored result — a restart would never retry it")
 	}
 	if n := s.reg.Counter("wbserve_job_failures_total").Value(); n < 1 {
 		t.Errorf("wbserve_job_failures_total = %d, want >= 1", n)
@@ -112,15 +102,24 @@ func TestJobFailureKeepsLedgerHonest(t *testing.T) {
 }
 
 // A job whose store write failed still completes its runs — the measurement
-// is valid and served — but gets NO done marker: the journal's invariant is
-// "done = result durably in the store", so replay re-runs it after a
-// restart instead of hanging on a marker for a result that was never kept.
+// is valid and served — but the store only holds it in memory, so after a
+// restart over the same directories the journal re-runs it instead of
+// trusting a result that was never kept.  The write fails because a regular
+// file sits where the entry's two-hex-character shard directory goes.
 func TestUnstoredResultCompletesWithoutDoneMarker(t *testing.T) {
-	s, ts := testServerCfg(t, serverConfig{
-		CacheSize: 4, MaxN: 5_000_000,
-		testBackend: func(b dispatch.Backend) dispatch.Backend { return unstoredBackend{inner: b} },
-	})
+	dir := t.TempDir()
+	cfg := serverConfig{CacheSize: 4, MaxN: 5_000_000, StoreDir: dir + "/store", QueuePath: dir + "/queue.jsonl"}
+	key := requestKey(t, "li", 100_000)
+	sum := sha256.Sum256([]byte(key))
+	shard := filepath.Join(cfg.StoreDir, hex.EncodeToString(sum[:1]))
+	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shard, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
+	s, ts := testServerCfg(t, cfg)
 	resp, out := postRun(t, ts, `{"bench":"li","n":100000}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync run with an unstorable result: status %d, want 200 (the measurement is in hand)", resp.StatusCode)
@@ -128,17 +127,29 @@ func TestUnstoredResultCompletesWithoutDoneMarker(t *testing.T) {
 	if out.Instructions == 0 {
 		t.Error("empty measurement returned alongside a 200")
 	}
-	if n := s.reg.Counter("wbserve_store_put_failures_total").Value(); n != 1 {
-		t.Errorf("wbserve_store_put_failures_total = %d, want 1", n)
+	if n := s.reg.Counter("resultstore_put_failures_total").Value(); n != 1 {
+		t.Errorf("resultstore_put_failures_total = %d, want 1", n)
 	}
 	if n := s.reg.Counter("wbserve_job_failures_total").Value(); n != 0 {
 		t.Errorf("an unstored result was counted as a job failure (%d)", n)
 	}
-	runs := s.queue.Runs()
-	if len(runs) != 1 || len(runs[0].Jobs) != 1 {
-		t.Fatalf("queue holds %d runs, want the one submitted", len(runs))
+	ts.Close()
+	s.Close()
+
+	// The disk recovers; a restart over the same directories re-runs the
+	// job the store never kept, and this time stores it.
+	if err := os.Remove(shard); err != nil {
+		t.Fatal(err)
 	}
-	if s.queue.IsDone(runs[0].Jobs[0].Key) {
-		t.Error("unstored result journaled a done marker — restart recovery would trust a result that is not in the store")
+	s2, _ := testServerCfg(t, cfg)
+	deadline := time.Now().Add(10 * time.Second)
+	for !s2.storeHas(key) {
+		if time.Now().After(deadline) {
+			t.Fatal("restart never re-ran the unstored job")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := s2.reg.Counter("dispatch_store_misses_total").Value(); n != 1 {
+		t.Errorf("restart simulated %d jobs, want 1 (the unstored one)", n)
 	}
 }

@@ -187,9 +187,9 @@ func main() {
 	// /run and /job work is refused — then http.Server.Shutdown lets
 	// in-flight requests finish under the drain deadline, and finally the
 	// dispatcher pool and queue journal close (jobs in flight at that point
-	// carry no done marker and re-run on the next start).  A second signal
-	// kills the process the usual way (NotifyContext unregisters after the
-	// first).
+	// have no stored result, so they re-run on the next start).  A second
+	// signal kills the process the usual way (NotifyContext unregisters
+	// after the first).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

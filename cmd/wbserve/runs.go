@@ -56,7 +56,7 @@ type runUpdate struct {
 	Complete     bool    `json:"complete"`
 	// Failed marks this update as a job *failure*: the job identified by
 	// Bench/Label/Key errored instead of completing.  Failed jobs do not
-	// count toward Done or Complete — they carry no done marker, so the
+	// count toward Done or Complete — the store lacks their result, so the
 	// journal re-delivers them after a restart (or a resubmission retries
 	// them immediately).  FailedJobs is the run's current failure count.
 	Failed     bool `json:"failed,omitempty"`
@@ -190,6 +190,19 @@ func (st *runState) doneKeys() (done, failed map[string]bool) {
 	return done, failed
 }
 
+// stillDone reports whether isDone still holds every key the run counts
+// done.
+func (st *runState) stillDone(isDone func(key string) bool) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for k := range st.done {
+		if !isDone(k) {
+			return false
+		}
+	}
+	return true
+}
+
 // runRegistry indexes live runs by id and pending result-store key, fanning
 // each completed job out to every run that contains it — the serving-layer
 // face of queue deduplication: one execution retires the same key in every
@@ -207,13 +220,16 @@ func newRunRegistry() *runRegistry {
 	}
 }
 
-// register installs a run (idempotently: an already-registered id returns
-// the existing state).  isDone, when non-nil, seeds the done set — the
-// result store's membership test, so store-answered jobs never wait.
+// register installs a run and returns its state.  isDone is the result
+// store's membership test: it seeds the done set, so store-answered jobs
+// never wait.  An already-registered id returns the existing state while
+// the store still holds every job that state counts done; once the store
+// has forgotten one (evicted, pruned, quarantined), the run starts over
+// from a fresh state that waits on it again.
 func (rr *runRegistry) register(run jobqueue.Run, isDone func(key string) bool) *runState {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	if st, ok := rr.runs[run.ID]; ok {
+	if st, ok := rr.runs[run.ID]; ok && st.stillDone(isDone) {
 		return st
 	}
 	st := &runState{
@@ -224,7 +240,7 @@ func (rr *runRegistry) register(run jobqueue.Run, isDone func(key string) bool) 
 		finished: make(chan struct{}),
 	}
 	for _, j := range run.Jobs {
-		if isDone != nil && isDone(j.Key) {
+		if isDone(j.Key) {
 			st.done[j.Key] = true
 			continue
 		}
@@ -287,9 +303,9 @@ func (rr *runRegistry) complete(key string, ev experiment.ProgressEvent) {
 
 // fail marks key failed in every run waiting on it.  Unlike complete, the
 // key is NOT removed from the waiting index and NOT counted done: a failed
-// job has no stored result and no done marker, so a resubmission (or the
-// journal replay after a restart) reruns it, and a later success flows
-// through complete and clears the failure.  Synchronous waiters are still
+// job has no stored result, so a resubmission (or the journal replay after
+// a restart) reruns it, and a later success flows through complete and
+// clears the failure.  Synchronous waiters are still
 // released — once every job is either done or failed there is nothing left
 // in flight to wait for, and the run document distinguishes the two.
 func (rr *runRegistry) fail(key string, ev experiment.ProgressEvent) {

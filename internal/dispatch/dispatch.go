@@ -110,7 +110,7 @@ func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 // derived benchmarks (workload.Derive) that are not name-resolvable still
 // run locally.
 func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, reg *metrics.Registry) (Measurement, error) {
-	out, _, err := ExecuteRow(context.Background(), b, []string{label}, []sim.Config{cfg}, n, reg)
+	out, _, err := ExecuteRow(context.Background(), b, []string{label}, []sim.Config{cfg}, n, reg, nil)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -125,7 +125,10 @@ func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, 
 // (construction, stepping, measurement) plus 1/K of the row's shared time
 // (stream construction and reference generation), so the row's job times
 // sum to its wall time.  When reg is non-nil every finished machine's
-// counters are folded into it.
+// counters are folded into it.  When visit is non-nil it receives each
+// finished machine with its configuration's index, for callers that read
+// machine state a Measurement does not carry, such as the occupancy
+// histogram; it runs on the calling goroutine before ExecuteRow returns.
 //
 // The error wraps the sim validation error of an inconsistent
 // configuration, naming its label, and is reported before anything runs;
@@ -133,16 +136,7 @@ func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, 
 // batches.  Either way the generator is closed, which stops a kernel's
 // producer goroutine even inside a composed stream (trace.Concat,
 // Interleave, Inject).
-func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry) ([]Measurement, []time.Duration, error) {
-	return ExecuteRowVisit(ctx, b, labels, cfgs, n, reg, nil)
-}
-
-// ExecuteRowVisit is ExecuteRow that also hands each finished machine to
-// visit (when non-nil) with its configuration's index, for callers that
-// read machine state a Measurement does not carry, such as the occupancy
-// histogram.  visit runs on the calling goroutine before ExecuteRowVisit
-// returns.
-func ExecuteRowVisit(ctx context.Context, b workload.Benchmark, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry, visit func(int, *sim.Machine)) ([]Measurement, []time.Duration, error) {
+func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry, visit func(int, *sim.Machine)) ([]Measurement, []time.Duration, error) {
 	if len(cfgs) == 0 {
 		return nil, nil, nil
 	}

@@ -90,9 +90,6 @@ type RemoteOptions struct {
 	// attention: the downgrade to local execution, verification runs and
 	// failures.  CLIs point it at stderr.
 	Logf func(format string, args ...any)
-	// Seed seeds the backoff jitter (0 picks a fixed seed; jitter needs
-	// spread, not secrecy).
-	Seed int64
 }
 
 const (
@@ -105,6 +102,8 @@ const (
 	hedgeMinDelay = time.Millisecond
 	// verifySeed seeds the VerifyFraction sample choice.
 	verifySeed = 1
+	// jitterSeed seeds the backoff jitter, which needs spread, not secrecy.
+	jitterSeed = 1
 )
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
@@ -130,9 +129,6 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	}
 	if o.ConcurrencyPerWorker <= 0 {
 		o.ConcurrencyPerWorker = 4
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -213,7 +209,7 @@ func NewRemote(addrs []string, opts RemoteOptions) (*Remote, error) {
 		verifyFails:  reg.Counter("dispatch_verify_failures_total"),
 		poolLatency:  reg.Histogram("dispatch_job_pool_microseconds"),
 
-		rng:  rand.New(rand.NewSource(opts.Seed)),
+		rng:  rand.New(rand.NewSource(jitterSeed)),
 		done: make(chan struct{}),
 	}
 	for _, a := range addrs {

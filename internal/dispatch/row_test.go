@@ -34,7 +34,7 @@ func TestExecuteRowMatchesExecuteBench(t *testing.T) {
 
 	rowReg, aloneReg := metrics.NewRegistry(), metrics.NewRegistry()
 	start := time.Now()
-	got, times, err := ExecuteRow(context.Background(), b, labels, cfgs, n, rowReg)
+	got, times, err := ExecuteRow(context.Background(), b, labels, cfgs, n, rowReg, nil)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -70,13 +70,13 @@ func TestExecuteRowErrors(t *testing.T) {
 	bad := sim.Baseline()
 	bad.WB.Depth = 0
 	_, _, err := ExecuteRow(context.Background(), b, []string{"ok", "bad"},
-		[]sim.Config{sim.Baseline(), bad}, 10_000, nil)
+		[]sim.Config{sim.Baseline(), bad}, 10_000, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), `"bad"`) {
 		t.Errorf("invalid config: err = %v, want one naming \"bad\"", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 10_000, nil); err != context.Canceled {
+	if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 10_000, nil, nil); err != context.Canceled {
 		t.Errorf("cancelled row: err = %v, want context.Canceled", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestExecuteRowCancelStopsGenerator(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		for i := 0; i < 20; i++ {
-			if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 1_000_000, nil); err != context.Canceled {
+			if _, _, err := ExecuteRow(ctx, b, []string{"a"}, []sim.Config{sim.Baseline()}, 1_000_000, nil, nil); err != context.Canceled {
 				t.Fatalf("cancelled %s row: err = %v, want context.Canceled", b.Name, err)
 			}
 		}

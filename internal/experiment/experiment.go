@@ -30,7 +30,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -265,7 +264,7 @@ func runMatrix(ctx context.Context, benches []workload.Benchmark, specs []Config
 		for i, spec := range specs[lo:hi] {
 			labels[i], cfgs[i] = spec.Label, spec.Cfg
 		}
-		mnts, times, err := dispatch.ExecuteRowVisit(ctx, benches[bi], labels, cfgs, n, o.Metrics,
+		mnts, times, err := dispatch.ExecuteRow(ctx, benches[bi], labels, cfgs, n, o.Metrics,
 			func(i int, m *sim.Machine) { visit(bi, lo+i, m) })
 		if err != nil {
 			if ctx.Err() == nil {
@@ -287,13 +286,10 @@ func runMatrix(ctx context.Context, benches []workload.Benchmark, specs []Config
 			Cfg:   specs[ci].Cfg,
 			N:     n,
 		})
-		if err != nil && !errors.Is(err, dispatch.ErrResultNotStored) {
+		if err != nil {
 			fail(fmt.Errorf("experiment: job %s/%s: %w", benches[bi].Name, specs[ci].Label, err))
 			return
 		}
-		// ErrResultNotStored: the measurement is valid, only the store
-		// write failed — a full disk must not fail the sweep; the store's
-		// metrics record the miss.
 		out[bi][ci] = mnt
 		report(mnt, time.Since(start))
 	}

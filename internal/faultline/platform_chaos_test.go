@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,8 +50,8 @@ func chaosQueueJobs(t *testing.T) []jobqueue.Job {
 
 // platformPump is the wbserve dispatcher loop in miniature: submit the
 // chaos sweep to the queue (resuming any pre-existing journal first), then
-// drain it through the backend with Done markers journalled after each
-// store write.  killAfter > 0 closes the queue after that many completions
+// drain it through the backend, ending each job's flight with Done after
+// its store write.  killAfter > 0 closes the queue after that many completions
 // — the kill -9 — leaving the rest journalled but undone.  Returns how
 // many jobs this "process" completed.
 func platformPump(t *testing.T, backend dispatch.Backend, store *resultstore.Store, queuePath string, reg *metrics.Registry, killAfter int) int {
@@ -95,21 +94,15 @@ func platformPump(t *testing.T, backend dispatch.Backend, store *resultstore.Sto
 				if err == nil {
 					_, err = backend.Run(ctx, dispatch.Job{Bench: job.Bench, Label: job.Label, Cfg: cfg, N: job.N})
 				}
-				stored := err == nil
-				if errors.Is(err, dispatch.ErrResultNotStored) {
-					err = nil // measurement in hand; just no durable copy
-				}
 				if err != nil {
 					errc <- err
 					return
 				}
-				// The done-marker protocol: journal only durably stored
-				// results; an unstored job stays live and re-runs later.
-				if stored {
-					if err := q.Done(job.Key); err != nil {
-						errc <- err
-						return
-					}
+				// Done ends the flight; the store is the record of the
+				// result, and a job it lacks stays live and re-runs later.
+				if err := q.Done(job.Key); err != nil {
+					errc <- err
+					return
 				}
 				done := completed.Add(1)
 				if killAfter > 0 && done >= int64(killAfter) {

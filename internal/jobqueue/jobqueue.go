@@ -12,23 +12,27 @@
 // key is the coalescing step — two tenants asking for the same
 // (bench, n, machine) enqueue one job, and one execution retires both.
 //
-// Durability protocol.  Two journal ops:
+// Durability protocol.  The journal has one record kind:
 //
 //	{"op":"run","run":{...}}   a submitted run: id, tenant, ordered jobs
-//	{"op":"done","key":"..."}  one job's result is durably in the store
 //
-// A done marker is appended only after the result store holds the payload,
-// so replay can trust it.  On restart, jobs from journaled runs that lack
-// a done marker are re-enqueued in their original order (at-least-once
-// delivery — harmless, because jobs are deterministic and the store
-// answers re-executions before they simulate).  A job that was in flight
-// when the process died simply reruns.  A torn final line is skipped.
+// appended the first time a run id is submitted.  The queue keeps no
+// record of finished jobs: the result store is the only one, and a job is
+// done exactly when the store holds its key.  Submit, Resume and
+// compaction all decide with the store's membership test, so a key the
+// store forgets (LRU eviction, an admin evict or prune, a quarantined
+// copy) is simply not done any more and queues again.  On restart, every
+// journaled job the store lacks is re-enqueued in its original order
+// (at-least-once delivery — harmless, because jobs are deterministic).  A
+// job that was in flight when the process died simply reruns.  A torn
+// final line is skipped; a {"op":"done"} line from an older journal
+// replays as a no-op.
 //
 // Growth is bounded: Resume compacts the journal after replay, rewriting
-// only the live records (runs that still have undone jobs, and the done
-// markers those runs reference) and atomically swapping the file — a
-// long-lived server replays a backlog, not its whole history.  The
-// jobqueue_journal_bytes gauge tracks the file size between restarts.
+// only the runs that still have jobs the store lacks and atomically
+// swapping the file — a long-lived server replays a backlog, not its whole
+// history.  The jobqueue_journal_bytes gauge tracks the file size between
+// restarts.
 //
 // The queue does not interpret job payloads: the machconf blob rides
 // through opaquely, so custom registered policies queue like built-ins.
@@ -43,6 +47,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -74,9 +79,8 @@ type Run struct {
 
 // record is one journal line.
 type record struct {
-	Op  string `json:"op"`            // "run" or "done"
-	Run *Run   `json:"run,omitempty"` // op == "run"
-	Key string `json:"key,omitempty"` // op == "done"
+	Op  string `json:"op"` // "run"; older journals also hold "done"
+	Run *Run   `json:"run,omitempty"`
 }
 
 // Queue is the durable FIFO.  All methods are safe for concurrent use.
@@ -87,11 +91,10 @@ type Queue struct {
 	bytes   int64           // journal size (tracked so appends stay O(1))
 	runs    map[string]*Run // every journaled run, by id
 	order   []string        // run ids in submission order
-	done    map[string]bool // keys with a durable result
-	pending []Job           // FIFO of undone, deduped jobs
+	pending []Job           // FIFO of deduped jobs the store lacks
 	// active is the dedup index: keys pending or dequeued and still in
-	// flight.  A key leaves it only through Done or Release, so a
-	// resubmission while its job executes is not enqueued a second time.
+	// flight.  A key leaves it only through Done, so a resubmission while
+	// its job executes is not enqueued a second time.
 	active map[string]bool
 	wake   chan struct{} // closed-and-replaced to wake blocked Dequeue
 	closed bool
@@ -101,7 +104,6 @@ type Queue struct {
 
 	enqueued  *metrics.Counter
 	deduped   *metrics.Counter
-	doneC     *metrics.Counter
 	compacted *metrics.Counter
 	depth     *metrics.Gauge
 	jbytes    *metrics.Gauge
@@ -119,12 +121,10 @@ func Open(path string, reg *metrics.Registry, logf func(format string, args ...a
 	}
 	q := &Queue{
 		runs:      map[string]*Run{},
-		done:      map[string]bool{},
 		active:    map[string]bool{},
 		wake:      make(chan struct{}),
 		enqueued:  reg.Counter("jobqueue_enqueued_total"),
 		deduped:   reg.Counter("jobqueue_deduped_total"),
-		doneC:     reg.Counter("jobqueue_done_total"),
 		compacted: reg.Counter("jobqueue_compactions_total"),
 		depth:     reg.Gauge("jobqueue_depth"),
 		jbytes:    reg.Gauge("jobqueue_journal_bytes"),
@@ -172,13 +172,14 @@ func (q *Queue) replay(data []byte) {
 		}
 		switch {
 		case rec.Op == "run" && rec.Run != nil && rec.Run.ID != "":
-			if _, dup := q.runs[rec.Run.ID]; !dup {
+			if _, dup := q.runs[rec.Run.ID]; !dup { // first submission wins
+				q.runs[rec.Run.ID] = rec.Run
 				q.order = append(q.order, rec.Run.ID)
 				q.loaded++
 			}
-			q.runs[rec.Run.ID] = rec.Run // last submission wins
-		case rec.Op == "done" && rec.Key != "":
-			q.done[rec.Key] = true
+		case rec.Op == "done":
+			// A done marker from an older journal carries nothing: the
+			// store decides which jobs are finished.
 		default:
 			q.skipped++
 		}
@@ -186,21 +187,17 @@ func (q *Queue) replay(data []byte) {
 }
 
 // Resume builds the pending FIFO from the replayed runs: every job whose
-// key has no done marker and fails the store membership test (isDone may
-// be nil) is enqueued in original submission order.  Jobs that were in
-// flight at the kill reappear here — at-least-once delivery.  Returns the
-// number of jobs queued for re-execution.
+// key fails the store membership test (isDone may be nil, which counts
+// nothing done) is enqueued in original submission order.  Jobs that were
+// in flight at the kill reappear here — at-least-once delivery.  Returns
+// the number of jobs queued for re-execution.
 func (q *Queue) Resume(isDone func(key string) bool) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
 	for _, id := range q.order {
 		for _, j := range q.runs[id].Jobs {
-			if q.done[j.Key] || q.active[j.Key] {
-				continue
-			}
-			if isDone != nil && isDone(j.Key) {
-				q.done[j.Key] = true // store already has it; trust the store
+			if q.active[j.Key] || (isDone != nil && isDone(j.Key)) {
 				continue
 			}
 			q.pending = append(q.pending, j)
@@ -215,52 +212,34 @@ func (q *Queue) Resume(isDone func(key string) bool) int {
 			q.logf("jobqueue: resumed %d pending jobs from %d journaled runs", n, q.loaded)
 		}
 	}
-	q.compactLocked()
+	q.compactLocked(isDone)
 	return n
 }
 
-// compactLocked rewrites the journal with only its live records — runs
-// that still have undone jobs, plus the done markers those runs reference —
-// and atomically replaces the old file.  Without this, a long-lived server
-// replays every done marker it ever wrote on each restart; with it, the
-// journal's size tracks the backlog, not the history.  Completed runs drop
-// out of the journal entirely (their results live in the store, and
-// resubmitting the same sweep reconstructs the run instantly from store
-// hits).  Callers hold mu.  Best-effort: a failed rewrite keeps the old
-// journal and is logged, never fatal.
-func (q *Queue) compactLocked() {
+// compactLocked rewrites the journal with only its live runs — those with
+// a job the store lacks (isDone may be nil, which keeps every run) — and
+// atomically replaces the old file, so the journal's size tracks the
+// backlog, not the history.  Completed runs drop out of the journal
+// entirely (their results live in the store, and resubmitting the same
+// sweep reconstructs the run instantly from store hits).  Callers hold mu.
+// Best-effort: a failed rewrite keeps the old journal and is logged, never
+// fatal.
+func (q *Queue) compactLocked(isDone func(key string) bool) {
 	if q.f == nil || q.path == "" {
 		return
 	}
-	var liveIDs []string
-	liveDone := map[string]bool{}
+	undone := func(j Job) bool { return isDone == nil || !isDone(j.Key) }
+	live := 0
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, id := range q.order {
 		run := q.runs[id]
-		live := false
-		for _, j := range run.Jobs {
-			if !q.done[j.Key] {
-				live = true
-				break
-			}
-		}
-		if !live {
+		if !slices.ContainsFunc(run.Jobs, undone) {
 			continue
 		}
-		liveIDs = append(liveIDs, id)
+		live++
 		if enc.Encode(record{Op: "run", Run: run}) != nil {
 			return
-		}
-	}
-	for _, id := range liveIDs {
-		for _, j := range q.runs[id].Jobs {
-			if q.done[j.Key] && !liveDone[j.Key] {
-				liveDone[j.Key] = true
-				if enc.Encode(record{Op: "done", Key: j.Key}) != nil {
-					return
-				}
-			}
 		}
 	}
 	if int64(buf.Len()) >= q.bytes {
@@ -308,7 +287,7 @@ func (q *Queue) compactLocked() {
 	q.compacted.Inc()
 	if q.logf != nil {
 		q.logf("jobqueue: compacted journal %s: %d live runs kept, %d bytes reclaimed",
-			q.path, len(liveIDs), reclaimed)
+			q.path, live, reclaimed)
 	}
 }
 
@@ -328,13 +307,13 @@ func (q *Queue) Loaded() (runs, skipped int) {
 	return q.loaded, q.skipped
 }
 
-// Submit journals a run and enqueues its not-yet-done jobs, deduplicating
-// by result-store key: a key already pending or in flight (from any run or
-// tenant) or already done is not enqueued again.  isDone, when non-nil, is
-// the result store's membership test — keys it accepts count as done
-// without consulting the journal.  Returns how many jobs were newly enqueued.
-// Resubmitting a run id that is already journaled with the same jobs is
-// idempotent.
+// Submit journals a run the first time its id is seen and enqueues the
+// jobs the store lacks, deduplicating by result-store key: a key already
+// pending or in flight (from any run or tenant) or accepted by isDone —
+// the result store's membership test; nil counts nothing done — is not
+// enqueued again.  Returns how many jobs were newly enqueued.
+// Resubmitting a journaled run id appends nothing: the first submission's
+// record stands.
 func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -342,19 +321,14 @@ func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err e
 		return 0, fmt.Errorf("jobqueue: closed")
 	}
 	if _, exists := q.runs[run.ID]; !exists {
+		if err := q.append(record{Op: "run", Run: &run}); err != nil {
+			return 0, err
+		}
+		q.runs[run.ID] = &run
 		q.order = append(q.order, run.ID)
 	}
-	q.runs[run.ID] = &run
-	if err := q.append(record{Op: "run", Run: &run}); err != nil {
-		return 0, err
-	}
 	for _, j := range run.Jobs {
-		if q.done[j.Key] || q.active[j.Key] {
-			q.deduped.Inc()
-			continue
-		}
-		if isDone != nil && isDone(j.Key) {
-			q.done[j.Key] = true
+		if q.active[j.Key] || (isDone != nil && isDone(j.Key)) {
 			q.deduped.Inc()
 			continue
 		}
@@ -374,7 +348,7 @@ func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err e
 // is available, the context is cancelled, or the queue is closed (which
 // returns an error, letting dispatcher goroutines exit).  The job stays in
 // flight — resubmissions of its key are deduplicated — until the caller
-// reports it with Done or Release.
+// reports it with Done.
 func (q *Queue) Dequeue(ctx context.Context) (Job, error) {
 	for {
 		q.mu.Lock()
@@ -399,34 +373,14 @@ func (q *Queue) Dequeue(ctx context.Context) (Job, error) {
 	}
 }
 
-// Done records that key's result is durably in the store.  Call it only
-// after the store write succeeded: replay trusts done markers.
+// Done ends a dequeued job's flight, whether it succeeded or failed: from
+// then on a submission of the key is deduplicated only if the store holds
+// its result.  It journals nothing; the error is always nil.
 func (q *Queue) Done(key string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	delete(q.active, key)
-	if q.done[key] {
-		return nil
-	}
-	q.done[key] = true
-	q.doneC.Inc()
-	return q.append(record{Op: "done", Key: key})
-}
-
-// Release ends a dequeued job's flight without a done marker — it failed,
-// or its result was not durably stored — so a later submission of the
-// same key enqueues it again.
-func (q *Queue) Release(key string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	delete(q.active, key)
-}
-
-// IsDone reports whether key has a durable result (journal view).
-func (q *Queue) IsDone(key string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.done[key]
+	return nil
 }
 
 // RunByID returns a journaled run.

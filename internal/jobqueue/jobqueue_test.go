@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,12 @@ import (
 func job(bench, key, tenant string) Job {
 	return Job{Bench: bench, N: 1000, Key: key, Tenant: tenant, Config: []byte(`{}`)}
 }
+
+// storeSet stands in for the result store: its has method is the
+// membership test the queue decides with.
+type storeSet map[string]bool
+
+func (s storeSet) has(key string) bool { return s[key] }
 
 func TestFIFOOrderAndDedup(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -59,36 +66,39 @@ func TestFIFOOrderAndDedup(t *testing.T) {
 }
 
 // A key stays deduplicated while its job is in flight: a resubmission
-// between Dequeue and Done must not enqueue a second execution, and only
-// Release (a failed or unstored job) lets a later submission retry it.
-func TestInFlightKeyDedupedUntilDoneOrRelease(t *testing.T) {
+// between Dequeue and Done must not enqueue a second execution.  After
+// Done, only the store decides: a job whose result the store lacks (it
+// failed) queues again, and one the store holds does not.
+func TestInFlightKeyDedupedUntilDone(t *testing.T) {
 	q, err := Open("", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
+	store := storeSet{}
 	run := Run{ID: "r", Jobs: []Job{job("li", "k1", "a")}}
-	if queued, _ := q.Submit(run, nil); queued != 1 {
+	if queued, _ := q.Submit(run, store.has); queued != 1 {
 		t.Fatalf("first Submit queued %d, want 1", queued)
 	}
 	if _, err := q.Dequeue(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if queued, _ := q.Submit(run, nil); queued != 0 {
+	if queued, _ := q.Submit(run, store.has); queued != 0 {
 		t.Fatalf("Submit while k1 is in flight queued %d, want 0", queued)
 	}
-	q.Release("k1")
-	if queued, _ := q.Submit(run, nil); queued != 1 {
-		t.Fatalf("Submit after Release queued %d, want 1", queued)
+	q.Done("k1") // failed: nothing stored
+	if queued, _ := q.Submit(run, store.has); queued != 1 {
+		t.Fatalf("Submit after a failed Done queued %d, want 1", queued)
 	}
 	if _, err := q.Dequeue(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	store["k1"] = true
 	if err := q.Done("k1"); err != nil {
 		t.Fatal(err)
 	}
-	if queued, _ := q.Submit(run, nil); queued != 0 {
-		t.Fatalf("Submit after Done queued %d, want 0", queued)
+	if queued, _ := q.Submit(run, store.has); queued != 0 {
+		t.Fatalf("Submit after a stored Done queued %d, want 0", queued)
 	}
 }
 
@@ -144,6 +154,7 @@ func TestJournalResume(t *testing.T) {
 	if j.Key != "k1" {
 		t.Fatalf("first job %q", j.Key)
 	}
+	store := storeSet{"k1": true}
 	q1.Done("k1")
 	q1.Dequeue(context.Background()) // k2 in flight, never Done
 	q1.Close()                       // the kill (journal survives)
@@ -156,7 +167,7 @@ func TestJournalResume(t *testing.T) {
 	if runs, _ := q2.Loaded(); runs != 1 {
 		t.Fatalf("replayed %d runs, want 1", runs)
 	}
-	if n := q2.Resume(nil); n != 2 {
+	if n := q2.Resume(store.has); n != 2 {
 		t.Fatalf("resumed %d jobs, want 2 (k2 in flight + k3 pending)", n)
 	}
 	r, ok := q2.RunByID("sweep")
@@ -171,26 +182,27 @@ func TestJournalResume(t *testing.T) {
 	}
 }
 
-// A store membership test outranks a lost done marker: results that made
-// it to the store before the kill are not re-run.
+// The store is the record of a finished job: results that made it to the
+// store before the kill are not re-run.
 func TestResumeTrustsStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
 	q1, _ := Open(path, nil, nil)
-	q1.Submit(Run{ID: "r", Jobs: []Job{job("li", "k1", ""), job("go", "k2", "")}}, nil)
-	q1.Close() // killed before any Done marker
+	run := Run{ID: "r", Jobs: []Job{job("li", "k1", ""), job("go", "k2", "")}}
+	q1.Submit(run, nil)
+	q1.Close() // killed before any Done
 
 	q2, _ := Open(path, nil, nil)
 	defer q2.Close()
-	inStore := map[string]bool{"k1": true} // k1's Put landed before the kill
-	if n := q2.Resume(func(k string) bool { return inStore[k] }); n != 1 {
+	inStore := storeSet{"k1": true} // k1's Put landed before the kill
+	if n := q2.Resume(inStore.has); n != 1 {
 		t.Fatalf("resumed %d jobs, want 1", n)
 	}
 	j, _ := q2.Dequeue(context.Background())
 	if j.Key != "k2" {
 		t.Errorf("resumed job %q, want k2", j.Key)
 	}
-	if !q2.IsDone("k1") {
-		t.Error("store-backed key not marked done")
+	if queued, _ := q2.Submit(run, inStore.has); queued != 0 {
+		t.Errorf("resubmission queued %d jobs, want 0 (k1 stored, k2 in flight)", queued)
 	}
 }
 
@@ -216,7 +228,7 @@ func TestTornTailTolerated(t *testing.T) {
 		t.Errorf("skipped %d lines, want 1", skipped)
 	}
 	if n := q2.Resume(nil); n != 1 {
-		t.Errorf("resumed %d jobs, want 1 (torn done marker ignored)", n)
+		t.Errorf("resumed %d jobs, want 1 (torn line ignored)", n)
 	}
 }
 
@@ -303,9 +315,9 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	cg.Wait()
 }
 
-// Resume must compact the journal: completed runs and their done markers
-// drop out, live runs and their done markers survive, and the file shrinks
-// — while resumed semantics stay exactly as before.
+// Resume must compact the journal: runs whose every job the store holds
+// drop out, live runs survive, and the file shrinks — while resumed
+// semantics stay exactly as before.
 func TestResumeCompactsJournal(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "queue.jsonl")
@@ -321,7 +333,9 @@ func TestResumeCompactsJournal(t *testing.T) {
 	if _, err := q.Submit(Run{ID: "partial", Jobs: []Job{job("go", "k3", ""), job("go", "k4", "")}}, nil); err != nil {
 		t.Fatal(err)
 	}
+	store := storeSet{}
 	for _, k := range []string{"k1", "k2", "k3"} {
+		store[k] = true
 		if err := q.Done(k); err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +352,7 @@ func TestResumeCompactsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q2.Close()
-	if n := q2.Resume(nil); n != 1 {
+	if n := q2.Resume(store.has); n != 1 {
 		t.Fatalf("resumed %d jobs, want 1 (only k4 is undone)", n)
 	}
 	after, err := os.Stat(path)
@@ -366,7 +380,11 @@ func TestResumeCompactsJournal(t *testing.T) {
 	if err != nil || j.Key != "k4" {
 		t.Fatalf("Dequeue = %v, %v; want k4", j, err)
 	}
+	store["k4"] = true
 	if err := q2.Done("k4"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q2.Submit(Run{ID: "late", Jobs: []Job{job("li", "k5", "")}}, store.has); err != nil {
 		t.Fatal(err)
 	}
 	q2.Close()
@@ -376,14 +394,14 @@ func TestResumeCompactsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q3.Close()
-	if n := q3.Resume(nil); n != 0 {
-		t.Errorf("third open resumed %d jobs, want 0", n)
+	if n := q3.Resume(store.has); n != 1 {
+		t.Errorf("third open resumed %d jobs, want 1 (only k5 is undone)", n)
 	}
 	if _, ok := q3.RunByID("complete"); ok {
 		t.Error("fully completed run survived compaction")
 	}
-	if !q3.IsDone("k4") {
-		t.Error("done marker appended after compaction was lost")
+	if _, ok := q3.RunByID("late"); !ok {
+		t.Error("run appended after compaction was lost")
 	}
 }
 
@@ -413,5 +431,70 @@ func TestCompactionSkippedWhenNothingToReclaim(t *testing.T) {
 	}
 	if n := reg.Counter("jobqueue_compactions_total").Value(); n != 0 {
 		t.Errorf("compactions = %d, want 0", n)
+	}
+}
+
+// Resubmitting a journaled run id appends nothing: ten identical Submits
+// leave the journal at the first one's size.
+func TestResubmissionJournalsOnce(t *testing.T) {
+	q, err := Open(filepath.Join(t.TempDir(), "queue.jsonl"), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	run := Run{ID: "r", Tenant: "t", Jobs: []Job{job("li", "k1", "t"), job("go", "k2", "t")}}
+	if _, err := q.Submit(run, nil); err != nil {
+		t.Fatal(err)
+	}
+	first := q.JournalBytes()
+	for i := 1; i < 10; i++ {
+		if _, err := q.Submit(run, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := q.JournalBytes(); got != first {
+		t.Errorf("journal after ten identical Submits = %d bytes, want %d (the first Submit's)", got, first)
+	}
+}
+
+// A journal written with {"op":"done"} markers replays them as no-ops: they
+// are not counted as skipped lines, a done key the store lacks re-runs, and
+// the first compaction drops every done line.
+func TestDoneLinesReplayAsNoOps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.jsonl")
+	old := `{"op":"run","run":{"id":"r","jobs":[{"bench":"li","n":1000,"config":{},"key":"k1"},{"bench":"go","n":1000,"config":{},"key":"k2"},{"bench":"gcc","n":1000,"config":{},"key":"k3"}]}}
+{"op":"done","key":"k1"}
+{"op":"done","key":"k2"}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(path, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if runs, skipped := q.Loaded(); runs != 1 || skipped != 0 {
+		t.Fatalf("Loaded = (%d runs, %d skipped), want (1, 0)", runs, skipped)
+	}
+	store := storeSet{"k1": true} // k2's result was evicted since its done line
+	if n := q.Resume(store.has); n != 2 {
+		t.Fatalf("resumed %d jobs, want 2 (k2, which the store lacks, and k3)", n)
+	}
+	for _, want := range []string{"k2", "k3"} {
+		j, err := q.Dequeue(context.Background())
+		if err != nil || j.Key != want {
+			t.Fatalf("Dequeue = (%q, %v), want %q", j.Key, err, want)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"op":"done"`) {
+		t.Errorf("compacted journal still holds done lines:\n%s", data)
+	}
+	if !strings.Contains(string(data), `"id":"r"`) {
+		t.Errorf("compacted journal lost the live run:\n%s", data)
 	}
 }

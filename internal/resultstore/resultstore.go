@@ -187,6 +187,7 @@ type Store struct {
 	corrupt  *metrics.Counter
 	evicted  *metrics.Counter
 	degraded *metrics.Counter
+	putFails *metrics.Counter
 	entries  *metrics.Gauge
 
 	scrubRuns    *metrics.Counter
@@ -269,6 +270,7 @@ func OpenDirs(dirs []string, opts Options) (*Store, error) {
 		corrupt:  reg.Counter("resultstore_corrupt_entries_total"),
 		evicted:  reg.Counter("resultstore_evictions_total"),
 		degraded: reg.Counter("sim_store_put_degraded_total"),
+		putFails: reg.Counter("resultstore_put_failures_total"),
 		entries:  reg.Gauge("resultstore_disk_entries"),
 
 		scrubRuns:    reg.Counter("sim_store_scrub_runs_total"),
@@ -395,12 +397,11 @@ func (s *Store) putDisk(r *replica, key, cfgHash string, payload []byte) error {
 // when at least one replica accepted the write; a degraded write is
 // counted and logged, and the scrubber (or read-repair) completes the
 // mirror once the sick replica recovers.  Only a total failure is an
-// error: with zero durable copies the caller's "it is stored" assumption
-// would be a lie.  The memory tier is updated even then (the result is
-// correct and serving it for this process's lifetime is the point), so
-// callers that need durability must treat the returned error as "not
-// stored" (dispatch.ErrResultNotStored wraps it) — membership in the
-// memory tier is NOT a durability signal.
+// error, counted as resultstore_put_failures_total.  The memory tier is
+// updated even then: the result is correct, and serving it for this
+// process's lifetime is the point.  Nothing else records that a result
+// exists — a job is done exactly while the store holds its key — so an
+// entry that is only in memory is re-run after a restart.
 func (s *Store) Put(key, cfgHash string, payload []byte) error {
 	s.mem.put(key, cfgHash, payload)
 	stored := 0
@@ -415,6 +416,7 @@ func (s *Store) Put(key, cfgHash string, payload []byte) error {
 	}
 	switch {
 	case stored == 0 && firstErr != nil:
+		s.putFails.Inc()
 		return fmt.Errorf("resultstore: put %s failed on every replica: %w", key, firstErr)
 	case stored < len(s.replicas):
 		s.degraded.Inc()

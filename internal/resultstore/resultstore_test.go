@@ -391,3 +391,31 @@ func TestDiskEntriesGaugeMatchesStats(t *testing.T) {
 		t.Errorf("gauge after Stats = %v, want %d (the figure Stats reports)", g, disk)
 	}
 }
+
+// A Put that no replica accepts is an error and counts once in
+// resultstore_put_failures_total; a degraded Put, which a sibling replica
+// accepted, is not a failure.  The memory tier serves the result either way.
+func TestPutFailuresCounted(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	for _, tc := range []struct {
+		spec string
+		want uint64
+	}{{dirA, 1}, {dirA + "," + dirB, 0}} {
+		reg := metrics.NewRegistry()
+		s, err := resultstore.OpenSpec(tc.spec, resultstore.Options{Metrics: reg, Disk: failDir(dirA)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := resultstore.Key("li", 1, "h")
+		if err := s.Put(key, "h", []byte(`{}`)); (err != nil) != (tc.want > 0) {
+			t.Errorf("%s: Put err = %v, want an error only when no replica accepts it", tc.spec, err)
+		}
+		if n := reg.Counter("resultstore_put_failures_total").Value(); n != tc.want {
+			t.Errorf("%s: resultstore_put_failures_total = %d, want %d", tc.spec, n, tc.want)
+		}
+		if _, ok := s.Get(key); !ok {
+			t.Errorf("%s: memory tier lost the result of a failed Put", tc.spec)
+		}
+		s.Close()
+	}
+}
