@@ -42,8 +42,8 @@ type runUpdate struct {
 	Seq   uint64 `json:"seq"`
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
-	// Bench/Label/Key identify the job that advanced the run (empty on the
-	// initial catch-up snapshot).
+	// Bench/Label/Key identify the job that advanced the run (empty on
+	// catch-up snapshots); Key is its result-store key.
 	Bench string `json:"bench,omitempty"`
 	Label string `json:"label,omitempty"`
 	Key   string `json:"key,omitempty"`
@@ -63,6 +63,11 @@ type runUpdate struct {
 	FailedJobs int  `json:"failed_jobs,omitempty"`
 }
 
+// settled reports whether every job of the run is done or failed: nothing
+// is left in flight, so synchronous waiters are released and the SSE stream
+// ends with a done event.
+func (u runUpdate) settled() bool { return u.Done+u.FailedJobs == u.Total }
+
 // runState is one registered sweep's live view: which keys are done, the
 // ETA/MIPS tracker, the SSE subscribers, and a latch for synchronous
 // waiters.
@@ -80,8 +85,10 @@ type runState struct {
 	history  []runUpdate // last runHistory broadcasts, ascending Seq
 }
 
-func (st *runState) snapshotLocked(ev *experiment.ProgressEvent) runUpdate {
-	u := runUpdate{
+// countsLocked is the run's current counts, stamped with the newest
+// broadcast's sequence number.
+func (st *runState) countsLocked() runUpdate {
+	return runUpdate{
 		RunID:      st.run.ID,
 		Seq:        st.seq,
 		Done:       len(st.done),
@@ -89,42 +96,6 @@ func (st *runState) snapshotLocked(ev *experiment.ProgressEvent) runUpdate {
 		FailedJobs: len(st.failed),
 		Complete:   len(st.done) == len(st.run.Jobs),
 	}
-	if ev != nil {
-		s := st.tracker.Observe(*ev)
-		u.Bench, u.Label, u.Instructions, u.Cycles = s.Bench, s.Label, s.Instructions, s.Cycles
-		u.ElapsedMS = s.Elapsed.Milliseconds()
-		u.EtaMS = s.ETA.Milliseconds()
-		u.MIPS = s.MIPS
-		st.seq++
-		u.Seq = st.seq
-		st.history = append(st.history, u)
-		if len(st.history) > runHistory {
-			st.history = append(st.history[:0:0], st.history[len(st.history)-runHistory:]...)
-		}
-	}
-	return u
-}
-
-// failureLocked records one job failure and builds its broadcast update.
-// The ETA tracker is not advanced — a failed job measured nothing — but the
-// update still takes a sequence number so Last-Event-ID replay covers it.
-func (st *runState) failureLocked(bench, label string) runUpdate {
-	u := runUpdate{
-		RunID:      st.run.ID,
-		Done:       len(st.done),
-		Total:      len(st.run.Jobs),
-		FailedJobs: len(st.failed),
-		Bench:      bench,
-		Label:      label,
-		Failed:     true,
-	}
-	st.seq++
-	u.Seq = st.seq
-	st.history = append(st.history, u)
-	if len(st.history) > runHistory {
-		st.history = append(st.history[:0:0], st.history[len(st.history)-runHistory:]...)
-	}
-	return u
 }
 
 // progress reports the run's current counts without advancing the tracker —
@@ -132,7 +103,7 @@ func (st *runState) failureLocked(bench, label string) runUpdate {
 func (st *runState) progress() runUpdate {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.snapshotLocked(nil)
+	return st.countsLocked()
 }
 
 // updatesSince returns the retained broadcasts with Seq > after, for
@@ -173,28 +144,14 @@ func (st *runState) subscribe() (<-chan runUpdate, func()) {
 	}
 }
 
-// doneKeys reports which of the run's keys are complete and which are
-// currently failed (retryable — a resubmission or a post-restart replay
-// reruns them).
-func (st *runState) doneKeys() (done, failed map[string]bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	done = make(map[string]bool, len(st.done))
-	for k := range st.done {
-		done[k] = true
-	}
-	failed = make(map[string]bool, len(st.failed))
-	for k := range st.failed {
-		failed[k] = true
-	}
-	return done, failed
-}
-
-// stillDone reports whether isDone still holds every key the run counts
-// done.
+// stillDone reports whether the run counts no failure and isDone still
+// holds every key it counts done.
 func (st *runState) stillDone(isDone func(key string) bool) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if len(st.failed) > 0 {
+		return false
+	}
 	for k := range st.done {
 		if !isDone(k) {
 			return false
@@ -221,11 +178,13 @@ func newRunRegistry() *runRegistry {
 }
 
 // register installs a run and returns its state.  isDone is the result
-// store's membership test: it seeds the done set, so store-answered jobs
-// never wait.  An already-registered id returns the existing state while
-// the store still holds every job that state counts done; once the store
-// has forgotten one (evicted, pruned, quarantined), the run starts over
-// from a fresh state that waits on it again.
+// store's answer for the run's jobs: it seeds the done set, so
+// store-answered jobs never wait.  An already-registered id returns the
+// existing state while that state counts no failure and the store still
+// holds every job it counts done.  Otherwise — a job failed, or the store
+// forgot one (evicted, pruned, quarantined) — the run starts over from a
+// fresh state that waits on the jobs the store lacks, which the caller's
+// Submit re-queues.
 func (rr *runRegistry) register(run jobqueue.Run, isDone func(key string) bool) *runState {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -267,69 +226,61 @@ func (rr *runRegistry) get(id string) (*runState, bool) {
 	return st, ok
 }
 
-// complete marks key done in every run waiting on it, advancing each run's
-// tracker with the per-run Done/Total view and broadcasting to its SSE
-// subscribers.  A subscriber that cannot keep up drops updates rather than
-// stalling the dispatcher (SSE is a progress feed, not a ledger; GET
-// /run/{id} is the ledger).
-func (rr *runRegistry) complete(key string, ev experiment.ProgressEvent) {
-	rr.mu.Lock()
-	holders := rr.waiting[key]
-	delete(rr.waiting, key)
-	rr.mu.Unlock()
-	for st := range holders {
-		st.mu.Lock()
-		if st.done[key] {
-			st.mu.Unlock()
-			continue
-		}
-		st.done[key] = true
-		delete(st.failed, key) // a retry succeeded; the failure is history
-		ev.Done, ev.Total = len(st.done), len(st.run.Jobs)
-		u := st.snapshotLocked(&ev)
-		for ch := range st.subs {
-			select {
-			case ch <- u:
-			default:
-			}
-		}
-		if u.Complete && !st.closed {
-			st.closed = true
-			close(st.finished)
-		}
-		st.mu.Unlock()
-	}
-}
-
-// fail marks key failed in every run waiting on it.  Unlike complete, the
-// key is NOT removed from the waiting index and NOT counted done: a failed
-// job has no stored result, so a resubmission (or the journal replay after
-// a restart) reruns it, and a later success flows through complete and
-// clears the failure.  Synchronous waiters are still
-// released — once every job is either done or failed there is nothing left
-// in flight to wait for, and the run document distinguishes the two.
-func (rr *runRegistry) fail(key string, ev experiment.ProgressEvent) {
+// settle records one job outcome in every run waiting on key: the one
+// routine behind both completions and failures.  Each run counts the key
+// done, or failed when failed is set, numbers the update, keeps it for
+// Last-Event-ID replay, fans it out to its SSE subscribers, and releases its
+// synchronous waiters once every job is done or failed.  A success ends the
+// key's wait and clears an earlier failure; a failure leaves the key
+// waiting, since the store lacks its result and a resubmission (or the
+// journal replay after a restart) reruns it.  A subscriber that cannot keep
+// up drops updates rather than stalling the dispatcher (SSE is a progress
+// feed; GET /run/{id} is the ledger).
+func (rr *runRegistry) settle(key string, ev experiment.ProgressEvent, failed bool) {
 	rr.mu.Lock()
 	holders := make([]*runState, 0, len(rr.waiting[key]))
 	for st := range rr.waiting[key] {
 		holders = append(holders, st)
 	}
+	if !failed {
+		delete(rr.waiting, key)
+	}
 	rr.mu.Unlock()
 	for _, st := range holders {
 		st.mu.Lock()
-		if st.done[key] || st.failed[key] {
+		if st.done[key] || (failed && st.failed[key]) {
 			st.mu.Unlock()
 			continue
 		}
-		st.failed[key] = true
-		u := st.failureLocked(ev.Bench, ev.Label)
+		if failed {
+			st.failed[key] = true
+		} else {
+			st.done[key] = true
+			delete(st.failed, key)
+		}
+		u := st.countsLocked()
+		u.Bench, u.Label, u.Key, u.Failed = ev.Bench, ev.Label, key, failed
+		if !failed {
+			// A failed job measured nothing, so only successes advance the
+			// ETA/MIPS series.
+			ev.Done, ev.Total = u.Done, u.Total
+			p := st.tracker.Observe(ev)
+			u.Instructions, u.Cycles = p.Instructions, p.Cycles
+			u.ElapsedMS, u.EtaMS, u.MIPS = p.Elapsed.Milliseconds(), p.ETA.Milliseconds(), p.MIPS
+		}
+		st.seq++
+		u.Seq = st.seq
+		st.history = append(st.history, u)
+		if len(st.history) > runHistory {
+			st.history = append(st.history[:0:0], st.history[len(st.history)-runHistory:]...)
+		}
 		for ch := range st.subs {
 			select {
 			case ch <- u:
 			default:
 			}
 		}
-		if len(st.done)+len(st.failed) == len(st.run.Jobs) && !st.closed {
+		if u.settled() && !st.closed {
 			st.closed = true
 			close(st.finished)
 		}

@@ -421,11 +421,33 @@ func (s *server) Close() {
 	_ = s.store.Close() // stops the store's scrubber, if one runs
 }
 
-// storeHas is the result store's membership test, threaded into
-// admission, queue submission, resume, and run registration as the one
-// definition of a finished job.
+// storeHas is the result store's membership test: recovery registers the
+// journaled runs and resumes the queue by it, the one definition of a
+// finished job.
 func (s *server) storeHas(key string) bool {
 	_, ok := s.store.Get(key)
+	return ok
+}
+
+// stored holds the payloads the result store answered for a request's
+// jobs, keyed by result-store key; a job it lacks is not done.
+type stored map[string][]byte
+
+// fill asks the store once for each job p lacks and keeps what it holds.
+func (p stored) fill(store *resultstore.Store, jobs []jobqueue.Job) stored {
+	for _, j := range jobs {
+		if _, ok := p[j.Key]; !ok {
+			if payload, ok := store.Get(j.Key); ok {
+				p[j.Key] = payload
+			}
+		}
+	}
+	return p
+}
+
+// has is the membership test of the store answer p records.
+func (p stored) has(key string) bool {
+	_, ok := p[key]
 	return ok
 }
 
@@ -466,7 +488,7 @@ func (s *server) dispatchLoop(ctx context.Context) {
 			// replay) retries it.
 			failures.Inc()
 			s.logf("wbserve: job %s failed: %v", job.Key, err)
-			s.runs.fail(job.Key, experiment.ProgressEvent{Bench: job.Bench, Label: job.Label})
+			s.runs.settle(job.Key, experiment.ProgressEvent{Bench: job.Bench, Label: job.Label}, true)
 			continue
 		}
 		jt := time.Since(start)
@@ -478,13 +500,13 @@ func (s *server) dispatchLoop(ctx context.Context) {
 			tn = tenant.DefaultName
 		}
 		s.reg.Counter(metrics.Label("wbserve_tenant_jobs_total", "tenant", tn)).Inc()
-		s.runs.complete(job.Key, experiment.ProgressEvent{
+		s.runs.settle(job.Key, experiment.ProgressEvent{
 			Bench:        job.Bench,
 			Label:        job.Label,
 			Instructions: m.C.Instructions,
 			Cycles:       m.C.Cycles,
 			JobTime:      time.Since(start),
-		})
+		}, false)
 	}
 }
 
@@ -751,70 +773,59 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	// Fast path for the classic synchronous single-job request: a store hit
-	// answers without touching the queue (and keeps the historical
-	// wbserve_cache_* series meaningful — hits never simulate, misses do).
-	if !req.Async && len(jobs) == 1 {
-		if payload, ok := s.store.Get(jobs[0].Key); ok {
-			s.reg.Counter("wbserve_cache_hits_total").Inc()
-			resp, err := s.responseFromPayload(payload, jobs[0])
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			resp.Cached = true
-			writeJSON(w, http.StatusOK, resp)
+	// One store answer per job: the synchronous single-job fast path, the
+	// pending-work quota, registration, submission and the 202 document
+	// all act on it.  A store hit answers a synchronous single-job request
+	// without touching the queue (and keeps the historical wbserve_cache_*
+	// series meaningful — hits never simulate, misses do).
+	payloads := stored{}.fill(s.store, jobs)
+	single := !req.Async && len(jobs) == 1
+	cached := single && payloads.has(jobs[0].Key)
+	var st *runState
+	if !cached {
+		if !s.tenants.AdmitPending(tn, s.queue.DepthByTenant()[tn], len(jobs)-len(payloads)) {
+			w.Header().Set("Retry-After", "5")
+			httpError(w, http.StatusTooManyRequests, "tenant %q is over its pending-work quota", tn)
 			return
 		}
-	}
-
-	// Admission: the pending-work quota counts the jobs the store lacks.
-	want := 0
-	for _, j := range jobs {
-		if !s.storeHas(j.Key) {
-			want++
+		run := jobqueue.Run{ID: runID(tn, jobs), Tenant: tn, Jobs: jobs}
+		st = s.runs.register(run, payloads.has)
+		if _, err := s.queue.Submit(run, payloads.has); err != nil {
+			httpError(w, http.StatusInternalServerError, "enqueueing run: %v", err)
+			return
 		}
+		if req.Async {
+			writeJSON(w, http.StatusAccepted, s.runDoc(st, payloads, false))
+			return
+		}
+		select {
+		case <-st.finished:
+		case <-r.Context().Done():
+			return // client gave up; the sweep keeps draining and the store keeps the results
+		}
+		payloads.fill(s.store, jobs)
 	}
-	if !s.tenants.AdmitPending(tn, s.queue.DepthByTenant()[tn], want) {
-		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, "tenant %q is over its pending-work quota", tn)
+	if !single {
+		writeJSON(w, http.StatusOK, s.runDoc(st, payloads, true))
 		return
 	}
-
-	run := jobqueue.Run{ID: runID(tn, jobs), Tenant: tn, Jobs: jobs}
-	st := s.runs.register(run, s.storeHas)
-	if _, err := s.queue.Submit(run, s.storeHas); err != nil {
-		httpError(w, http.StatusInternalServerError, "enqueueing run: %v", err)
-		return
-	}
-	if !req.Async && len(jobs) == 1 {
+	if cached {
+		s.reg.Counter("wbserve_cache_hits_total").Inc()
+	} else {
 		s.reg.Counter("wbserve_cache_misses_total").Inc()
 	}
-
-	if req.Async {
-		writeJSON(w, http.StatusAccepted, s.runDoc(st, false))
+	payload, ok := payloads[jobs[0].Key]
+	if !ok {
+		httpError(w, http.StatusInternalServerError, "job %s failed without a stored result (see wbserve_job_failures_total)", jobs[0].Key)
 		return
 	}
-	select {
-	case <-st.finished:
-	case <-r.Context().Done():
-		return // client gave up; the sweep keeps draining and the store keeps the results
-	}
-	if len(jobs) == 1 {
-		payload, ok := s.store.Get(jobs[0].Key)
-		if !ok {
-			httpError(w, http.StatusInternalServerError, "job %s completed without a stored result (see wbserve_job_failures_total)", jobs[0].Key)
-			return
-		}
-		resp, err := s.responseFromPayload(payload, jobs[0])
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+	resp, err := s.responseFromPayload(payload, jobs[0])
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.runDoc(st, true))
+	resp.Cached = cached
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // responseFromPayload decodes a stored (label-stripped) measurement and
@@ -861,36 +872,42 @@ type runView struct {
 	Results   []*RunResponse `json:"results,omitempty"`
 }
 
-func (s *server) runDoc(st *runState, withResults bool) runView {
-	done, failed := st.doneKeys()
+// runDoc builds the run document from the store's answer for the run's
+// jobs: a job is done exactly when payloads holds it, and failed when its
+// last attempt errored and the store still lacks it.
+func (s *server) runDoc(st *runState, payloads stored, withResults bool) runView {
 	v := runView{
 		ID:        st.run.ID,
 		Tenant:    st.run.Tenant,
 		Total:     len(st.run.Jobs),
-		Done:      len(done),
-		Failed:    len(failed),
-		Complete:  len(done) == len(st.run.Jobs),
 		EventsURL: "/run/" + st.run.ID + "/events",
 	}
+	st.mu.Lock()
 	for _, j := range st.run.Jobs {
+		_, done := payloads[j.Key]
 		v.Jobs = append(v.Jobs, runJobView{
 			Bench: j.Bench, Label: j.Label, N: j.N, Key: j.Key,
-			Done: done[j.Key], Failed: failed[j.Key],
+			Done: done, Failed: !done && st.failed[j.Key],
 		})
 	}
+	st.mu.Unlock()
 	if withResults {
 		v.Results = make([]*RunResponse, len(st.run.Jobs))
-		for i, j := range st.run.Jobs {
-			if !done[j.Key] {
-				continue
-			}
-			if payload, ok := s.store.Get(j.Key); ok {
-				if resp, err := s.responseFromPayload(payload, j); err == nil {
+	}
+	for i, jv := range v.Jobs {
+		switch {
+		case jv.Done:
+			v.Done++
+			if withResults {
+				if resp, err := s.responseFromPayload(payloads[jv.Key], st.run.Jobs[i]); err == nil {
 					v.Results[i] = resp
 				}
 			}
+		case jv.Failed:
+			v.Failed++
 		}
 	}
+	v.Complete = v.Done == v.Total
 	return v
 }
 
@@ -899,13 +916,14 @@ func (s *server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.runDoc(st, true))
+	writeJSON(w, http.StatusOK, s.runDoc(st, stored{}.fill(s.store, st.run.Jobs), true))
 }
 
 // handleRunEvents streams a run's ETA/MIPS progress series as Server-Sent
-// Events: one catch-up `progress` event on attach, one per completed job,
-// and a final `done` event when the run finishes.  The numbers come from
-// the same experiment.Tracker the terminal reporter renders.
+// Events: one catch-up `progress` event on attach, one per finished job
+// (a completion or a failure), and a final `done` event once every job is
+// done or failed.  The numbers come from the same experiment.Tracker the
+// terminal reporter renders.
 //
 // Every broadcast carries its run-local sequence number as the SSE `id:`
 // field, and a reconnecting client that presents it back as Last-Event-ID
@@ -929,85 +947,81 @@ func (s *server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	// Subscribe before the replay/snapshot so no completion can fall
-	// between them; seen tracks the highest Seq already written so live
-	// updates that raced the replay are not delivered twice.
+	// between them.  seen is the Seq of the newest broadcast written; emit
+	// writes every broadcast — replayed or live — past it, so updates that
+	// raced the replay or snapshot are not delivered twice, and reports
+	// whether the stream is over.
 	updates, unsubscribe := st.subscribe()
 	defer unsubscribe()
 	var seen uint64
+	emit := func(u runUpdate) bool {
+		if u.Seq <= seen {
+			return false
+		}
+		seen = u.Seq
+		return writeSSE(w, flusher, u)
+	}
+	var replay []runUpdate
 	resumed := false
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if after, err := strconv.ParseUint(v, 10, 64); err == nil {
-			if replay, ok := st.updatesSince(after); ok {
-				for _, u := range replay {
-					if u.Complete {
-						writeSSE(w, flusher, "done", u)
-						return
-					}
-					writeSSE(w, flusher, "progress", u)
-				}
-				seen, resumed = after, true
-				if n := len(replay); n > 0 {
-					seen = replay[n-1].Seq
-				}
-			}
+			replay, resumed = st.updatesSince(after)
+			seen = after
 		}
 	}
 	if !resumed {
 		snap := st.progress()
-		if snap.Complete {
-			writeSSE(w, flusher, "done", snap)
+		if writeSSE(w, flusher, snap) {
 			return
 		}
-		writeSSE(w, flusher, "progress", snap)
 		seen = snap.Seq
+	}
+	for _, u := range replay {
+		if emit(u) {
+			return
+		}
 	}
 	for {
 		select {
 		case u := <-updates:
-			if u.Complete {
-				writeSSE(w, flusher, "done", u)
+			if emit(u) {
 				return
 			}
-			if u.Seq > seen {
-				writeSSE(w, flusher, "progress", u)
-				seen = u.Seq
-			}
 		case <-st.finished:
-			// Drain any update that raced the latch, then close out.
-			for {
-				select {
-				case u := <-updates:
-					if u.Complete {
-						writeSSE(w, flusher, "done", u)
-						return
-					}
-					if u.Seq > seen {
-						writeSSE(w, flusher, "progress", u)
-						seen = u.Seq
-					}
-				default:
-					writeSSE(w, flusher, "done", st.progress())
+			// Drain the updates that raced the latch; the closing snapshot
+			// ends the stream even if the final broadcast was dropped.
+			for len(updates) > 0 {
+				if emit(<-updates) {
 					return
 				}
 			}
+			writeSSE(w, flusher, st.progress())
+			return
 		case <-r.Context().Done():
 			return
 		}
 	}
 }
 
-// writeSSE emits one event; broadcast updates (Seq > 0) carry an `id:`
-// line so clients can resume via Last-Event-ID.
-func writeSSE(w http.ResponseWriter, flusher http.Flusher, event string, u runUpdate) {
+// writeSSE emits one update — a done event once the run has settled, a
+// progress event before — and reports whether it was the done event.
+// Broadcast updates (Seq > 0) carry an `id:` line so clients can resume via
+// Last-Event-ID.
+func writeSSE(w http.ResponseWriter, flusher http.Flusher, u runUpdate) bool {
+	event := "progress"
+	if u.settled() {
+		event = "done"
+	}
 	data, err := json.Marshal(u)
 	if err != nil {
-		return
+		return false
 	}
 	if u.Seq > 0 {
 		fmt.Fprintf(w, "id: %d\n", u.Seq)
 	}
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	flusher.Flush()
+	return u.settled()
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
