@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sync"
 
 	"repro/internal/experiment"
@@ -29,6 +30,20 @@ func runID(tenant string, jobs []jobqueue.Job) string {
 // further behind than that it gets a catch-up snapshot instead (GET
 // /run/{id} remains the ledger either way).
 const runHistory = 256
+
+// maxCompletedRuns bounds how many completed runs — every job done, none
+// failed — the registry keeps; past it the oldest completed run is
+// dropped.  A run still waiting on a job or counting a failure is never
+// dropped.  A dropped run still answers GET /run/{id}, and its event
+// stream still ends with its done event, from a state rebuilt from the
+// queue's record of the run and the result store (newRunState).  What a
+// dropped run loses is the Last-Event-ID replay of the per-job events a
+// reconnecting client missed, so the bound is the replay window: at
+// serve_sweep's measured rate of about 60 completed 17-job sweeps a
+// second, 64 runs keep about a second of it, and a completed run holds at
+// most runHistory updates, so the window costs at most 64 × runHistory
+// updates of memory.
+const maxCompletedRuns = 64
 
 // runUpdate is one SSE progress datum: the Tracker's ETA/MIPS series for
 // one run, advanced by one finished job.  It is the same series the
@@ -168,6 +183,9 @@ type runRegistry struct {
 	mu      sync.Mutex
 	runs    map[string]*runState
 	waiting map[string]map[*runState]bool // pending key → runs containing it
+	// completed lists the registered completed runs in the order they
+	// completed, oldest first.
+	completed []*runState
 }
 
 func newRunRegistry() *runRegistry {
@@ -175,6 +193,30 @@ func newRunRegistry() *runRegistry {
 		runs:    map[string]*runState{},
 		waiting: map[string]map[*runState]bool{},
 	}
+}
+
+// newRunState builds a run's state from isDone, the result store's answer
+// for its jobs: store-answered jobs start done, and a run whose every job
+// is done starts finished.  The state is detached until the registry
+// installs it: nothing settles it.
+func newRunState(run jobqueue.Run, isDone func(key string) bool) *runState {
+	st := &runState{
+		run:      run,
+		done:     map[string]bool{},
+		failed:   map[string]bool{},
+		subs:     map[chan runUpdate]bool{},
+		finished: make(chan struct{}),
+	}
+	for _, j := range run.Jobs {
+		if isDone(j.Key) {
+			st.done[j.Key] = true
+		}
+	}
+	if len(st.done) == len(run.Jobs) {
+		st.closed = true
+		close(st.finished)
+	}
+	return st
 }
 
 // register installs a run and returns its state.  isDone is the result
@@ -191,16 +233,30 @@ func (rr *runRegistry) register(run jobqueue.Run, isDone func(key string) bool) 
 	if st, ok := rr.runs[run.ID]; ok && st.stillDone(isDone) {
 		return st
 	}
-	st := &runState{
-		run:      run,
-		done:     map[string]bool{},
-		failed:   map[string]bool{},
-		subs:     map[chan runUpdate]bool{},
-		finished: make(chan struct{}),
+	return rr.installLocked(newRunState(run, isDone))
+}
+
+// follow returns run's registered state, registering the run from isDone
+// when the registry holds none.  Like register, it asks isDone under the
+// registry lock: a job stored before the lock counts done, and one stored
+// after it settles the new state.
+func (rr *runRegistry) follow(run jobqueue.Run, isDone func(key string) bool) *runState {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	if st, ok := rr.runs[run.ID]; ok {
+		return st
 	}
-	for _, j := range run.Jobs {
-		if isDone(j.Key) {
-			st.done[j.Key] = true
+	return rr.installLocked(newRunState(run, isDone))
+}
+
+// installLocked maps st's run id to st, replacing any earlier state, and
+// makes st wait on every job it does not count done.  Callers hold rr.mu.
+func (rr *runRegistry) installLocked(st *runState) *runState {
+	if old, ok := rr.runs[st.run.ID]; ok {
+		rr.completed = slices.DeleteFunc(rr.completed, func(c *runState) bool { return c == old })
+	}
+	for _, j := range st.run.Jobs {
+		if st.done[j.Key] {
 			continue
 		}
 		w := rr.waiting[j.Key]
@@ -210,12 +266,26 @@ func (rr *runRegistry) register(run jobqueue.Run, isDone func(key string) bool) 
 		}
 		w[st] = true
 	}
-	rr.runs[run.ID] = st
-	if len(st.done) == len(run.Jobs) {
-		st.closed = true
-		close(st.finished)
+	rr.runs[st.run.ID] = st
+	if st.closed {
+		rr.completedLocked(st)
 	}
 	return st
+}
+
+// completedLocked records that st completed, unless the registry maps its
+// id to a newer state by now, and drops the oldest completed runs past
+// maxCompletedRuns.  Every entry of rr.completed is a mapped run, so the
+// bound counts only runs the registry holds.  Callers hold rr.mu.
+func (rr *runRegistry) completedLocked(st *runState) {
+	if rr.runs[st.run.ID] != st {
+		return
+	}
+	rr.completed = append(rr.completed, st)
+	for len(rr.completed) > maxCompletedRuns {
+		delete(rr.runs, rr.completed[0].run.ID)
+		rr.completed = rr.completed[1:]
+	}
 }
 
 // get returns a registered run's state.
@@ -246,6 +316,7 @@ func (rr *runRegistry) settle(key string, ev experiment.ProgressEvent, failed bo
 		delete(rr.waiting, key)
 	}
 	rr.mu.Unlock()
+	var settled, completed []*runState
 	for _, st := range holders {
 		st.mu.Lock()
 		if st.done[key] || (failed && st.failed[key]) {
@@ -282,8 +353,23 @@ func (rr *runRegistry) settle(key string, ev experiment.ProgressEvent, failed bo
 		}
 		if u.settled() && !st.closed {
 			st.closed = true
-			close(st.finished)
+			settled = append(settled, st)
+		}
+		if u.Complete {
+			completed = append(completed, st)
 		}
 		st.mu.Unlock()
+	}
+	// A run joins the completed list before its waiters are released, so
+	// runs are dropped in the order their waiters saw them complete.
+	if len(completed) > 0 {
+		rr.mu.Lock()
+		for _, st := range completed {
+			rr.completedLocked(st)
+		}
+		rr.mu.Unlock()
+	}
+	for _, st := range settled {
+		close(st.finished)
 	}
 }

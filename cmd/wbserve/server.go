@@ -394,11 +394,18 @@ func newServer(cfg serverConfig) (*server, error) {
 	if n < 1 {
 		n = runtime.NumCPU()
 	}
+	// Only the in-process backend shares a row's generation; a worker pool
+	// runs one job per call, so under -workers each dispatcher takes one
+	// job and the pool keeps every dispatcher's parallelism.
+	width := experiment.RowWidth()
+	if remote != nil {
+		width = 1
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
 	for i := 0; i < n; i++ {
 		s.wg.Add(1)
-		go s.dispatchLoop(ctx)
+		go s.dispatchLoop(ctx, width, n)
 	}
 	// Construction is cheap and the process serves nothing until the
 	// listener is up, so the server is born ready; main flips it to
@@ -422,8 +429,8 @@ func (s *server) Close() {
 }
 
 // storeHas is the result store's membership test: recovery registers the
-// journaled runs and resumes the queue by it, the one definition of a
-// finished job.
+// journaled runs and resumes the queue by it, and the event stream of a
+// dropped run is rebuilt by it — the one definition of a finished job.
 func (s *server) storeHas(key string) bool {
 	_, ok := s.store.Get(key)
 	return ok
@@ -451,62 +458,86 @@ func (p stored) has(key string) bool {
 	return ok
 }
 
-// dispatchLoop is one simulation worker: dequeue, execute through the
-// store-backed backend, end the job's flight, fan completion out to every
-// waiting run.  The store write happens inside backend.Run (the Cached
-// wrapper); a write that fails is counted by the store and the job still
-// completes — the measurement is in hand and the memory tier serves it —
-// but it is not done after a restart, so the journal re-delivers it.
-func (s *server) dispatchLoop(ctx context.Context) {
+// dispatchLoop is one of ways simulation workers: dequeue a row — the
+// oldest queued job and the queued jobs that share its benchmark and
+// length, up to width and to a ways-th of the backlog — run it through the
+// store-backed backend as one row over one generated stream, then end each
+// job's flight and fan its outcome out to every waiting run.  It never
+// waits to fill a row, so a lone job starts as soon as it is queued, and a
+// burst of one benchmark is split across the dispatchers rather than run
+// on one of them.  The store writes happen inside the backend's RunRow
+// (the Cached wrapper), before any job's Done; a write that fails is
+// counted by the store and the job still completes — the measurement is
+// in hand and the memory tier serves it — but it is not done after a
+// restart, so the journal re-delivers it.
+func (s *server) dispatchLoop(ctx context.Context, width, ways int) {
 	defer s.wg.Done()
 	dispatched := s.reg.Counter("wbserve_dispatched_jobs_total")
 	failures := s.reg.Counter("wbserve_job_failures_total")
+	rowJobs := s.reg.Histogram("wbserve_row_jobs")
+	jobTimes := s.reg.Histogram("experiment_job_microseconds")
 	for {
-		job, err := s.queue.Dequeue(ctx)
+		row, err := s.queue.DequeueRow(ctx, width, ways)
 		if err != nil {
 			return
 		}
-		dispatched.Inc()
-		start := time.Now()
-		var m dispatch.Measurement
-		cfg, err := machconf.Decode(job.Config)
-		if err == nil {
-			m, err = s.backend.Run(ctx, dispatch.Job{Bench: job.Bench, Label: job.Label, Cfg: cfg, N: job.N})
-		}
-		_ = s.queue.Done(job.Key)
-		if err != nil {
-			if ctx.Err() != nil {
-				// Shutdown took the job down with it; the store lacks its
-				// result, so the journal re-delivers it on the next start.
-				return
+		dispatched.Add(uint64(len(row)))
+		rowJobs.Observe(uint64(len(row)))
+		results := make([]dispatch.RowResult, len(row))
+		var runnable []int
+		var jobs []dispatch.Job
+		for i, job := range row {
+			cfg, err := machconf.Decode(job.Config)
+			if err != nil {
+				results[i].Err = err
+				continue
 			}
-			// Jobs are validated at admission and deterministic, so this is
-			// exceptional (config skew, a dead pool).  Record a distinct
-			// *failure* on every waiting run: waiters are released, but the
-			// job is not counted done, so the ledger never claims a result
-			// it does not have and a resubmission (or the post-restart
-			// replay) retries it.
-			failures.Inc()
-			s.logf("wbserve: job %s failed: %v", job.Key, err)
-			s.runs.settle(job.Key, experiment.ProgressEvent{Bench: job.Bench, Label: job.Label}, true)
-			continue
+			runnable = append(runnable, i)
+			jobs = append(jobs, dispatch.Job{Bench: job.Bench, Label: job.Label, Cfg: cfg, N: job.N})
 		}
-		jt := time.Since(start)
-		s.reg.Counter("experiment_jobs_total").Inc()
-		s.reg.Counter("experiment_instructions_total").Add(m.C.Instructions)
-		s.reg.Histogram("experiment_job_microseconds").Observe(uint64(jt.Microseconds()))
-		tn := job.Tenant
-		if tn == "" {
-			tn = tenant.DefaultName
+		for k, r := range dispatch.RunRow(ctx, s.backend, jobs) {
+			results[runnable[k]] = r
 		}
-		s.reg.Counter(metrics.Label("wbserve_tenant_jobs_total", "tenant", tn)).Inc()
-		s.runs.settle(job.Key, experiment.ProgressEvent{
-			Bench:        job.Bench,
-			Label:        job.Label,
-			Instructions: m.C.Instructions,
-			Cycles:       m.C.Cycles,
-			JobTime:      time.Since(start),
-		}, false)
+		for i, job := range row {
+			_ = s.queue.Done(job.Key)
+			r := results[i]
+			if r.Err != nil {
+				if ctx.Err() != nil {
+					// Shutdown took the job down with it; the store lacks
+					// its result, so the journal re-delivers it on the next
+					// start.
+					continue
+				}
+				// Jobs are validated at admission and deterministic, so
+				// this is exceptional (config skew, a dead pool).  Record a
+				// distinct *failure* on every waiting run: waiters are
+				// released, but the job is not counted done, so the ledger
+				// never claims a result it does not have and a
+				// resubmission (or the post-restart replay) retries it.
+				failures.Inc()
+				s.logf("wbserve: job %s failed: %v", job.Key, r.Err)
+				s.runs.settle(job.Key, experiment.ProgressEvent{Bench: job.Bench, Label: job.Label}, true)
+				continue
+			}
+			s.reg.Counter("experiment_jobs_total").Inc()
+			s.reg.Counter("experiment_instructions_total").Add(r.M.C.Instructions)
+			jobTimes.Observe(uint64(r.Time.Microseconds()))
+			tn := job.Tenant
+			if tn == "" {
+				tn = tenant.DefaultName
+			}
+			s.reg.Counter(metrics.Label("wbserve_tenant_jobs_total", "tenant", tn)).Inc()
+			s.runs.settle(job.Key, experiment.ProgressEvent{
+				Bench:        job.Bench,
+				Label:        job.Label,
+				Instructions: r.M.C.Instructions,
+				Cycles:       r.M.C.Cycles,
+				JobTime:      r.Time,
+			}, false)
+		}
+		if ctx.Err() != nil {
+			return
+		}
 	}
 }
 
@@ -658,12 +689,14 @@ func (s *server) requireAuth(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // lookupRun authenticates the caller (when a keyring is configured),
-// resolves {id} to a registered run, and enforces tenant scope: only the
-// owning tenant or an admin may read a run document or its event stream.
+// resolves {id} to a run, and enforces tenant scope: only the owning
+// tenant or an admin may read a run document or its event stream.
 // Authentication comes BEFORE the lookup, so anonymous callers always see
-// 401 and learn nothing about which run ids exist.  Writes the refusal and
-// reports false when the caller may not proceed.
-func (s *server) lookupRun(w http.ResponseWriter, r *http.Request) (*runState, bool) {
+// 401 and learn nothing about which run ids exist.  st is the run's
+// registered state, or nil for a run the queue records but the registry
+// dropped (maxCompletedRuns); the lookup registers nothing.  Writes the
+// refusal and reports false when the caller may not proceed.
+func (s *server) lookupRun(w http.ResponseWriter, r *http.Request) (run jobqueue.Run, st *runState, ok bool) {
 	var id tenant.Identity
 	if s.keys.Enabled() {
 		var status int
@@ -671,19 +704,20 @@ func (s *server) lookupRun(w http.ResponseWriter, r *http.Request) (*runState, b
 		id, status, msg = s.identify(r)
 		if status != 0 {
 			refuseUnidentified(w, status, msg)
-			return nil, false
+			return run, nil, false
 		}
 	}
-	st, ok := s.runs.get(r.PathValue("id"))
-	if !ok {
+	if st, ok = s.runs.get(r.PathValue("id")); ok {
+		run = st.run
+	} else if run, ok = s.queue.RunByID(r.PathValue("id")); !ok {
 		httpError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
-		return nil, false
+		return run, nil, false
 	}
-	if s.keys.Enabled() && !id.Admin && st.run.Tenant != id.Name {
-		httpError(w, http.StatusForbidden, "run %s belongs to tenant %q", st.run.ID, st.run.Tenant)
-		return nil, false
+	if s.keys.Enabled() && !id.Admin && run.Tenant != id.Name {
+		httpError(w, http.StatusForbidden, "run %s belongs to tenant %q", run.ID, run.Tenant)
+		return run, nil, false
 	}
-	return st, true
+	return run, st, true
 }
 
 // requireAdmin gates the /admin surface: 403 when authentication is off
@@ -912,11 +946,15 @@ func (s *server) runDoc(st *runState, payloads stored, withResults bool) runView
 }
 
 func (s *server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookupRun(w, r)
+	run, st, ok := s.lookupRun(w, r)
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.runDoc(st, stored{}.fill(s.store, st.run.Jobs), true))
+	payloads := stored{}.fill(s.store, run.Jobs)
+	if st == nil {
+		st = newRunState(run, payloads.has) // a dropped run: the store answers alone
+	}
+	writeJSON(w, http.StatusOK, s.runDoc(st, payloads, true))
 }
 
 // handleRunEvents streams a run's ETA/MIPS progress series as Server-Sent
@@ -932,9 +970,17 @@ func (s *server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
 // behind than the replay buffer — or resuming across a server restart —
 // falls back to the catch-up snapshot, same as a fresh attach.
 func (s *server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookupRun(w, r)
+	run, st, ok := s.lookupRun(w, r)
 	if !ok {
 		return
+	}
+	if st == nil {
+		// A dropped run the store still holds whole streams its done event
+		// from a detached state.  One the store no longer holds whole is
+		// registered, so its stream follows the run's resubmission.
+		if st = newRunState(run, s.storeHas); !st.progress().Complete {
+			st = s.runs.follow(run, s.storeHas)
+		}
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {

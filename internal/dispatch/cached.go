@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"repro/internal/machconf"
 	"repro/internal/metrics"
@@ -66,36 +67,91 @@ func StoreKey(job Job) (key, cfgHash string, err error) {
 	return resultstore.Key(job.Bench, job.N, cfgHash), cfgHash, nil
 }
 
-// Run implements Backend.
+// Run implements Backend: the one-job RunRow.
 func (c *Cached) Run(ctx context.Context, job Job) (Measurement, error) {
-	key, cfgHash, err := StoreKey(job)
-	if err != nil {
-		return c.inner.Run(ctx, job) // uncacheable; still executable locally
+	r := c.RunRow(ctx, []Job{job})[0]
+	return r.M, r.Err
+}
+
+// RunRow answers each job the store holds from the store and runs the
+// rest through the inner backend in one RunRow call — one row over one
+// generated stream when the inner backend runs rows (Local), one job at a
+// time otherwise (Remote) — so jobs should share Bench and N.  Every miss
+// that succeeds is stored before RunRow returns.  Each result's Time is
+// the host time the inner backend attributed to the job plus an even share
+// of the store lookups and writes, so the times sum to RunRow's wall time.
+func (c *Cached) RunRow(ctx context.Context, jobs []Job) []RowResult {
+	start := time.Now()
+	out := make([]RowResult, len(jobs))
+	type miss struct {
+		i            int
+		key, cfgHash string // empty for an uncacheable job
 	}
-	if payload, ok := c.store.Get(key); ok {
-		var m Measurement
-		if err := json.Unmarshal(payload, &m); err == nil {
-			c.hits.Inc()
-			m.Label = job.Label
-			return m, nil
+	var misses []miss
+	var missJobs []Job
+	for i, job := range jobs {
+		key, cfgHash, err := StoreKey(job)
+		if err == nil {
+			if m, ok := c.lookup(key); ok {
+				c.hits.Inc()
+				m.Label = job.Label
+				out[i].M = m
+				continue
+			}
+			c.misses.Inc()
+		} // else uncacheable: still executable locally, never stored
+		misses = append(misses, miss{i, key, cfgHash})
+		missJobs = append(missJobs, job)
+	}
+	if len(missJobs) > 0 {
+		for k, r := range RunRow(ctx, c.inner, missJobs) {
+			ms := misses[k]
+			if r.Err == nil && ms.key != "" {
+				if err := c.put(ms.key, ms.cfgHash, r.M); err != nil {
+					r = RowResult{Err: err, Time: r.Time}
+				}
+			}
+			out[ms.i] = r
 		}
-		// A stored payload that passed its checksum but does not decode is
-		// a schema skew (an old store against a new Measurement); fall
-		// through and overwrite it with a fresh execution.
 	}
-	c.misses.Inc()
-	m, err := c.inner.Run(ctx, job)
+	var owned time.Duration
+	for _, r := range out {
+		owned += r.Time
+	}
+	shared := (time.Since(start) - owned) / time.Duration(max(len(jobs), 1))
+	for i := range out {
+		out[i].Time += shared
+	}
+	return out
+}
+
+// lookup decodes the stored measurement under key.  A stored payload that
+// passed its checksum but does not decode is a schema skew (an old store
+// against a new Measurement); it reads as a miss, so a fresh execution
+// overwrites it.
+func (c *Cached) lookup(key string) (Measurement, bool) {
+	payload, ok := c.store.Get(key)
+	if !ok {
+		return Measurement{}, false
+	}
+	var m Measurement
+	if err := json.Unmarshal(payload, &m); err != nil {
+		return Measurement{}, false
+	}
+	return m, true
+}
+
+// put stores m label-stripped: labels are presentation, so sweeps that
+// name their columns differently share entries.  A store write that fails
+// is counted and logged by the store and does not fail the job.
+func (c *Cached) put(key, cfgHash string, m Measurement) error {
+	m.Label = ""
+	payload, err := json.Marshal(m)
 	if err != nil {
-		return Measurement{}, err
+		return fmt.Errorf("dispatch: encoding measurement for store: %w", err)
 	}
-	stored := m
-	stored.Label = "" // labels are presentation; share entries across sweeps
-	payload, err := json.Marshal(stored)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("dispatch: encoding measurement for store: %w", err)
-	}
-	_ = c.store.Put(key, cfgHash, payload) // counted and logged by the store
-	return m, nil
+	_ = c.store.Put(key, cfgHash, payload)
+	return nil
 }
 
 // Concurrency forwards the inner backend's dispatch-parallelism hint.

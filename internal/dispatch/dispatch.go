@@ -12,9 +12,11 @@
 //
 // Three Backend implementations cover the deployment spectrum:
 //
-//   - Local runs one job per call in-process, through Execute.  (The
-//     backend-less default of experiment.RunMatrix is not Local: it steps
-//     each benchmark's configurations in lockstep rows with ExecuteRow.)
+//   - Local runs jobs in-process: a row of jobs that share a benchmark
+//     and length per RunRow call, through one ExecuteRow that generates
+//     the stream once for all of them; Run is the one-job row.
+//     (The backend-less default of experiment.RunMatrix is not Local: it
+//     steps each benchmark's configurations in rows with ExecuteRow.)
 //   - Remote dispatches jobs over HTTP to a pool of `wbserve -worker`
 //     processes (the POST /job endpoint served by WorkerHandler), with
 //     per-job timeouts, bounded retries under exponential backoff with
@@ -23,7 +25,12 @@
 //   - Cached wraps any backend with the shared content-addressed result
 //     store (internal/resultstore), so a job any process already paid for
 //     is never simulated again and a killed sweep resumes where it
-//     stopped.
+//     stopped.  Its RunRow answers a row's hits from the store and runs
+//     the misses as one row when the inner backend runs rows (Local),
+//     one job at a time otherwise (Remote).
+//
+// RunRow runs a row through any Backend, one Run per job for a backend
+// without rows; wbserve's dispatcher runs every queued row through it.
 //
 // The experiment harness threads a Backend through
 // experiment.Options.Backend; cmd/wbexp exposes the remote and
@@ -83,6 +90,35 @@ type Backend interface {
 	// the job did not produce a result (after whatever retries the backend
 	// performs internally); the harness aborts the sweep on the first one.
 	Run(ctx context.Context, job Job) (Measurement, error)
+}
+
+// RowResult is one job's outcome in a row: its measurement and the host
+// time attributed to it, or the error that kept it from producing one.
+type RowResult struct {
+	M    Measurement
+	Time time.Duration
+	Err  error
+}
+
+// rowRunner is a Backend that runs a row of jobs in one call.
+type rowRunner interface {
+	RunRow(ctx context.Context, jobs []Job) []RowResult
+}
+
+// RunRow runs jobs through b and returns one result per job, in order: in
+// one call when b runs rows (Local, Cached), otherwise one b.Run per job,
+// each timed on its own.
+func RunRow(ctx context.Context, b Backend, jobs []Job) []RowResult {
+	if rr, ok := b.(rowRunner); ok {
+		return rr.RunRow(ctx, jobs)
+	}
+	out := make([]RowResult, len(jobs))
+	for i, job := range jobs {
+		t := time.Now()
+		out[i].M, out[i].Err = b.Run(ctx, job)
+		out[i].Time = time.Since(t)
+	}
+	return out
 }
 
 // ErrUnknownBenchmark marks a job whose Bench resolves to no registered
@@ -209,7 +245,7 @@ func WarmRunGenerator(m *sim.Machine, g trace.Generator, n uint64) {
 	_ = sim.NewRow([]*sim.Machine{m}).Run(context.Background(), g, n/4)
 }
 
-// Local is the in-process backend: Run executes the job on the calling
+// Local is the in-process backend: Run and RunRow execute on the calling
 // goroutine.  The zero value is ready to use.
 type Local struct {
 	// Metrics, when non-nil, receives each finished machine's counters,
@@ -217,10 +253,60 @@ type Local struct {
 	Metrics *metrics.Registry
 }
 
-// Run implements Backend.
+// Run implements Backend: the one-job RunRow.
 func (l *Local) Run(ctx context.Context, job Job) (Measurement, error) {
-	if err := ctx.Err(); err != nil {
-		return Measurement{}, err
+	r := l.RunRow(ctx, []Job{job})[0]
+	return r.M, r.Err
+}
+
+// RunRow runs jobs that share one Bench and N as one ExecuteRow, so the
+// reference stream is generated once for all of them; each result carries
+// ExecuteRow's attributed host time.  A job whose configuration fails
+// validation, or whose Bench or N differs from the first job's, fails on
+// its own and the rest of the row still runs.  An unknown benchmark or a
+// cancelled context fails every job.
+func (l *Local) RunRow(ctx context.Context, jobs []Job) []RowResult {
+	out := make([]RowResult, len(jobs))
+	failAll := func(err error) []RowResult {
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
 	}
-	return Execute(job, l.Metrics)
+	if len(jobs) == 0 {
+		return out
+	}
+	if err := ctx.Err(); err != nil {
+		return failAll(err)
+	}
+	bench, n := jobs[0].Bench, jobs[0].N
+	b, ok := workload.ByName(bench)
+	if !ok {
+		return failAll(fmt.Errorf("%w: %q", ErrUnknownBenchmark, bench))
+	}
+	var idx []int
+	var labels []string
+	var cfgs []sim.Config
+	for i, job := range jobs {
+		invalid := job.Cfg.Validate()
+		switch {
+		case job.Bench != bench || job.N != n:
+			out[i].Err = fmt.Errorf("dispatch: job %q (%s, n=%d) is not in the row of %s, n=%d", job.Label, job.Bench, job.N, bench, n)
+		case invalid != nil:
+			out[i].Err = fmt.Errorf("config %q: %w", job.Label, invalid)
+		default:
+			idx = append(idx, i)
+			labels = append(labels, job.Label)
+			cfgs = append(cfgs, job.Cfg)
+		}
+	}
+	ms, times, err := ExecuteRow(ctx, b, labels, cfgs, n, l.Metrics, nil)
+	for k, i := range idx {
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		out[i] = RowResult{M: ms[k], Time: times[k]}
+	}
+	return out
 }

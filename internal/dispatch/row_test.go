@@ -1,7 +1,10 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"sort"
@@ -102,6 +105,122 @@ func TestExecuteRowCancelStopsGenerator(t *testing.T) {
 		}
 		if !goroutinesSettle(before) {
 			t.Errorf("%d goroutines after 20 cancelled %s rows, %d before", runtime.NumGoroutine(), b.Name, before)
+		}
+	}
+}
+
+// rowJobs builds one job per wire config over the same benchmark and n,
+// sorted by label.
+func rowJobs(bench string, n uint64) []Job {
+	var jobs []Job
+	for label, cfg := range wireConfigs() {
+		jobs = append(jobs, Job{Bench: bench, Label: label, Cfg: cfg, N: n})
+	}
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Label < jobs[j].Label })
+	return jobs
+}
+
+// TestCachedRunRow: a row through Cached(Local) equals the jobs run alone,
+// stores each miss label-stripped before it returns, counts one miss per
+// job, answers a repeat from the store, and attributes host times that sum
+// to the call's wall time.
+func TestCachedRunRow(t *testing.T) {
+	const n = 200_000
+	jobs := rowJobs("compress", n)
+	reg := metrics.NewRegistry()
+	store := openStore(t, "", nil)
+	cached := NewCached(&Local{}, store, reg)
+
+	start := time.Now()
+	got := cached.RunRow(context.Background(), jobs)
+	wall := time.Since(start)
+	var sum time.Duration
+	for i, job := range jobs {
+		want, err := Execute(job, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Err != nil || got[i].M != want {
+			t.Errorf("%s: row result %+v (err %v), want %+v", job.Label, got[i].M, got[i].Err, want)
+		}
+		key, _, _ := StoreKey(job)
+		payload, ok := store.Get(key)
+		want.Label = ""
+		wantPayload, _ := json.Marshal(want)
+		if !ok || !bytes.Equal(payload, wantPayload) {
+			t.Errorf("%s: stored payload %s, want %s", job.Label, payload, wantPayload)
+		}
+		sum += got[i].Time
+	}
+	if sum > wall || sum < wall-wall/20 {
+		t.Errorf("job times sum to %v, call wall time %v (want within 5%%)", sum, wall)
+	}
+	if misses := reg.Counter("dispatch_store_misses_total").Value(); misses != uint64(len(jobs)) {
+		t.Errorf("misses = %d, want %d", misses, len(jobs))
+	}
+
+	// A repeat under new labels is all hits and carries the new labels.
+	for i := range jobs {
+		jobs[i].Label += "-again"
+	}
+	for i, r := range cached.RunRow(context.Background(), jobs) {
+		if r.Err != nil || r.M.Label != jobs[i].Label || r.M.C != got[i].M.C {
+			t.Errorf("%s: repeat %+v (err %v)", jobs[i].Label, r.M, r.Err)
+		}
+	}
+	if hits := reg.Counter("dispatch_store_hits_total").Value(); hits != uint64(len(jobs)) {
+		t.Errorf("hits = %d, want %d", hits, len(jobs))
+	}
+}
+
+// TestLocalRunRowLoneFailures: a row member with an invalid configuration,
+// or outside the row's benchmark and length, fails on its own and its
+// row-mates still run; an unknown benchmark fails the whole row.
+func TestLocalRunRowLoneFailures(t *testing.T) {
+	bad := sim.Baseline()
+	bad.WB.Depth = 0
+	jobs := []Job{
+		{Bench: "li", Label: "ok", Cfg: sim.Baseline(), N: 20_000},
+		{Bench: "li", Label: "bad", Cfg: bad, N: 20_000},
+		{Bench: "li", Label: "other-n", Cfg: sim.Baseline(), N: 30_000},
+	}
+	got := (&Local{}).RunRow(context.Background(), jobs)
+	want, err := Execute(jobs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Err != nil || got[0].M != want {
+		t.Errorf("valid row-mate: %+v (err %v), want %+v", got[0].M, got[0].Err, want)
+	}
+	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), `"bad"`) {
+		t.Errorf("invalid config: err = %v, want one naming \"bad\"", got[1].Err)
+	}
+	if got[2].Err == nil {
+		t.Error("job of another length ran in the row")
+	}
+	jobs[0].Bench = "no-such-bench"
+	for i, r := range (&Local{}).RunRow(context.Background(), jobs[:1]) {
+		if !errors.Is(r.Err, ErrUnknownBenchmark) {
+			t.Errorf("job %d: err = %v, want ErrUnknownBenchmark", i, r.Err)
+		}
+	}
+}
+
+// TestRunRowPerJobFallback: a backend without rows runs one Run per job,
+// in order, each with its own time.
+func TestRunRowPerJobFallback(t *testing.T) {
+	counting := &execCounting{inner: &Local{}}
+	jobs := []Job{
+		{Bench: "li", Label: "a", Cfg: sim.Baseline(), N: 20_000},
+		{Bench: "li", Label: "b", Cfg: sim.Baseline(), N: 20_000},
+	}
+	got := RunRow(context.Background(), counting, jobs)
+	if counting.runs.Load() != 2 {
+		t.Fatalf("Run called %d times, want 2", counting.runs.Load())
+	}
+	for i, r := range got {
+		if r.Err != nil || r.M.Label != jobs[i].Label || r.Time <= 0 {
+			t.Errorf("job %d: %+v time %v err %v", i, r.M, r.Time, r.Err)
 		}
 	}
 }

@@ -348,29 +348,73 @@ func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err e
 // is available, the context is cancelled, or the queue is closed (which
 // returns an error, letting dispatcher goroutines exit).  The job stays in
 // flight — resubmissions of its key are deduplicated — until the caller
-// reports it with Done.
+// reports it with Done.  It is DequeueRow with a row of one.
 func (q *Queue) Dequeue(ctx context.Context) (Job, error) {
+	row, err := q.DequeueRow(ctx, 1, 1)
+	if err != nil {
+		return Job{}, err
+	}
+	return row[0], nil
+}
+
+// DequeueRow removes and returns the oldest pending job together with the
+// later pending jobs that share its Bench and N, so the caller can run
+// them over one generated stream.  The row holds at most width jobs and at
+// most a ways-th of the pending jobs, rounded up (either below 1 counts as
+// 1): with ways consumers draining the queue, one row never takes the work
+// the others could be running — the rule experiment's rowsPerBench applies
+// to the in-process sweep.  It blocks like Dequeue until the head job
+// exists, but never waits for row-mates: it takes only what is already
+// queued.  The jobs left behind keep their order.  Every returned job
+// stays in flight until the caller reports its own key with Done.
+func (q *Queue) DequeueRow(ctx context.Context, width, ways int) ([]Job, error) {
 	for {
 		q.mu.Lock()
 		if len(q.pending) > 0 {
-			j := q.pending[0]
-			q.pending = q.pending[1:]
+			ways = max(ways, 1)
+			share := (len(q.pending) + ways - 1) / ways
+			row := q.takeRowLocked(min(width, share))
 			q.depth.Set(float64(len(q.pending)))
 			q.mu.Unlock()
-			return j, nil
+			return row, nil
 		}
 		if q.closed {
 			q.mu.Unlock()
-			return Job{}, fmt.Errorf("jobqueue: closed")
+			return nil, fmt.Errorf("jobqueue: closed")
 		}
 		wake := q.wake
 		q.mu.Unlock()
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			return Job{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
+}
+
+// takeRowLocked cuts the head job and up to width-1 later jobs of the
+// same (Bench, N) out of the non-empty pending FIFO, compacting the rest
+// in place.  Callers hold mu.
+func (q *Queue) takeRowLocked(width int) []Job {
+	p := q.pending
+	row := []Job{p[0]}
+	w, i := 1, 1
+	for ; i < len(p) && len(row) < width; i++ {
+		if p[i].Bench == row[0].Bench && p[i].N == row[0].N {
+			row = append(row, p[i])
+			continue
+		}
+		p[w] = p[i]
+		w++
+	}
+	if w < i { // a row-mate left a gap: close it
+		w += copy(p[w:], p[i:])
+		clear(p[w:])
+	} else {
+		w = len(p)
+	}
+	q.pending = p[1:w]
+	return row
 }
 
 // Done ends a dequeued job's flight, whether it succeeded or failed: from

@@ -498,3 +498,155 @@ func TestDoneLinesReplayAsNoOps(t *testing.T) {
 		t.Errorf("compacted journal lost the live run:\n%s", data)
 	}
 }
+
+// jobN is job with an explicit instruction count.
+func jobN(bench string, n uint64, key, tenant string) Job {
+	j := job(bench, key, tenant)
+	j.N = n
+	return j
+}
+
+func keys(jobs []Job) []string {
+	out := make([]string, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.Key
+	}
+	return out
+}
+
+// DequeueRow takes the head job and later jobs of the same (bench, n) only,
+// never more than max, and leaves the rest in FIFO order.
+func TestDequeueRowTakesSameBenchAndN(t *testing.T) {
+	q, err := Open("", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if _, err := q.Submit(Run{ID: "r1", Jobs: []Job{
+		jobN("li", 1000, "a1", "a"),
+		jobN("compress", 1000, "a2", "a"),
+		jobN("li", 2000, "a3", "a"), // same bench, other n
+		jobN("li", 1000, "b1", "b"),
+		jobN("li", 1000, "b2", "b"),
+		jobN("compress", 1000, "b3", "b"),
+		jobN("li", 1000, "b4", "b"), // beyond max
+	}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	row, err := q.DequeueRow(ctx, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(keys(row), ","); got != "a1,b1,b2" {
+		t.Fatalf("first row %s, want a1,b1,b2", got)
+	}
+	if d := q.DepthByTenant(); d["a"] != 2 || d["b"] != 2 || q.Depth() != 4 {
+		t.Fatalf("depth after first row: %v (total %d), want a:2 b:2", d, q.Depth())
+	}
+	row, _ = q.DequeueRow(ctx, 3, 1)
+	if got := strings.Join(keys(row), ","); got != "a2,b3" {
+		t.Fatalf("second row %s, want a2,b3", got)
+	}
+	for _, want := range []string{"a3", "b4"} {
+		row, _ = q.DequeueRow(ctx, 3, 1)
+		if len(row) != 1 || row[0].Key != want {
+			t.Fatalf("row %v, want [%s]", keys(row), want)
+		}
+	}
+	if q.Depth() != 0 || len(q.DepthByTenant()) != 0 {
+		t.Fatalf("queue not drained: depth %d, by tenant %v", q.Depth(), q.DepthByTenant())
+	}
+}
+
+// Every job a row takes stays in flight on its own key: a resubmission is
+// deduplicated until that key's Done, and only that key's.
+func TestDequeueRowKeysDedupedUntilOwnDone(t *testing.T) {
+	q, err := Open("", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	jobs := []Job{job("li", "k1", ""), job("li", "k2", ""), job("li", "k3", "")}
+	if _, err := q.Submit(Run{ID: "r1", Jobs: jobs}, nil); err != nil {
+		t.Fatal(err)
+	}
+	row, err := q.DequeueRow(context.Background(), 8, 1)
+	if err != nil || len(row) != 3 {
+		t.Fatalf("DequeueRow = %v, %v; want all three jobs", keys(row), err)
+	}
+	resubmit := func(id string) int {
+		n, err := q.Submit(Run{ID: id, Jobs: jobs}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := resubmit("r2"); n != 0 {
+		t.Fatalf("resubmission while the row is in flight queued %d, want 0", n)
+	}
+	_ = q.Done("k2")
+	if n := resubmit("r3"); n != 1 {
+		t.Fatalf("after Done(k2) a resubmission queued %d, want 1 (k2 only)", n)
+	}
+	if d := q.DepthByTenant(); d[""] != 1 || q.Depth() != 1 {
+		t.Fatalf("depth %v, want the one re-queued job", d)
+	}
+	_ = q.Done("k1")
+	_ = q.Done("k3")
+	if n := resubmit("r4"); n != 2 {
+		t.Fatalf("after every Done a resubmission queued %d, want 2 (k1, k3)", n)
+	}
+}
+
+// A width or ways below one still takes the head job, and Dequeue is the
+// one-job row.
+func TestDequeueRowMinimumOne(t *testing.T) {
+	q, err := Open("", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if _, err := q.Submit(Run{ID: "r", Jobs: []Job{job("li", "k1", ""), job("li", "k2", "")}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	row, err := q.DequeueRow(context.Background(), 0, 0)
+	if err != nil || len(row) != 1 || row[0].Key != "k1" {
+		t.Fatalf("DequeueRow(0, 0) = %v, %v; want [k1]", keys(row), err)
+	}
+	j, err := q.Dequeue(context.Background())
+	if err != nil || j.Key != "k2" {
+		t.Fatalf("Dequeue = %s, %v; want k2", j.Key, err)
+	}
+}
+
+// With ways consumers, a row takes no more than a ways-th of the pending
+// jobs, rounded up: a burst of one benchmark is split so that every
+// consumer finds work, and the rows shrink as the backlog drains.
+func TestDequeueRowSplitsBacklogAcrossWays(t *testing.T) {
+	q, err := Open("", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var jobs []Job
+	for i := range 9 {
+		jobs = append(jobs, job("li", fmt.Sprintf("k%d", i), ""))
+	}
+	jobs = append(jobs, job("compress", "c", ""))
+	if _, err := q.Submit(Run{ID: "burst", Jobs: jobs}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for q.Depth() > 0 {
+		row, err := q.DequeueRow(context.Background(), 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, strings.Join(keys(row), ","))
+	}
+	// 10 pending: the width caps the row at 4; 6 pending: 3; then 2, 1.
+	if rows, want := strings.Join(got, " | "), "k0,k1,k2,k3 | k4,k5,k6 | k7,k8 | c"; rows != want {
+		t.Fatalf("rows %s, want %s", rows, want)
+	}
+}
