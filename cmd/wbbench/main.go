@@ -4,10 +4,10 @@
 //
 // Two execution paths are measured:
 //
-//   - fused: one job at a time through the production entry point
-//     (dispatch.ExecuteBench → batched trace.Generator →
-//     Machine.StepBatch), the path every wbserve worker and remote job
-//     runs.
+//   - fused: one job at a time through the production entry point, a
+//     one-configuration row (dispatch.ExecuteRow → batched
+//     trace.Generator → Machine.StepBatch), the path every wbserve worker
+//     and remote job runs.
 //   - row: the in-process sweep path (dispatch.ExecuteRow): per
 //     benchmark, one lockstep row of the first experiment.RowWidth()
 //     machines of the paper grid (spaces/paper.json, read from the
@@ -111,7 +111,7 @@ func thisHost() Host {
 // defaultSeedMIPS is the measured aggregate throughput of the seed
 // implementation (per-reference Stream.Next + Step, pre-ring-buffer core,
 // pre-flattened policy dispatch: the tree before the fused path landed)
-// over this same suite at n=2e6 through its dispatch.ExecuteBench — the
+// over this same suite at n=2e6 through its one-job entry point — the
 // best of three runs interleaved with this tree's fused path, on the host
 // recorded in the committed BENCH_sim.json (docs/PERFORMANCE.md describes
 // the protocol).
@@ -187,7 +187,7 @@ func main() {
 	}
 
 	res.Fused = measureBest(benches, "fused", *quiet, *repeat, func(b workload.Benchmark) uint64 {
-		if _, err := dispatch.ExecuteBench(b, "bench", cfg, *n, nil); err != nil {
+		if _, _, err := dispatch.ExecuteRow(context.Background(), b, []string{"bench"}, []sim.Config{cfg}, *n, nil, nil); err != nil {
 			fail(fmt.Errorf("%s: %w", b.Name, err))
 		}
 		return *n

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +50,10 @@ func main() {
 	// lockstep row), in parallel across benchmarks.
 	benches := workload.All()
 	specs := []experiment.ConfigSpec{{Label: "a", Cfg: cfgA}, {Label: "b", Cfg: cfgB}}
-	matrix := experiment.RunMatrixOpts(benches, specs, experiment.Options{Instructions: *n})
+	matrix, err := experiment.RunMatrixCtx(context.Background(), benches, specs, experiment.Options{Instructions: *n})
+	if err != nil {
+		fatalf("%v", err)
+	}
 	var sumA, sumB float64
 	for i, b := range benches {
 		ta, tb := matrix[i][0].C.TotalStallPct(), matrix[i][1].C.TotalStallPct()

@@ -34,6 +34,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -165,20 +166,11 @@ func progressFor(quiet bool, name string) func(experiment.ProgressEvent) {
 }
 
 func runOne(e experiment.Experiment, n uint64, plot bool, svgDir string, backend dispatch.Backend, progress func(experiment.ProgressEvent)) {
-	// A distributed sweep can fail operationally (worker pool exhausted);
-	// the harness surfaces that as a typed panic because the experiment
-	// registry's Run functions have no error channel.  Turn it back into
-	// a clean exit instead of a stack trace.
-	defer func() {
-		if p := recover(); p != nil {
-			if be, ok := p.(*experiment.BackendError); ok {
-				fmt.Fprintf(os.Stderr, "wbexp: %s: %v\n", e.ID, be)
-				os.Exit(1)
-			}
-			panic(p)
-		}
-	}()
-	rep := e.Run(experiment.Options{Instructions: n, Progress: progress, Backend: backend})
+	rep, err := e.Run(context.Background(), experiment.Options{Instructions: n, Progress: progress, Backend: backend})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wbexp: %s: %v\n", e.ID, err)
+		os.Exit(1)
+	}
 	if _, err := rep.WriteTo(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "wbexp: %v\n", err)
 		os.Exit(1)

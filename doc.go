@@ -15,7 +15,8 @@
 // retirement-latency statistics into such a registry; and
 // experiment.Options carries the Progress callback (live sweep reporting
 // via experiment.ProgressReporter) and the Metrics registry that
-// RunMatrixOpts feeds per-job throughput into.
+// experiment.RunMatrixCtx feeds per-job throughput into.  Every matrix run
+// and every registered experiment's Run returns its failure as an error.
 //
 // On top of the harness sits a design-space search subsystem
 // (internal/explore): a Space enumerates legal machines, strategies spend a

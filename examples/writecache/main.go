@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +41,12 @@ func main() {
 	fmt.Printf("benchmark %s, %d instructions\n\n", b.Name, *n)
 	fmt.Printf("%-44s %8s %10s %14s\n", "configuration", "stall%", "WB hit%", "writes/100 st")
 	// The configurations step shared streams in lockstep rows.
-	matrix := experiment.RunMatrix([]workload.Benchmark{b}, specs, *n)
+	matrix, err := experiment.RunMatrixCtx(context.Background(), []workload.Benchmark{b}, specs,
+		experiment.Options{Instructions: *n})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "writecache: %v\n", err)
+		os.Exit(1)
+	}
 	for _, m := range matrix[0] {
 		writes := m.C.Retirements + m.C.FlushedEntries
 		per100 := 100 * float64(writes) / float64(m.C.Stores)

@@ -15,8 +15,8 @@
 //   - Local runs jobs in-process: a row of jobs that share a benchmark
 //     and length per RunRow call, through one ExecuteRow that generates
 //     the stream once for all of them; Run is the one-job row.
-//     (The backend-less default of experiment.RunMatrix is not Local: it
-//     steps each benchmark's configurations in rows with ExecuteRow.)
+//     (The backend-less default of experiment.RunMatrixCtx is not Local:
+//     it steps each benchmark's configurations in rows with ExecuteRow.)
 //   - Remote dispatches jobs over HTTP to a pool of `wbserve -worker`
 //     processes (the POST /job endpoint served by WorkerHandler), with
 //     per-job timeouts, bounded retries under exponential backoff with
@@ -139,14 +139,7 @@ func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 	if !ok {
 		return Measurement{}, fmt.Errorf("%w: %q", ErrUnknownBenchmark, job.Bench)
 	}
-	return ExecuteBench(b, job.Label, job.Cfg, job.N, reg)
-}
-
-// ExecuteBench is Execute for a benchmark value already in hand, so
-// derived benchmarks (workload.Derive) that are not name-resolvable still
-// run locally.
-func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, reg *metrics.Registry) (Measurement, error) {
-	out, _, err := ExecuteRow(context.Background(), b, []string{label}, []sim.Config{cfg}, n, reg, nil)
+	out, _, err := ExecuteRow(context.Background(), b, []string{job.Label}, []sim.Config{job.Cfg}, job.N, reg, nil)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -157,10 +150,10 @@ func ExecuteBench(b workload.Benchmark, label string, cfg sim.Config, n uint64, 
 // (sim.Row): the reference stream is generated once and every machine
 // steps each batch of it, so K configurations cost one generation instead
 // of K.  It returns one Measurement per configuration, byte-identical to
-// ExecuteBench's, and each job's host time: the machine's own time
-// (construction, stepping, measurement) plus 1/K of the row's shared time
-// (stream construction and reference generation), so the row's job times
-// sum to its wall time.  When reg is non-nil every finished machine's
+// a one-configuration row's, and each job's host time: the machine's own
+// time (construction, stepping, measurement) plus 1/K of the row's shared
+// time (stream construction and reference generation), so the row's job
+// times sum to its wall time.  When reg is non-nil every finished machine's
 // counters are folded into it.  When visit is non-nil it receives each
 // finished machine with its configuration's index, for callers that read
 // machine state a Measurement does not carry, such as the occupancy

@@ -80,23 +80,20 @@ func TestWireRejectsCustomPolicy(t *testing.T) {
 	if _, err := encodeJob(job); err == nil {
 		t.Error("custom retirement policy unexpectedly encoded")
 	}
-	if _, err := job.Key(); err == nil {
+	if _, _, err := StoreKey(job); err == nil {
 		t.Error("custom retirement policy unexpectedly keyed")
 	}
 }
 
 func TestJobKey(t *testing.T) {
 	base := Job{Bench: "li", Label: "a", Cfg: sim.Baseline(), N: 100_000}
-	k1, err := base.Key()
+	k1, _, err := StoreKey(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(k1) != 64 {
-		t.Fatalf("key %q is not a sha256 hex digest", k1)
-	}
 	relabeled := base
 	relabeled.Label = "completely different"
-	if k2, _ := relabeled.Key(); k2 != k1 {
+	if k2, _, _ := StoreKey(relabeled); k2 != k1 {
 		t.Error("label changed the key; renamed sweeps would miss their stored results")
 	}
 	for name, mutate := range map[string]func(*Job){
@@ -107,24 +104,25 @@ func TestJobKey(t *testing.T) {
 	} {
 		j := base
 		mutate(&j)
-		if k2, _ := j.Key(); k2 == k1 {
+		if k2, _, _ := StoreKey(j); k2 == k1 {
 			t.Errorf("changing %s did not change the key", name)
 		}
 	}
 }
 
 // TestLocalMatchesExecute resolves a suite benchmark and both Table 6
-// transformed variants by name: Local.Run and Execute must equal
-// ExecuteBench on the benchmark value itself.
+// transformed variants by name: Local.Run and Execute must equal a
+// one-configuration ExecuteRow on the benchmark value itself.
 func TestLocalMatchesExecute(t *testing.T) {
 	for _, b := range []workload.Benchmark{
 		mustBenchmark(t, "compress"), transformed(t, "gmtry-t"), transformed(t, "cholsky-t"),
 	} {
 		job := Job{Bench: b.Name, Label: "base", Cfg: sim.Baseline(), N: 50_000}
-		want, err := ExecuteBench(b, job.Label, job.Cfg, job.N, nil)
+		row, _, err := ExecuteRow(context.Background(), b, []string{job.Label}, []sim.Config{job.Cfg}, job.N, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := row[0]
 		exec, err := Execute(job, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)

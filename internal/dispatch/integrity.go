@@ -1,9 +1,6 @@
 package dispatch
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-)
+import "crypto/sha256"
 
 // Result integrity: a worker attests each measurement with a checksum over
 // the job's canonical machconf hash plus the exact response payload bytes.
@@ -27,19 +24,9 @@ import (
 // divergence is proof of a fault and aborts the sweep loudly.
 
 // ChecksumHeader is the HTTP response header carrying a measurement's
-// integrity checksum on the POST /job worker surface.
+// integrity checksum (resultstore.Checksum) on the POST /job worker
+// surface.
 const ChecksumHeader = "X-WB-Measurement-Checksum"
-
-// Checksum returns the integrity sum for a measurement payload produced
-// for the machine with the given canonical machconf hash: the hex SHA-256
-// of the hash, a newline, and the payload bytes.
-func Checksum(cfgHash string, payload []byte) string {
-	h := sha256.New()
-	h.Write([]byte(cfgHash))
-	h.Write([]byte{'\n'})
-	h.Write(payload)
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // sampleHash makes the deterministic inclusion decision for a verification
 // sample: jobs whose seeded key-hash falls below fraction are selected.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/machconf"
 	"repro/internal/metrics"
+	"repro/internal/resultstore"
 )
 
 // RemoteOptions tunes the Remote backend.  The zero value selects
@@ -321,7 +322,7 @@ func (r *Remote) Run(ctx context.Context, job Job) (Measurement, error) {
 		}
 		m, err := r.attempt(ctx, w, body, cfgHash)
 		if err == nil {
-			if verr := r.maybeVerify(ctx, job, m); verr != nil {
+			if verr := r.maybeVerify(ctx, job, cfgHash, m); verr != nil {
 				r.failed.Inc()
 				return Measurement{}, verr
 			}
@@ -364,15 +365,10 @@ func (r *Remote) downgrade(ctx context.Context, job Job) (Measurement, error) {
 
 // maybeVerify re-executes a seeded sample of remote jobs locally and
 // compares the measurements bit for bit.  A divergence is unforgivable —
-// determinism guarantees equal answers — so it aborts the sweep.
-func (r *Remote) maybeVerify(ctx context.Context, job Job, got Measurement) error {
-	if r.opts.VerifyFraction <= 0 {
-		return nil
-	}
-	key, err := job.Key()
-	if err != nil {
-		return nil // unkeyable jobs cannot travel in the first place
-	}
+// determinism guarantees equal answers — so it aborts the sweep.  The
+// sample is drawn on the job's result-store key.
+func (r *Remote) maybeVerify(ctx context.Context, job Job, cfgHash string, got Measurement) error {
+	key := resultstore.Key(job.Bench, job.N, cfgHash)
 	if !sampleHash(key, verifySeed, r.opts.VerifyFraction) {
 		return nil
 	}
@@ -556,7 +552,7 @@ func (r *Remote) post(ctx context.Context, w *remoteWorker, body []byte, cfgHash
 		return Measurement{}, fmt.Errorf("status %d: %s",
 			resp.StatusCode, strings.TrimSpace(string(payload)))
 	}
-	if sum := resp.Header.Get(ChecksumHeader); sum != "" && sum != Checksum(cfgHash, payload) {
+	if sum := resp.Header.Get(ChecksumHeader); sum != "" && sum != resultstore.Checksum(cfgHash, payload) {
 		r.integrityRej.Inc()
 		return Measurement{}, fmt.Errorf("integrity: response checksum mismatch (%d payload bytes)", len(payload))
 	}

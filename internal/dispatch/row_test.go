@@ -18,11 +18,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestExecuteRowMatchesExecuteBench runs every wire config in one row:
-// each Measurement equals ExecuteBench's, the published sim_* series
-// equal the single jobs' combined, and the job times sum to the row's
-// wall time.
-func TestExecuteRowMatchesExecuteBench(t *testing.T) {
+// TestExecuteRowMatchesAlone runs every wire config in one row: each
+// Measurement equals its one-configuration row's, the published sim_*
+// series equal the single jobs' combined, and the job times sum to the
+// row's wall time.
+func TestExecuteRowMatchesAlone(t *testing.T) {
 	const n = 200_000
 	b, _ := workload.ByName("compress")
 	var labels []string
@@ -43,11 +43,11 @@ func TestExecuteRowMatchesExecuteBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, label := range labels {
-		want, err := ExecuteBench(b, label, cfgs[i], n, aloneReg)
+		alone, _, err := ExecuteRow(context.Background(), b, []string{label}, cfgs[i:i+1], n, aloneReg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got[i]) {
+		if want := alone[0]; !reflect.DeepEqual(want, got[i]) {
 			t.Errorf("%s: row measurement differs\nalone: %+v\nrow:   %+v", label, want, got[i])
 		}
 	}

@@ -1,15 +1,13 @@
 package dispatch
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 
 	"repro/internal/machconf"
 )
 
-// The wire format is the JSON job description POST /job accepts and the
-// canonical form Job.Key hashes.  The machine itself is not
+// The wire format is the JSON job description POST /job accepts.  The
+// machine itself is not
 // described here at all: the config field carries a machconf canonical
 // blob, so the schema for the machine lives in exactly one place
 // (internal/machconf) and this file never changes when sim.Config grows a
@@ -45,23 +43,4 @@ func decodeJob(w wireJob) (Job, error) {
 		return Job{}, err
 	}
 	return Job{Bench: w.Bench, Label: w.Label, Cfg: cfg, N: w.N}, nil
-}
-
-// Key returns the job's canonical identity: the hex SHA-256 of its wire
-// encoding with the display label stripped, so the same job keys the same
-// regardless of how a rerun labels its columns.  The embedded
-// config blob is machconf's canonical form, so equal machines always key
-// equal.  Jobs whose configuration has no wire encoding have no key.
-func (j Job) Key() (string, error) {
-	w, err := encodeJob(j)
-	if err != nil {
-		return "", err
-	}
-	w.Label = ""
-	b, err := json.Marshal(w) // fixed field order: canonical by construction
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/machconf"
 	"repro/internal/metrics"
+	"repro/internal/resultstore"
 )
 
 // WorkerHandler returns the HTTP surface of a sweep worker:
@@ -104,7 +105,7 @@ func WorkerHandlerState(reg *metrics.Registry, rdy *Readiness) http.Handler {
 		// The job arrived as a canonical machconf blob, so its hash always
 		// exists; attest the payload with it.
 		if hash, err := machconf.Hash(job.Cfg); err == nil {
-			w.Header().Set(ChecksumHeader, Checksum(hash, payload))
+			w.Header().Set(ChecksumHeader, resultstore.Checksum(hash, payload))
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(payload)

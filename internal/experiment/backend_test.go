@@ -45,7 +45,7 @@ func TestLocalRemoteParity(t *testing.T) {
 	benches, specs := paritySuite(t)
 	const n = 50_000
 
-	local := RunMatrix(benches, specs, n)
+	local := mustMatrix(t, benches, specs, Options{Instructions: n})
 
 	ts := httptest.NewServer(dispatch.WorkerHandler(nil))
 	defer ts.Close()
@@ -140,7 +140,7 @@ func TestLocalRemoteParityCustomPolicy(t *testing.T) {
 		t.Fatalf("custom-policy spec hash = %q, %v", h, err)
 	}
 
-	local := RunMatrix(benches, specs, n)
+	local := mustMatrix(t, benches, specs, Options{Instructions: n})
 
 	ts := httptest.NewServer(dispatch.WorkerHandler(nil))
 	defer ts.Close()
@@ -245,13 +245,13 @@ func TestMatrixCheckpointResume(t *testing.T) {
 	if got := storedJobs(st); got != total {
 		t.Errorf("store holds %d results after the resume, want %d", got, total)
 	}
-	if local := RunMatrix(benches, specs, n); !reflect.DeepEqual(local, resumed) {
+	if local := mustMatrix(t, benches, specs, Options{Instructions: n}); !reflect.DeepEqual(local, resumed) {
 		t.Errorf("resumed matrix differs from a pure local run:\nlocal   %+v\nresumed %+v", local, resumed)
 	}
 }
 
-// A backend failure must surface as an error from RunMatrixCtx and as a
-// recoverable *BackendError panic from the legacy RunMatrixOpts path.
+// A backend failure must surface as an error from RunMatrixCtx and from
+// a registered experiment's Run, with a nil report and no panic.
 func TestMatrixBackendErrorSurfacing(t *testing.T) {
 	benches, specs := paritySuite(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -265,25 +265,23 @@ func TestMatrixBackendErrorSurfacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rem.Close()
-	o := Options{Instructions: 10_000, Backend: rem}
+	o := Options{Instructions: 10_000, Backend: rem, Benchmarks: benches}
 
 	if _, err := RunMatrixCtx(context.Background(), benches, specs, o); err == nil {
 		t.Error("RunMatrixCtx returned no error from an all-failing pool")
 	}
 
-	func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				t.Error("RunMatrixOpts did not panic on backend failure")
-				return
-			}
-			if _, ok := p.(*BackendError); !ok {
-				t.Errorf("panic value %T, want *BackendError", p)
-			}
-		}()
-		RunMatrixOpts(benches, specs, o)
-	}()
+	fig4, ok := ByID("fig4")
+	if !ok {
+		t.Fatal("fig4 not registered")
+	}
+	rep, err := fig4.Run(context.Background(), o)
+	if rep != nil {
+		t.Errorf("fig4 over an all-failing pool returned a report:\n%s", rep)
+	}
+	if err == nil || !strings.Contains(err.Error(), "failed after") {
+		t.Errorf("fig4 error = %v, want the pool's exhausted-retries failure", err)
+	}
 }
 
 // A cancelled context must abort the sweep with the context's error.

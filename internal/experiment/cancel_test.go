@@ -103,7 +103,7 @@ func TestMatrixCancelLeavesResumableCheckpoint(t *testing.T) {
 	if got, want := inner.count(), total-completions; got != want {
 		t.Errorf("resumed run executed %d jobs, want %d", got, want)
 	}
-	if local := RunMatrix(benches, specs, n); !reflect.DeepEqual(local, resumed) {
+	if local := mustMatrix(t, benches, specs, Options{Instructions: n}); !reflect.DeepEqual(local, resumed) {
 		t.Error("resumed matrix differs from a pure local run")
 	}
 }

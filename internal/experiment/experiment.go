@@ -21,6 +21,9 @@
 // result store keeps completed jobs so a killed sweep resumes where it
 // stopped.
 // The default (nil) backend runs every job in this process, unchanged.
+// Either way a failed job — an invalid configuration, a backend that
+// exhausted its retries — is a value: RunMatrixCtx, the one matrix runner,
+// and every experiment's Run return it as an error.
 // docs/DISTRIBUTED.md is the operator guide for the distributed path.
 //
 // The per-experiment index in DESIGN.md maps every experiment ID here to
@@ -126,52 +129,15 @@ func CustomSweep(specs []ConfigSpec) Experiment {
 		func() []ConfigSpec { return specs })
 }
 
-// RunMatrix runs every benchmark against every configuration, in parallel
-// across the machine's cores, and returns measurements indexed as
-// [benchmark][config] following the input orders.
-func RunMatrix(benches []workload.Benchmark, specs []ConfigSpec, n uint64) [][]Measurement {
-	return RunMatrixOpts(benches, specs, Options{Instructions: n})
-}
-
-// RunMatrixOpts is RunMatrix with observability: o.Progress is invoked
-// once per completed job (serialised, Done monotone from 1 to
-// len(benches)×len(specs)) and o.Metrics accumulates throughput and
-// simulator counters.  o.Instructions selects the per-run instruction
-// count; o.Benchmarks is ignored — the benchmark list is the explicit
-// argument.
-//
-// With a non-nil o.Backend, job execution can fail (a remote pool can
-// exhaust its retries); RunMatrixOpts surfaces that by panicking with a
-// *BackendError, since the registered experiments' Run functions have no
-// error channel.  Callers driving remote sweeps recover it at the top
-// (cmd/wbexp) or call RunMatrixCtx directly.
-func RunMatrixOpts(benches []workload.Benchmark, specs []ConfigSpec, o Options) [][]Measurement {
-	return mustRunMatrix(benches, specs, o, noVisit)
-}
-
-// mustRunMatrix is RunMatrixOpts with runMatrix's visit hook.
-func mustRunMatrix(benches []workload.Benchmark, specs []ConfigSpec, o Options, visit func(bi, ci int, m *sim.Machine)) [][]Measurement {
-	out, err := runMatrix(context.Background(), benches, specs, o, visit)
-	if err != nil {
-		panic(&BackendError{Err: err})
-	}
-	return out
-}
-
-// BackendError wraps a dispatch-backend failure surfaced through the
-// panicking RunMatrixOpts path, so callers can recover it by type and
-// report it as an operational error rather than a crash.
-type BackendError struct{ Err error }
-
-func (e *BackendError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the dispatch error for errors.Is/As.
-func (e *BackendError) Unwrap() error { return e.Err }
-
-// RunMatrixCtx is the full-featured matrix runner: RunMatrixOpts plus a
-// context and an error return.  Work runs on a pool of goroutines — sized
-// by GOMAXPROCS, or by the backend's Concurrency hint when it offers one
-// (a remote pool wants width proportional to its workers, not to local
+// RunMatrixCtx runs every benchmark against every configuration and
+// returns measurements indexed as [benchmark][config] following the input
+// orders.  o.Instructions selects the per-run instruction count;
+// o.Benchmarks is ignored — the benchmark list is the explicit argument.
+// o.Progress is invoked once per completed job (serialised, Done monotone
+// from 1 to len(benches)×len(specs)) and o.Metrics accumulates throughput
+// and simulator counters.  Work runs on a pool of goroutines — sized by
+// GOMAXPROCS, or by the backend's Concurrency hint when it offers one (a
+// remote pool wants width proportional to its workers, not to local
 // cores).
 //
 // With o.Backend nil every job executes in-process, in lockstep rows: each
@@ -368,8 +334,10 @@ type Experiment struct {
 	ID string
 	// Title describes the experiment, echoing the paper's caption.
 	Title string
-	// Run executes the experiment and formats its report.
-	Run func(Options) *Report
+	// Run executes the experiment and formats its report.  The error is
+	// the matrix's first failure (an invalid configuration, a backend
+	// error) or ctx's; the report is then nil.
+	Run func(ctx context.Context, o Options) (*Report, error)
 }
 
 var experimentRegistry = map[string]Experiment{}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"hash/fnv"
 	"strings"
 	"testing"
@@ -26,11 +27,21 @@ func bench(t *testing.T, name string) workload.Benchmark {
 // run measures one benchmark on one configuration, alone.
 func run(t *testing.T, b workload.Benchmark, label string, cfg sim.Config, n uint64) Measurement {
 	t.Helper()
-	m, err := dispatch.ExecuteBench(b, label, cfg, n, nil)
+	m, _, err := dispatch.ExecuteRow(context.Background(), b, []string{label}, []sim.Config{cfg}, n, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m[0]
+}
+
+// mustMatrix runs benches × specs under o and fails the test on an error.
+func mustMatrix(t *testing.T, benches []workload.Benchmark, specs []ConfigSpec, o Options) [][]Measurement {
+	t.Helper()
+	out, err := RunMatrixCtx(context.Background(), benches, specs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -89,8 +100,8 @@ func TestRunMatrixShapeAndParallelDeterminism(t *testing.T) {
 		{Label: "a", Cfg: sim.Baseline()},
 		{Label: "b", Cfg: sim.Baseline().WithDepth(8)},
 	}
-	m1 := RunMatrix(benches, specs, 50_000)
-	m2 := RunMatrix(benches, specs, 50_000)
+	m1 := mustMatrix(t, benches, specs, Options{Instructions: 50_000})
+	m2 := mustMatrix(t, benches, specs, Options{Instructions: 50_000})
 	if len(m1) != 2 || len(m1[0]) != 2 {
 		t.Fatalf("matrix shape %dx%d, want 2x2", len(m1), len(m1[0]))
 	}
@@ -106,6 +117,25 @@ func TestRunMatrixShapeAndParallelDeterminism(t *testing.T) {
 	}
 }
 
+// An invalid machine in a custom sweep is an error naming its column, not
+// a panic.
+func TestCustomSweepInvalidConfigIsError(t *testing.T) {
+	e := CustomSweep([]ConfigSpec{
+		{Label: "base", Cfg: sim.Baseline()},
+		{Label: "zero-depth", Cfg: sim.Baseline().WithDepth(0)},
+	})
+	rep, err := e.Run(context.Background(), Options{
+		Instructions: 10_000,
+		Benchmarks:   []workload.Benchmark{bench(t, "li")},
+	})
+	if rep != nil {
+		t.Errorf("invalid sweep returned a report:\n%s", rep)
+	}
+	if err == nil || !strings.Contains(err.Error(), `"zero-depth"`) {
+		t.Errorf("err = %v, want one naming the spec \"zero-depth\"", err)
+	}
+}
+
 // Figure 4's paper finding: deeper buffers eliminate buffer-full stalls;
 // by depth 8 they are tiny, at the cost of small rises elsewhere.
 func TestFig4DepthTrend(t *testing.T) {
@@ -116,7 +146,7 @@ func TestFig4DepthTrend(t *testing.T) {
 		{Label: "8", Cfg: sim.Baseline().WithDepth(8)},
 		{Label: "12", Cfg: sim.Baseline().WithDepth(12)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := mustMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		var bf []float64
 		for ci := range specs {
@@ -141,7 +171,7 @@ func TestFig5RetirementTrend(t *testing.T) {
 		{Label: "2", Cfg: sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 2})},
 		{Label: "10", Cfg: sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 10})},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := mustMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		eager, lazy := matrix[bi][0].C, matrix[bi][1].C
 		if lazy.StallPct(stats.L2ReadAccess) > eager.StallPct(stats.L2ReadAccess) {
@@ -167,7 +197,7 @@ func TestHazardPolicyPrecision(t *testing.T) {
 			Cfg:   sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(h),
 		})
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := mustMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		var lh []float64
 		for ci := range specs {
@@ -209,7 +239,7 @@ func TestFig11LatencyTrend(t *testing.T) {
 		{Label: "6", Cfg: sim.Baseline().WithL2Latency(6)},
 		{Label: "10", Cfg: sim.Baseline().WithL2Latency(10)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := mustMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		t3 := matrix[bi][0].C.TotalStallPct()
 		t6 := matrix[bi][1].C.TotalStallPct()
@@ -227,7 +257,7 @@ func TestFig10L1SizeTrend(t *testing.T) {
 		{Label: "8k", Cfg: sim.Baseline()},
 		{Label: "32k", Cfg: sim.Baseline().WithL1Size(32 << 10)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := mustMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		small := matrix[bi][0].C.StallPct(stats.L2ReadAccess)
 		big := matrix[bi][1].C.StallPct(stats.L2ReadAccess)
@@ -265,7 +295,7 @@ func TestTable7L2SizeTrend(t *testing.T) {
 		{Label: "128K", Cfg: sim.Baseline().WithL2(128 << 10)},
 		{Label: "1M", Cfg: sim.Baseline().WithL2(1 << 20)},
 	}
-	matrix := RunMatrix(benches, specs, testN)
+	matrix := mustMatrix(t, benches, specs, Options{Instructions: testN})
 	for bi, b := range benches {
 		if matrix[bi][1].L2Hit < matrix[bi][0].L2Hit {
 			t.Errorf("%s: 1M L2 hit rate %.3f below 128K's %.3f",
@@ -337,7 +367,10 @@ func TestEveryExperimentRuns(t *testing.T) {
 				Benchmarks:   []workload.Benchmark{bench(t, "espresso"), bench(t, "li"), bench(t, "fft")},
 				Progress:     func(ev ProgressEvent) { last = ev },
 			}
-			rep := e.Run(small)
+			rep, err := e.Run(context.Background(), small)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if rep.ID != e.ID {
 				t.Errorf("report ID %q, want %q", rep.ID, e.ID)
 			}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -56,9 +57,9 @@ func init() {
 // by name, or reads machine state a Measurement does not carry.
 func registerInProcess(e Experiment) {
 	run := e.Run
-	e.Run = func(o Options) *Report {
+	e.Run = func(ctx context.Context, o Options) (*Report, error) {
 		o.Backend = nil
-		return run(o)
+		return run(ctx, o)
 	}
 	registerExperiment(e)
 }
@@ -67,7 +68,7 @@ func registerInProcess(e Experiment) {
 // seeds — the stand-in for different program inputs — and reports the
 // spread of the baseline stall measurement.  Tight spreads mean the
 // figures measure the workload's character, not one lucky stream.
-func runVariance(o Options) *Report {
+func runVariance(ctx context.Context, o Options) (*Report, error) {
 	rep := &Report{
 		ID: "ext-variance", Title: "Baseline total stall %, mean ± sd over 5 seeds",
 		Columns: []string{"benchmark", "mean", "sd", "min", "max"},
@@ -84,7 +85,10 @@ func runVariance(o Options) *Report {
 			}
 		}
 	}
-	matrix := RunMatrixOpts(seeded, baseline, o)
+	matrix, err := RunMatrixCtx(ctx, seeded, baseline, o)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < len(seeded); i += seeds {
 		vals := make([]float64, seeds)
 		for s := range vals {
@@ -97,7 +101,7 @@ func runVariance(o Options) *Report {
 			fmt.Sprintf("%.2f", lo), fmt.Sprintf("%.2f", hi),
 		})
 	}
-	return rep
+	return rep, nil
 }
 
 func meanSD(vals []float64) (mean, sd, lo, hi float64) {
@@ -118,7 +122,7 @@ func meanSD(vals []float64) (mean, sd, lo, hi float64) {
 // reports how shrinking quanta degrade locality: every switch faces the
 // incoming program with the other's cache contents, raising both miss
 // traffic and L2 contention — the OS activity the paper's traces omit.
-func runMultiprog(o Options) *Report {
+func runMultiprog(ctx context.Context, o Options) (*Report, error) {
 	pairs := [][2]string{{"li", "compress"}, {"sc", "hydro2d"}, {"espresso", "fft"}}
 	quanta := []uint64{0, 100_000, 10_000, 1_000}
 	rep := &Report{
@@ -144,14 +148,17 @@ func runMultiprog(o Options) *Report {
 			}))
 		}
 	}
-	matrix := RunMatrixOpts(mixes, baseline, o)
+	matrix, err := RunMatrixCtx(ctx, mixes, baseline, o)
+	if err != nil {
+		return nil, err
+	}
 	for i, mix := range mixes {
 		m := matrix[i][0]
 		rep.Rows = append(rep.Rows, []string{
 			mix.Name, fmt.Sprintf("%.2f", m.C.TotalStallPct()), pct(m.L1Hit), pct(m.WBHit),
 		})
 	}
-	return rep
+	return rep, nil
 }
 
 // mustBench resolves a benchmark the experiment hard-codes.
@@ -163,7 +170,7 @@ func mustBench(name string) workload.Benchmark {
 	return b
 }
 
-func runWriteCache(o Options) *Report {
+func runWriteCache(ctx context.Context, o Options) (*Report, error) {
 	specs := []ConfigSpec{
 		{Label: "buf-4 FF", Cfg: sim.Baseline()},
 		{Label: "buf-8 RWB", Cfg: sim.Baseline().WithDepth(8).WithRetire(core.RetireAt{N: 4}).WithHazard(core.ReadFromWB)},
@@ -177,7 +184,10 @@ func runWriteCache(o Options) *Report {
 			"cells: total stall % | L2 block-writes per 100 stores (the traffic-aggregation metric Jouppi optimised)",
 		},
 	}
-	matrix := RunMatrixOpts(benches, specs, o)
+	matrix, err := RunMatrixCtx(ctx, benches, specs, o)
+	if err != nil {
+		return nil, err
+	}
 	rep.addSpecTable("benchmark", benches, specs, func(bi, ci int) string {
 		c := matrix[bi][ci].C
 		per100 := float64(0)
@@ -186,10 +196,10 @@ func runWriteCache(o Options) *Report {
 		}
 		return fmt.Sprintf("%5.2f | %5.1f", c.TotalStallPct(), per100)
 	})
-	return rep
+	return rep, nil
 }
 
-func runMembar(o Options) *Report {
+func runMembar(ctx context.Context, o Options) (*Report, error) {
 	periods := []uint64{1000, 200, 50} // instructions between barriers
 	configs := []ConfigSpec{
 		{Label: "buf-4", Cfg: sim.Baseline()},
@@ -214,18 +224,21 @@ func runMembar(o Options) *Report {
 				}))
 		}
 	}
-	matrix := RunMatrixOpts(fenced, configs, o)
+	matrix, err := RunMatrixCtx(ctx, fenced, configs, o)
+	if err != nil {
+		return nil, err
+	}
 	rep.addSpecTable("benchmark / period", fenced, configs, func(bi, ci int) string {
 		c := matrix[bi][ci].C
 		return fmt.Sprintf("%5.2f (mb %4.2f)", c.TotalStallPct(), c.StallPct(stats.MembarDrain))
 	})
-	return rep
+	return rep, nil
 }
 
 // runOccupancy and runAnalytic read the store-observed occupancy
 // histogram, which a Measurement does not carry, from each finished
 // machine through the matrix's visit hook.
-func runOccupancy(o Options) *Report {
+func runOccupancy(ctx context.Context, o Options) (*Report, error) {
 	specs := []ConfigSpec{
 		{Label: "4d/r2", Cfg: sim.Baseline()},
 		{Label: "12d/r2", Cfg: sim.Baseline().WithDepth(12)},
@@ -243,7 +256,7 @@ func runOccupancy(o Options) *Report {
 	for bi := range cells {
 		cells[bi] = make([]string, len(specs))
 	}
-	mustRunMatrix(benches, specs, o, func(bi, ci int, m *sim.Machine) {
+	_, err := runMatrix(ctx, benches, specs, o, func(bi, ci int, m *sim.Machine) {
 		h := m.OccupancyHistogram()
 		var total, tight uint64
 		for k, v := range h {
@@ -258,11 +271,14 @@ func runOccupancy(o Options) *Report {
 		}
 		cells[bi][ci] = fmt.Sprintf("%4.1f | %5.2f", m.MeanOccupancy(), pctTight)
 	})
+	if err != nil {
+		return nil, err
+	}
 	rep.addSpecTable("benchmark", benches, specs, func(bi, ci int) string { return cells[bi][ci] })
-	return rep
+	return rep, nil
 }
 
-func runAnalytic(o Options) *Report {
+func runAnalytic(ctx context.Context, o Options) (*Report, error) {
 	rep := &Report{
 		ID: "ext-analytic", Title: "Markov model vs simulator (Bernoulli allocating stores, q=0.10)",
 		Columns: []string{"config", "model P(block)", "sim P(block)", "model occ", "sim occ"},
@@ -279,7 +295,7 @@ func runAnalytic(o Options) *Report {
 			AllocRate: q, ServiceLat: 6, Depth: tc.depth, HighWater: tc.hwm,
 		})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		specs[i] = ConfigSpec{
 			Label: fmt.Sprintf("%dd/retire-at-%d", tc.depth, tc.hwm),
@@ -290,7 +306,7 @@ func runAnalytic(o Options) *Report {
 			fmt.Sprintf("%.2f", pred.MeanOccupancy), ""}
 	}
 	bernoulli := workload.Derive("bernoulli-q0.10", func(n uint64) trace.Generator { return bernoulliStores(q, n) })
-	mustRunMatrix([]workload.Benchmark{bernoulli}, specs, o, func(_, ci int, m *sim.Machine) {
+	_, err := runMatrix(ctx, []workload.Benchmark{bernoulli}, specs, o, func(_, ci int, m *sim.Machine) {
 		c := m.Counters()
 		simBlock := float64(0)
 		if c.Stores > 0 {
@@ -299,7 +315,10 @@ func runAnalytic(o Options) *Report {
 		rep.Rows[ci][2] = fmt.Sprintf("%.4f", simBlock)
 		rep.Rows[ci][4] = fmt.Sprintf("%.2f", m.MeanOccupancy())
 	})
-	return rep
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // bernoulliStores mirrors the analytic model's arrival assumptions: each

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -87,17 +88,20 @@ func stallFigure(id, title string, specs func() []ConfigSpec, notes ...string) E
 	return Experiment{
 		ID:    id,
 		Title: title,
-		Run: func(o Options) *Report {
+		Run: func(ctx context.Context, o Options) (*Report, error) {
 			ss := specs()
 			benches := o.benchmarks()
-			matrix := RunMatrixOpts(benches, ss, o)
+			matrix, err := RunMatrixCtx(ctx, benches, ss, o)
+			if err != nil {
+				return nil, err
+			}
 			rep := &Report{ID: id, Title: title, Notes: notes}
 			rep.Notes = append(rep.Notes,
 				"cells: total write-buffer stall % of run time (L2-read-access/buffer-full/load-hazard)")
 			rep.addSpecTable("benchmark", benches, ss, func(bi, ci int) string {
 				return stallCell(matrix[bi][ci])
 			})
-			return rep
+			return rep, nil
 		},
 	}
 }

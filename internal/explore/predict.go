@@ -1,9 +1,6 @@
 package explore
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/analytic"
 	backendpkg "repro/internal/backend"
 	"repro/internal/core"
@@ -89,7 +86,7 @@ func highWaterOf(cfg sim.Config, depth int) int {
 // cfg.Org or cfg.Backend this is the prediction for the same-depth FIFO
 // over a flat drain.  The validated contract covers only that machine;
 // organization and backend corrections are ranking heuristics and live in
-// Score via RegisterOrgResidual and RegisterBackendResidual.
+// Score (ftlResidual, bankedResidual).
 func Predict(t workload.Target, cfg sim.Config) (float64, error) {
 	pred, err := analytic.Solve(Params(t, cfg))
 	if err != nil {
@@ -129,21 +126,17 @@ func Score(t workload.Target, cfg sim.Config) (float64, error) {
 		}
 		score += hazardRank(cfg.Hazard) / 3 * missRate * nonEmpty * serviceLat
 	}
-	if cfg.Org != nil && cfg.WriteCacheDepth == 0 {
-		if r := orgResidualFor(cfg.Org.OrgName()); r != nil {
-			score = r(t, cfg, score)
-		}
-		// An organization without a registered residual ranks as the
-		// same-depth fifo — the chain's fifo-only approximation.
+	// ftl organizations and banked backends carry a residual correction
+	// (a ranking prior, never a validated prediction); any other
+	// organization ranks as the same-depth fifo and any other backend as
+	// the flat drain — the chain's own approximations.  The fenced wrap
+	// itself contributes nothing: Target carries no fence rate, so its
+	// cost is invisible to the screen and left to measurement.
+	if cfg.Org != nil && cfg.WriteCacheDepth == 0 && cfg.Org.OrgName() == "ftl" {
+		score = ftlResidual(t, cfg, score)
 	}
-	if spec := unwrapFenced(cfg.Backend); spec != nil {
-		if r := backendResidualFor(spec.BackendName()); r != nil {
-			score = r(t, cfg, score)
-		}
-		// A backend without a registered residual ranks as the flat drain
-		// — the chain's flat-backend approximation.  The fenced wrap
-		// itself contributes nothing: Target carries no fence rate, so
-		// its cost is invisible to the screen and left to measurement.
+	if spec := unwrapFenced(cfg.Backend); spec != nil && spec.BackendName() == "banked" {
+		score = bankedResidual(t, cfg, score)
 	}
 	return score, nil
 }
@@ -155,80 +148,6 @@ func unwrapFenced(spec backendpkg.Spec) backendpkg.Spec {
 		return f.Inner
 	}
 	return spec
-}
-
-// OrgResidual adjusts the fifo-based heuristic score for one organization
-// family.  It receives the benchmark profile, the full machine, and the
-// score the fifo approximation produced, and returns the corrected ranking
-// key.  Like the rest of Score, a residual is a ranking prior, not a
-// validated prediction; the guided strategy's screening rung does the real
-// measuring.
-type OrgResidual func(t workload.Target, cfg sim.Config, fifoScore float64) float64
-
-var (
-	orgResMu     sync.RWMutex
-	orgResiduals = map[string]OrgResidual{}
-)
-
-// RegisterOrgResidual installs the ranking correction for a registered
-// organization kind (core.OrgSpec.OrgName).  Custom organizations that skip
-// this still sweep correctly — they just screen under the fifo
-// approximation.  Panics on a duplicate or empty registration.
-func RegisterOrgResidual(kind string, r OrgResidual) {
-	if kind == "" || r == nil {
-		panic("explore: RegisterOrgResidual needs a kind and a residual")
-	}
-	orgResMu.Lock()
-	defer orgResMu.Unlock()
-	if _, dup := orgResiduals[kind]; dup {
-		panic(fmt.Sprintf("explore: duplicate organization residual %q", kind))
-	}
-	orgResiduals[kind] = r
-}
-
-func orgResidualFor(kind string) OrgResidual {
-	orgResMu.RLock()
-	defer orgResMu.RUnlock()
-	return orgResiduals[kind]
-}
-
-func init() {
-	RegisterOrgResidual("ftl", ftlResidual)
-	RegisterBackendResidual("banked", bankedResidual)
-}
-
-// BackendResidual adjusts the flat-drain heuristic score for one memory
-// backend family, exactly as OrgResidual does for buffer organizations: a
-// ranking prior over the flat approximation, not a validated prediction.
-// It receives the machine with its full backend spec (a fenced wrap is
-// passed intact; use the inner shape).
-type BackendResidual func(t workload.Target, cfg sim.Config, flatScore float64) float64
-
-var (
-	backendResMu     sync.RWMutex
-	backendResiduals = map[string]BackendResidual{}
-)
-
-// RegisterBackendResidual installs the ranking correction for a registered
-// backend kind (backend.Spec.BackendName).  Custom backends that skip this
-// still sweep correctly — they just screen under the flat approximation.
-// Panics on a duplicate or empty registration.
-func RegisterBackendResidual(kind string, r BackendResidual) {
-	if kind == "" || r == nil {
-		panic("explore: RegisterBackendResidual needs a kind and a residual")
-	}
-	backendResMu.Lock()
-	defer backendResMu.Unlock()
-	if _, dup := backendResiduals[kind]; dup {
-		panic(fmt.Sprintf("explore: duplicate backend residual %q", kind))
-	}
-	backendResiduals[kind] = r
-}
-
-func backendResidualFor(kind string) BackendResidual {
-	backendResMu.RLock()
-	defer backendResMu.RUnlock()
-	return backendResiduals[kind]
 }
 
 // bankedResidual corrects the flat approximation for DRAM-style banking:

@@ -39,9 +39,11 @@ func TestStoreSharesAcrossProcesses(t *testing.T) {
 	for i, c := range cands {
 		specs[i] = experiment.ConfigSpec{Label: c.Label, Cfg: c.Cfg}
 	}
-	experiment.RunMatrixOpts(benches, specs, experiment.Options{
+	if _, err := experiment.RunMatrixCtx(context.Background(), benches, specs, experiment.Options{
 		Instructions: n, Backend: b1, Metrics: reg1,
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	close1()
 	wantJobs := uint64(len(cands) * len(benches))
 	if got := reg1.Counter("dispatch_store_misses_total").Value(); got != wantJobs {

@@ -18,7 +18,7 @@ import (
 // pool exists to wrap.
 //
 // Semantics mirror the HTTP middleware: a seeded subset of jobs (by
-// canonical key) fault on their first FaultCount calls and succeed after,
+// result-store key, dispatch.StoreKey) fault on their first FaultCount calls and succeed after,
 // so a resumed sweep completes.  Crash, Hang, and Storm surface as
 // errors; Slow delays the real answer; Corrupt and BitFlip return a
 // mutated measurement — modelling an untrusted inner backend, for testing
@@ -33,7 +33,7 @@ type Backend struct {
 
 // Run implements dispatch.Backend.
 func (b *Backend) Run(ctx context.Context, job dispatch.Job) (dispatch.Measurement, error) {
-	key, err := job.Key()
+	key, _, err := dispatch.StoreKey(job)
 	if err != nil {
 		return b.Inner.Run(ctx, job) // unkeyable jobs have no schedule
 	}

@@ -94,7 +94,12 @@ func matrixJSON(t *testing.T, backend dispatch.Backend) []byte {
 func localJSON(t *testing.T) []byte {
 	t.Helper()
 	benches, specs := chaosSuite(t)
-	blob, err := json.Marshal(experiment.RunMatrix(benches, specs, chaosN))
+	local, err := experiment.RunMatrixCtx(context.Background(), benches, specs,
+		experiment.Options{Instructions: chaosN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(local)
 	if err != nil {
 		t.Fatal(err)
 	}

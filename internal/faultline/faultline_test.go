@@ -96,7 +96,7 @@ func TestBackendInjectorFaultsThenRecovers(t *testing.T) {
 		t.Fatal("li not registered")
 	}
 	job := dispatch.Job{Bench: bench.Name, Cfg: sim.Baseline(), N: 10_000}
-	key, err := job.Key()
+	key, _, err := dispatch.StoreKey(job)
 	if err != nil {
 		t.Fatal(err)
 	}

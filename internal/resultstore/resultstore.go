@@ -16,8 +16,8 @@
 // (content addressing keeps arbitrary key bytes out of file names and
 // spreads directories).  Each file is a JSON envelope carrying the key, the
 // machine's canonical machconf hash, the payload, and a checksum in the
-// result-integrity format (hex SHA-256 over `hash\npayload`, the same
-// construction as dispatch.Checksum — asserted against it by test).  Reads
+// result-integrity format (hex SHA-256 over `hash\npayload`, Checksum,
+// which dispatch's POST /job responses carry too).  Reads
 // verify the checksum and the entry's address before returning; a corrupt
 // entry counts as a miss, is quarantined into the root's `quarantine/`
 // subdirectory (out of the lookup path, preserved for inspection), and the
@@ -70,10 +70,9 @@ func Key(bench string, n uint64, cfgHash string) string {
 }
 
 // Checksum is the entry-integrity sum: the hex SHA-256 of the canonical
-// machconf hash, a newline, and the payload bytes.  This is byte-for-byte
-// the wire-integrity format (dispatch.Checksum); reusing it means one
-// attestation construction protects a measurement at rest and in flight,
-// and the test suite pins the two implementations equal.
+// machconf hash, a newline, and the payload bytes.  dispatch's workers
+// attest their POST /job responses with it too, so one attestation
+// construction protects a measurement at rest and in flight.
 func Checksum(cfgHash string, payload []byte) string {
 	h := sha256.New()
 	h.Write([]byte(cfgHash))

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dispatch"
 	"repro/internal/metrics"
 	"repro/internal/resultstore"
 )
@@ -21,15 +20,6 @@ func open(t *testing.T, dir string, reg *metrics.Registry) *resultstore.Store {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// The store's at-rest checksum must be byte-for-byte the PR 5 wire
-// integrity format, so one attestation construction covers both.
-func TestChecksumMatchesDispatchFormat(t *testing.T) {
-	hash, payload := "deadbeef", []byte(`{"cpi":1.25}`)
-	if got, want := resultstore.Checksum(hash, payload), dispatch.Checksum(hash, payload); got != want {
-		t.Errorf("resultstore.Checksum = %s, dispatch.Checksum = %s", got, want)
-	}
 }
 
 // layouts runs a store test over one and over two replica directories:

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 // warm-up) and returns its (pctLoads, pctStores, l1HitPct, wbHitPct).
 func measure(t *testing.T, b workload.Benchmark, n uint64) (pl, ps, l1, wb float64) {
 	t.Helper()
-	m, err := dispatch.ExecuteBench(b, "base", sim.Baseline(), n, nil)
+	row, _, err := dispatch.ExecuteRow(context.Background(), b, []string{"base"}, []sim.Config{sim.Baseline()}, n, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := row[0]
 	if err := m.C.Check(); err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
