@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -58,6 +59,38 @@ func TestBadReplayIsFatal(t *testing.T) {
 		if code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "trace:") {
 			t.Errorf("%s trace: exit %d, stdout %q, stderr %q; want exit 1 with the decode error",
 				name, code, stdout.String(), stderr.String())
+		}
+	}
+}
+
+// recordDigests pin the bytes `wbtrace -record` writes (FNV-64a of the
+// whole file) for a synthetic benchmark and for a kernel with long Exec
+// runs, at -n 200000.  They were recorded when trace.Write read one
+// reference per Next, so a batched writer must merge adjacent Exec runs
+// into the same records and produce the same file.
+var recordDigests = map[string]uint64{
+	"li":  0xa24356441ea9fe58,
+	"fft": 0xbaa204baf0e1d514,
+}
+
+// TestRecordBytesPinned: the recorded WBT2 file is byte-identical to the
+// pinned one.
+func TestRecordBytesPinned(t *testing.T) {
+	for _, bench := range []string{"li", "fft"} {
+		path := filepath.Join(t.TempDir(), bench+".wbt")
+		cmd := exec.Command(os.Args[0], "-bench", bench, "-n", "200000", "-record", path)
+		cmd.Env = append(os.Environ(), "WBTRACE_MAIN=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%s: %v: %s", bench, err, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(data)
+		if got, want := h.Sum64(), recordDigests[bench]; got != want {
+			t.Errorf("%s: file digest %#016x (%d bytes), recorded %#016x", bench, got, len(data), want)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package workload_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"io"
 	"testing"
 
 	"repro/internal/trace"
@@ -117,5 +119,97 @@ func TestGeneratorBatchInstrCounts(t *testing.T) {
 		if total != n {
 			t.Errorf("%s: generator accounts for %d instructions, want %d", b.Name, total, n)
 		}
+	}
+}
+
+// derivedDigests pin the decoded sequences of the derived streams the
+// extension experiments build from suite benchmarks: concatenation,
+// time-sliced interleaving and barrier injection.  They were recorded
+// from the per-reference Stream combinators, so a batched combinator must
+// reproduce them exactly: cutting a run-length-encoded Exec run at a
+// quantum or period boundary may change the batches, never the decoded
+// sequence.  Inject over fft covers a kernel with long Exec runs and a
+// producer goroutine, so the run-cutting and Close paths are both hit.
+var derivedDigests = map[string][2]uint64{
+	"concat li+compress":            {0x6537eeb3f03f0db4, 0x4b5f1a8145491d0f},
+	"interleave 1 li+compress":      {0xb48c93a62cf44b12, 0x881ad9e724e68f95},
+	"interleave 1000 li+compress":   {0x30d0626b8f403a44, 0x101180da0213611f},
+	"interleave 100000 li+compress": {0x6537eeb3f03f0db4, 0xeb724c43869eee9f},
+	"inject 0 li":                   {0xec2802bc6932c747, 0x471ee5b86275de17},
+	"inject 1 li":                   {0xdf711f481a4bed0b, 0x1b5e52701d92e183},
+	"inject 1000 li":                {0x02fe6d77e85fd19f, 0x6e380dce9a1ea055},
+	"inject 0 fft":                  {0xe34e5af2ecf69d65, 0x39cde80729d41f26},
+	"inject 1 fft":                  {0xff1a003acc163059, 0xcb5cdc91beddb43c},
+	"inject 1000 fft":               {0x59a1846a59ece4bd, 0xf8fe2eab4de9acb6},
+}
+
+// derivedStreams builds each pinned derived stream of n instructions per
+// input share, as the extension experiments do.
+func derivedStreams(t *testing.T) map[string]func(n uint64) trace.Generator {
+	li, compress, fft := mustBench(t, "li"), mustBench(t, "compress"), mustBench(t, "fft")
+	cases := map[string]func(n uint64) trace.Generator{
+		"concat li+compress": func(n uint64) trace.Generator {
+			return trace.GeneratorOf(trace.NewConcat(li.Stream(n/2), compress.Stream(n/2)))
+		},
+	}
+	for _, q := range []uint64{1, 1000, 100_000} {
+		cases[fmt.Sprintf("interleave %d li+compress", q)] = func(n uint64) trace.Generator {
+			return trace.GeneratorOf(trace.NewInterleave(q, li.Stream(n/2), compress.Stream(n/2)))
+		}
+	}
+	for _, b := range []workload.Benchmark{li, fft} {
+		for _, period := range []uint64{0, 1, 1000} {
+			cases[fmt.Sprintf("inject %d %s", period, b.Name)] = func(n uint64) trace.Generator {
+				return trace.GeneratorOf(trace.NewInject(b.Stream(n), trace.Ref{Kind: trace.Membar}, period))
+			}
+		}
+	}
+	return cases
+}
+
+func mustBench(t *testing.T, name string) workload.Benchmark {
+	t.Helper()
+	b, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("benchmark %q missing", name)
+	}
+	return b
+}
+
+// generatorDigest hashes g's decoded sequence as streamDigest does, then
+// closes g.
+func generatorDigest(t *testing.T, g trace.Generator) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	var rec [9]byte
+	s := trace.NewGeneratorStream(g)
+	for r, ok := s.Next(); ok; r, ok = s.Next() {
+		rec[0] = byte(r.Kind)
+		binary.LittleEndian.PutUint64(rec[1:], uint64(r.Addr))
+		h.Write(rec[:])
+	}
+	if c, ok := g.(io.Closer); ok {
+		if err := c.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestDerivedGeneratorsMatchParent: every derived stream decodes to the
+// sequence recorded from the per-reference combinators.
+func TestDerivedGeneratorsMatchParent(t *testing.T) {
+	for name, build := range derivedStreams(t) {
+		t.Run(name, func(t *testing.T) {
+			want, ok := derivedDigests[name]
+			if !ok {
+				t.Fatalf("no recorded digest for %s", name)
+			}
+			for i, n := range []uint64{digestShort, digestLong} {
+				if got := generatorDigest(t, build(n)); got != want[i] {
+					t.Errorf("n=%d: digest %#016x, recorded %#016x", n, got, want[i])
+				}
+			}
+		})
 	}
 }
