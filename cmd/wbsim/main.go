@@ -107,7 +107,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wbsim:", err)
 			os.Exit(1)
 		}
-		g, name = trace.GeneratorOf(r), *traceFile
+		g, name = r, *traceFile
 	} else {
 		b, ok := workload.ByName(*benchName)
 		if !ok {

@@ -32,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var s trace.Stream
+	var g trace.Generator
 	var name string
 	decodeErr := func() error { return nil }
 	switch {
@@ -46,19 +46,19 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		s, name, decodeErr = r, *replay, r.Err
+		g, name, decodeErr = r, *replay, r.Err
 	default:
 		b, ok := workload.ByName(*benchName)
 		if !ok {
 			fatalf("unknown benchmark %q", *benchName)
 		}
-		s, name = b.Stream(*n), *benchName
+		g, name = b.Generator(*n), *benchName
 		if *record != "" {
 			fh, err := os.Create(*record)
 			if err != nil {
 				fatalf("%v", err)
 			}
-			count, err := trace.Write(fh, s)
+			count, err := trace.Write(fh, g)
 			if err2 := fh.Close(); err == nil {
 				err = err2
 			}
@@ -69,7 +69,7 @@ func main() {
 			return
 		}
 	}
-	analyse(s, name, *dump, decodeErr)
+	analyse(g, name, *dump, decodeErr)
 }
 
 func fatalf(format string, args ...any) {
@@ -77,11 +77,13 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// analyse prints the first dump references of s, or with dump 0 its mix
-// and footprint.  A decodeErr after reading (a truncated or corrupt trace
-// file) is fatal: a prefix must not pass for the whole trace.
-func analyse(s trace.Stream, name string, dump int, decodeErr func() error) {
+// analyse prints the first dump references of g, one per dynamic
+// instruction, or with dump 0 its mix and footprint.  A decodeErr after
+// reading (a truncated or corrupt trace file) is fatal: a prefix must not
+// pass for the whole trace.
+func analyse(g trace.Generator, name string, dump int, decodeErr func() error) {
 	if dump > 0 {
+		s := trace.NewGeneratorStream(g)
 		for i := 0; i < dump; i++ {
 			r, ok := s.Next()
 			if !ok {
@@ -105,17 +107,16 @@ func analyse(s trace.Stream, name string, dump int, decodeErr func() error) {
 	var mix trace.Mix
 	loadLines := map[mem.Addr]uint64{}
 	storeLines := map[mem.Addr]uint64{}
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		mix.Add(r)
-		switch r.Kind {
-		case trace.Load:
-			loadLines[mem.DefaultGeometry.LineTag(r.Addr)]++
-		case trace.Store:
-			storeLines[mem.DefaultGeometry.LineTag(r.Addr)]++
+	buf := make([]trace.Ref, 4096)
+	for n := g.Fill(buf); n > 0; n = g.Fill(buf) {
+		for _, r := range buf[:n] {
+			mix.Add(r)
+			switch r.Kind {
+			case trace.Load:
+				loadLines[mem.DefaultGeometry.LineTag(r.Addr)]++
+			case trace.Store:
+				storeLines[mem.DefaultGeometry.LineTag(r.Addr)]++
+			}
 		}
 	}
 	if err := decodeErr(); err != nil {

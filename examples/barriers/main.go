@@ -51,11 +51,11 @@ func main() {
 		fmt.Printf("%-26s", c.label)
 		for _, period := range periods {
 			m := sim.MustNew(c.cfg)
-			var s trace.Stream = b.Stream(n)
+			g := b.Generator(n)
 			if period > 0 {
-				s = trace.NewInject(s, trace.Ref{Kind: trace.Membar}, period)
+				g = trace.NewInject(g, trace.Ref{Kind: trace.Membar}, period)
 			}
-			m.Run(trace.GeneratorOf(s))
+			m.Run(g)
 			cnt := m.Counters()
 			fmt.Printf(" %6.2f (%5.2f)", cnt.TotalStallPct(), cnt.StallPct(stats.MembarDrain))
 		}

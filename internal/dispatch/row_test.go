@@ -92,7 +92,7 @@ func TestExecuteRowCancelStopsGenerator(t *testing.T) {
 	// A derived stream hides the kernel's generator behind combinators;
 	// closing the row must still reach it.
 	mix := workload.Derive("espresso+fft / 1000", func(n uint64) trace.Generator {
-		return trace.GeneratorOf(trace.NewInterleave(1000, espresso.Stream(n/2), fft.Stream(n/2)))
+		return trace.NewInterleave(1000, espresso.Generator(n/2), fft.Generator(n/2))
 	})
 	for _, b := range []workload.Benchmark{fft, mix} {
 		before := runtime.NumGoroutine()

@@ -142,9 +142,9 @@ func runMultiprog(ctx context.Context, o Options) (*Report, error) {
 			}
 			mixes = append(mixes, workload.Derive(name, func(n uint64) trace.Generator {
 				if q == 0 {
-					return trace.GeneratorOf(trace.NewConcat(a.Stream(n/2), b.Stream(n/2)))
+					return trace.NewConcat(a.Generator(n/2), b.Generator(n/2))
 				}
-				return trace.GeneratorOf(trace.NewInterleave(q, a.Stream(n/2), b.Stream(n/2)))
+				return trace.NewInterleave(q, a.Generator(n/2), b.Generator(n/2))
 			}))
 		}
 	}
@@ -220,7 +220,7 @@ func runMembar(ctx context.Context, o Options) (*Report, error) {
 		for _, period := range periods {
 			fenced = append(fenced, workload.Derive(fmt.Sprintf("%s / %d", b.Name, period),
 				func(n uint64) trace.Generator {
-					return trace.GeneratorOf(trace.NewInject(b.Stream(n), trace.Ref{Kind: trace.Membar}, period))
+					return trace.NewInject(b.Generator(n), trace.Ref{Kind: trace.Membar}, period)
 				}))
 		}
 	}

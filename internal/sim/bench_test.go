@@ -115,7 +115,7 @@ func BenchmarkRow(b *testing.B) {
 						ms[j] = MustNew(cfg)
 					}
 					row := NewRow(ms)
-					if err := row.Run(context.Background(), trace.GeneratorOf(bench.Stream(n)), n/4); err != nil {
+					if err := row.Run(context.Background(), bench.Generator(n), n/4); err != nil {
 						b.Fatal(err)
 					}
 					gen += row.Gen

@@ -71,7 +71,7 @@ func runLegacy(m *Machine, s trace.Stream, n uint64) {
 // runFused is the production job shape: batched generator execution with
 // the same warm-up split in dynamic instructions, as a one-machine row.
 func runFused(m *Machine, s trace.Stream, n uint64) {
-	runRow([]*Machine{m}, trace.GeneratorOf(s), n/4)
+	runRow([]*Machine{m}, s, n/4)
 }
 
 func runRow(ms []*Machine, g trace.Generator, warm uint64) {
@@ -210,7 +210,7 @@ func TestRowMatchesSingleJobs(t *testing.T) {
 			for i, cfg := range row {
 				ms[i] = MustNew(cfg)
 			}
-			runRow(ms, trace.GeneratorOf(b.Stream(n)), n/4)
+			runRow(ms, b.Generator(n), n/4)
 			for i, cfg := range row {
 				alone := MustNew(cfg)
 				runFused(alone, b.Stream(n), n)
@@ -263,7 +263,7 @@ func TestRowCancelLeavesOwnL1s(t *testing.T) {
 	cfgs := []Config{Baseline(), Baseline().WithHazard(core.FlushPartial), Baseline().WithHazard(core.ReadFromWB)}
 	run := func(ms []*Machine) {
 		ctx, cancel := context.WithCancel(context.Background())
-		g := &cancelAfter{g: trace.GeneratorOf(b.Stream(100_000)), fills: 3, cancel: cancel}
+		g := &cancelAfter{g: b.Generator(100_000), fills: 3, cancel: cancel}
 		if err := NewRow(ms).Run(ctx, g, 5_000); err != context.Canceled {
 			t.Fatalf("Run = %v, want context.Canceled", err)
 		}
@@ -299,7 +299,7 @@ func TestRowUnequalL1sStepAlone(t *testing.T) {
 	}
 	ms := build()
 	row := NewRow(ms)
-	if err := row.Run(context.Background(), trace.GeneratorOf(tom.Stream(30_000)), 0); err != nil {
+	if err := row.Run(context.Background(), tom.Generator(30_000), 0); err != nil {
 		t.Fatal(err)
 	}
 	if row.groups[0].active {
@@ -307,7 +307,7 @@ func TestRowUnequalL1sStepAlone(t *testing.T) {
 	}
 	alone := build()
 	for i, m := range alone {
-		runRow([]*Machine{m}, trace.GeneratorOf(tom.Stream(30_000)), 0)
+		runRow([]*Machine{m}, tom.Generator(30_000), 0)
 		if want, got := snapshot(m), snapshot(ms[i]); !reflect.DeepEqual(want, got) || !ms[i].l1.Equal(m.l1) {
 			t.Errorf("machine %d diverged\nalone: %+v\nrow:   %+v", i, want, got)
 		}
@@ -320,7 +320,7 @@ func TestRowTimers(t *testing.T) {
 	b, _ := workload.ByName("li")
 	row := NewRow([]*Machine{MustNew(Baseline()), MustNew(Baseline().WithDepth(8))})
 	start := time.Now()
-	if err := row.Run(context.Background(), trace.GeneratorOf(b.Stream(200_000)), 50_000); err != nil {
+	if err := row.Run(context.Background(), b.Generator(200_000), 50_000); err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(start)

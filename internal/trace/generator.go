@@ -10,46 +10,16 @@ package trace
 // of references, and a generator may run-length encode Exec runs
 // (Ref.InstrCount documents the encoding), so a kernel's
 // thousand-instruction compute block is one ref instead of a thousand.
-// Every workload implements Generator and nothing else; the Stream view
-// of a generator is GeneratorStream, which decodes the batches.
+// Workloads, trace files and the combinators all implement Generator;
+// GeneratorStream decodes any of them one instruction at a time.
 type Generator interface {
 	Fill(buf []Ref) int
 }
 
-// GeneratorOf returns the most efficient Generator view of s: streams that
-// natively implement Generator (GeneratorStream, SliceStream) are returned
-// as themselves, and anything else is wrapped in a per-reference adapter.
-func GeneratorOf(s Stream) Generator {
-	if g, ok := s.(Generator); ok {
-		return g
-	}
-	return &streamGenerator{s: s}
-}
-
-// streamGenerator adapts an arbitrary Stream to Generator by calling Next
-// per reference.  The combinators (Concat, Interleave, Inject) and trace
-// files land here; they pay a per-reference dispatch, but their consumers
-// still get the simulator's batched execution.
-type streamGenerator struct {
-	s Stream
-}
-
-// Fill implements Generator.
-func (g *streamGenerator) Fill(buf []Ref) int {
-	n := 0
-	for n < len(buf) {
-		r, ok := g.s.Next()
-		if !ok {
-			break
-		}
-		buf[n] = r
-		n++
-	}
-	return n
-}
-
-// Close closes the wrapped stream (see closeAll).
-func (g *streamGenerator) Close() error { return closeAll(g.s) }
+// GeneratorOf returns s as a Generator.
+//
+// Deprecated: every Stream is a Generator; use it directly.
+func GeneratorOf(s Stream) Generator { return s }
 
 // Fill implements Generator for SliceStream: one copy per batch instead of
 // one interface call per reference.
@@ -60,16 +30,14 @@ func (s *SliceStream) Fill(buf []Ref) int {
 }
 
 // GeneratorStream is the Stream view of a Generator: Next decodes its
-// batches to one Ref per dynamic instruction, for the per-reference
-// consumers (the Step oracle, trace recording, the combinators).  It is
-// also a Generator itself, so GeneratorOf hands the batched view straight
-// back to a batch consumer.
+// batches to one Ref per dynamic instruction, and Fill hands on what Next
+// has not consumed.  The combinators read their inputs through it too,
+// cutting Exec runs at quantum and period boundaries.
 type GeneratorStream struct {
-	g        Generator
-	buf      [256]Ref
-	cur      []Ref
-	pos      int
-	execLeft uint64 // undelivered tail of a run-length-encoded Exec ref
+	g   Generator
+	buf [256]Ref
+	cur []Ref
+	pos int
 }
 
 // NewGeneratorStream wraps g as a Stream.
@@ -77,13 +45,10 @@ func NewGeneratorStream(g Generator) *GeneratorStream {
 	return &GeneratorStream{g: g}
 }
 
-// Next implements Stream, decoding run-length-encoded Exec refs back to
-// one Ref per dynamic instruction (the Stream contract).
-func (s *GeneratorStream) Next() (Ref, bool) {
-	if s.execLeft > 0 {
-		s.execLeft--
-		return Ref{Kind: Exec}, true
-	}
+// next returns the next ref of the wrapped generator.  An Exec run longer
+// than max instructions (max ≥ 1) is cut: its first max instructions are
+// returned and the tail stays buffered as the next ref.
+func (s *GeneratorStream) next(max uint64) (Ref, bool) {
 	if s.pos >= len(s.cur) {
 		n := s.g.Fill(s.buf[:])
 		if n == 0 {
@@ -92,31 +57,34 @@ func (s *GeneratorStream) Next() (Ref, bool) {
 		s.cur, s.pos = s.buf[:n], 0
 	}
 	r := s.cur[s.pos]
-	s.pos++
-	if r.Kind == Exec {
-		s.execLeft = r.InstrCount() - 1
-		return Ref{Kind: Exec}, true
+	if k := r.InstrCount(); k > max {
+		s.cur[s.pos] = ExecRun(k - max)
+		return ExecRun(max), true
 	}
+	s.pos++
 	return r, true
+}
+
+// Next implements Stream, decoding run-length-encoded Exec refs back to
+// one Ref per dynamic instruction.
+func (s *GeneratorStream) Next() (Ref, bool) {
+	r, ok := s.next(1)
+	if r.Kind == Exec {
+		r.Addr = 0
+	}
+	return r, ok
 }
 
 // Close closes the wrapped generator (see closeAll).
 func (s *GeneratorStream) Close() error { return closeAll(s.g) }
 
-// Fill implements Generator.  It first delivers what Next has decoded but
-// not yet handed out — the rest of a split Exec run, then the buffered
-// refs — and fills the remainder of buf straight from the wrapped
-// generator, so a stream nobody has called Next on costs no copy at all.
+// Fill implements Generator.  It first delivers what Next has buffered but
+// not yet handed out — the rest of a split Exec run included — and fills
+// the remainder of buf straight from the wrapped generator, so a stream
+// nobody has called Next on costs no copy at all.
 func (s *GeneratorStream) Fill(buf []Ref) int {
-	n := 0
-	if s.execLeft > 0 && len(buf) > 0 {
-		buf[0] = ExecRun(s.execLeft)
-		s.execLeft = 0
-		n = 1
-	}
-	c := copy(buf[n:], s.cur[s.pos:])
-	s.pos += c
-	n += c
+	n := copy(buf, s.cur[s.pos:])
+	s.pos += n
 	if n < len(buf) {
 		n += s.g.Fill(buf[n:])
 	}

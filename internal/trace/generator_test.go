@@ -83,12 +83,9 @@ func TestGeneratorStreamFill(t *testing.T) {
 			}
 		}
 	}
-	// A fresh GeneratorStream is its own batched view: GeneratorOf must
-	// not wrap it in the per-reference adapter.
+	// A fresh GeneratorStream hands the wrapped generator's batches on
+	// untouched, run-length encoding included.
 	s := NewGeneratorStream(NewSliceStream(refs))
-	if g := GeneratorOf(s); g != Generator(s) {
-		t.Fatalf("GeneratorOf(GeneratorStream) = %T, want the stream itself", g)
-	}
 	buf := make([]Ref, len(refs))
 	if n := s.Fill(buf); n != len(refs) || buf[0] != refs[0] || buf[3] != refs[3] {
 		t.Fatalf("untouched stream filled %d refs %v, want the generator's batch %v", n, buf[:n], refs)
@@ -123,26 +120,6 @@ func TestGeneratorStreamDecodesRuns(t *testing.T) {
 	}
 	if _, ok := s.Next(); ok {
 		t.Fatal("stream should be exhausted")
-	}
-}
-
-// TestGeneratorOfFallback: a Stream with no native Generator gets the
-// per-reference adapter, and its Fill yields the stream's sequence.
-func TestGeneratorOfFallback(t *testing.T) {
-	inner := []Ref{{Kind: Load, Addr: 1}, {Kind: Exec}, {Kind: Store, Addr: 2}}
-	// Concat has no Fill method, so GeneratorOf must wrap it.
-	g := GeneratorOf(NewConcat(NewSliceStream(inner)))
-	if _, native := g.(*SliceStream); native {
-		t.Fatal("expected the adapter, got the slice stream itself")
-	}
-	got := decode(g, 10)
-	if len(got) != len(inner) {
-		t.Fatalf("decoded %d refs, want %d", len(got), len(inner))
-	}
-	for i := range inner {
-		if got[i] != inner[i] {
-			t.Fatalf("ref %d = %+v, want %+v", i, got[i], inner[i])
-		}
 	}
 }
 

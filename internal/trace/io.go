@@ -41,9 +41,9 @@ var recordKind = [...]byte{Load: 'l', Store: 's', Membar: 'b', Release: 'r'}
 // fnv64a folds one byte into a running FNV-64a sum.
 func fnv64a(sum uint64, b byte) uint64 { return (sum ^ uint64(b)) * fnv64aPrime }
 
-// Write serialises the stream to w, returning the number of references
-// written.  The stream is consumed.
-func Write(w io.Writer, s Stream) (uint64, error) {
+// Write consumes the generator, serialising it to w with adjacent Exec
+// refs merged into one record, and returns the instructions written.
+func Write(w io.Writer, g Generator) (uint64, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(traceMagic); err != nil {
 		return 0, err
@@ -67,25 +67,24 @@ func Write(w io.Writer, s Stream) (uint64, error) {
 		execRun = 0
 		return err
 	}
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		count++
-		if r.Kind == Exec {
-			execRun++
-			continue
-		}
-		if err := flushExecs(); err != nil {
-			return count, err
-		}
-		rec = append(rec[:0], recordKind[r.Kind])
-		if r.Kind == Load || r.Kind == Store {
-			rec = binary.AppendUvarint(rec, uint64(r.Addr))
-		}
-		if err := emit(rec); err != nil {
-			return count, err
+	var buf [256]Ref
+	for n := g.Fill(buf[:]); n > 0; n = g.Fill(buf[:]) {
+		for _, r := range buf[:n] {
+			count += r.InstrCount()
+			if r.Kind == Exec {
+				execRun += r.InstrCount()
+				continue
+			}
+			if err := flushExecs(); err != nil {
+				return count, err
+			}
+			rec = append(rec[:0], recordKind[r.Kind])
+			if r.Kind == Load || r.Kind == Store {
+				rec = binary.AppendUvarint(rec, uint64(r.Addr))
+			}
+			if err := emit(rec); err != nil {
+				return count, err
+			}
 		}
 	}
 	if err := flushExecs(); err != nil {
@@ -99,12 +98,12 @@ func Write(w io.Writer, s Stream) (uint64, error) {
 	return count, bw.Flush()
 }
 
-// Reader streams references from a trace file produced by Write.
+// Reader is the Generator over a trace file produced by Write: each 'x'
+// record fills one run-length-encoded Exec ref.
 type Reader struct {
-	in       summingReader
-	execLeft uint64
-	err      error
-	done     bool
+	in   summingReader
+	err  error
+	done bool
 
 	// checked is set for "WBT2" files: records counts the records read,
 	// and the trailer must match it and in.sum.
@@ -128,7 +127,7 @@ func (s *summingReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// NewReader validates the header and returns a streaming reader.
+// NewReader validates the header and returns a reader over the records.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(traceMagic))
@@ -144,15 +143,23 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return nil, fmt.Errorf("trace: bad magic %q", head)
 }
 
-// Next implements Stream.  After exhaustion or a decode error, it keeps
-// returning false; Err distinguishes the two.
-func (r *Reader) Next() (Ref, bool) {
+// Fill implements Generator.  After exhaustion or a decode error, it keeps
+// returning 0; Err distinguishes the two.
+func (r *Reader) Fill(buf []Ref) int {
+	for n := range buf {
+		ref, ok := r.read()
+		if !ok {
+			return n
+		}
+		buf[n] = ref
+	}
+	return len(buf)
+}
+
+// read decodes the next record.
+func (r *Reader) read() (Ref, bool) {
 	if r.err != nil || r.done {
 		return Ref{}, false
-	}
-	if r.execLeft > 0 {
-		r.execLeft--
-		return Ref{Kind: Exec}, true
 	}
 	if r.checked {
 		if b, err := r.in.br.Peek(1); err == nil && b[0] == trailerKind {
@@ -180,8 +187,7 @@ func (r *Reader) Next() (Ref, bool) {
 			r.err = fmt.Errorf("trace: bad exec run: %v", err)
 			return Ref{}, false
 		}
-		r.execLeft = n - 1
-		return Ref{Kind: Exec}, true
+		return ExecRun(n), true
 	case 'b':
 		return Ref{Kind: Membar}, true
 	case 'r':

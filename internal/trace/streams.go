@@ -8,7 +8,7 @@ import (
 )
 
 // SliceStream replays a fixed slice of references.  It is the workhorse of
-// unit tests and of trace recording/replay.
+// unit tests and hand-built sequences.
 type SliceStream struct {
 	refs []Ref
 	pos  int
@@ -28,36 +28,36 @@ func (s *SliceStream) Next() (Ref, bool) {
 	return r, true
 }
 
-// Concat chains several streams into one.
+// Concat chains several generators into one.
 type Concat struct {
-	streams []Stream
+	gens []Generator
 }
 
-// NewConcat returns a stream that exhausts each argument in order.
-func NewConcat(streams ...Stream) *Concat { return &Concat{streams: streams} }
+// NewConcat returns a generator that exhausts each argument in order.
+func NewConcat(gens ...Generator) *Concat { return &Concat{gens: gens} }
 
-// Next implements Stream.
-func (c *Concat) Next() (Ref, bool) {
-	for len(c.streams) > 0 {
-		if r, ok := c.streams[0].Next(); ok {
-			return r, true
+// Fill implements Generator.
+func (c *Concat) Fill(buf []Ref) int {
+	for len(c.gens) > 0 {
+		if n := c.gens[0].Fill(buf); n > 0 {
+			return n
 		}
-		c.streams = c.streams[1:]
+		c.gens = c.gens[1:]
 	}
-	return Ref{}, false
+	return 0
 }
 
-// Close closes the streams not yet exhausted (see closeAll).
-func (c *Concat) Close() error { return closeAll(c.streams...) }
+// Close closes the generators not yet exhausted (see closeAll).
+func (c *Concat) Close() error { return closeAll(c.gens...) }
 
-// Interleave round-robins several streams with a fixed quantum, modelling
-// multiprogrammed execution: quantum references from the first stream,
-// then the second, and so on, until every stream is exhausted.  (The
-// paper's single-program traces omit OS and context-switch activity; this
-// combinator lets experiments ask what time-slicing does to write-buffer
-// and cache state.)
+// Interleave round-robins several generators with a fixed quantum,
+// modelling multiprogrammed execution: quantum instructions from the
+// first, then the second, and so on, until every one is exhausted; an Exec
+// run is cut at the quantum boundary.  (The paper's single-program traces
+// omit OS and context-switch activity; this combinator lets experiments
+// ask what time-slicing does to write-buffer and cache state.)
 type Interleave struct {
-	streams []Stream
+	streams []*GeneratorStream
 	quantum uint64
 	cur     int
 	used    uint64
@@ -65,73 +65,91 @@ type Interleave struct {
 
 // NewInterleave returns a round-robin interleaving with the given quantum
 // (minimum 1).
-func NewInterleave(quantum uint64, streams ...Stream) *Interleave {
+func NewInterleave(quantum uint64, gens ...Generator) *Interleave {
 	if quantum == 0 {
 		quantum = 1
 	}
-	return &Interleave{streams: streams, quantum: quantum}
+	in := &Interleave{quantum: quantum}
+	for _, g := range gens {
+		in.streams = append(in.streams, NewGeneratorStream(g))
+	}
+	return in
 }
 
-// Next implements Stream.
-func (in *Interleave) Next() (Ref, bool) {
-	// fails counts consecutive exhausted streams; reaching the stream
-	// count means everything is drained.
-	for fails := 0; fails < len(in.streams); {
+// Fill implements Generator.
+func (in *Interleave) Fill(buf []Ref) int {
+	n := 0
+	// fails counts consecutive exhausted inputs; reaching the input count
+	// means everything is drained.
+	for fails := 0; n < len(buf) && fails < len(in.streams); {
 		if in.used >= in.quantum {
 			in.cur = (in.cur + 1) % len(in.streams)
 			in.used = 0
 		}
-		r, ok := in.streams[in.cur].Next()
+		r, ok := in.streams[in.cur].next(in.quantum - in.used)
 		if !ok {
-			in.used = in.quantum // force rotation off the spent stream
+			in.used = in.quantum // force rotation off the spent input
 			fails++
 			continue
 		}
-		in.used++
-		return r, true
+		fails = 0
+		in.used += r.InstrCount()
+		buf[n] = r
+		n++
 	}
-	return Ref{}, false
+	return n
 }
 
-// Close closes every interleaved stream (see closeAll).
+// Close closes every interleaved generator (see closeAll).
 func (in *Interleave) Close() error { return closeAll(in.streams...) }
 
-// Inject interleaves a fixed reference into a stream every period yielded
-// references — e.g. a memory barrier every 1000 instructions, modelling
-// synchronisation-heavy multiprocessor code.
+// Inject inserts a fixed reference after every period instructions of a
+// generator, cutting Exec runs at the boundary — e.g. a memory barrier
+// every 1000 instructions, modelling synchronisation-heavy code.
 type Inject struct {
-	inner  Stream
+	inner  *GeneratorStream
 	ref    Ref
 	period uint64
 	count  uint64
 }
 
-// NewInject returns a stream yielding inner's references with ref inserted
-// after every period of them.  period 0 disables injection.
-func NewInject(inner Stream, ref Ref, period uint64) *Inject {
-	return &Inject{inner: inner, ref: ref, period: period}
+// NewInject returns inner with ref inserted after every period
+// instructions.  period 0 disables injection.
+func NewInject(inner Generator, ref Ref, period uint64) *Inject {
+	return &Inject{inner: NewGeneratorStream(inner), ref: ref, period: period}
 }
 
-// Next implements Stream.
-func (in *Inject) Next() (Ref, bool) {
-	if in.period > 0 && in.count == in.period {
-		in.count = 0
-		return in.ref, true
+// Fill implements Generator.
+func (in *Inject) Fill(buf []Ref) int {
+	if in.period == 0 {
+		return in.inner.Fill(buf)
 	}
-	r, ok := in.inner.Next()
-	if ok {
-		in.count++
+	n := 0
+	for n < len(buf) {
+		if in.count == in.period {
+			in.count = 0
+			buf[n] = in.ref
+			n++
+			continue
+		}
+		r, ok := in.inner.next(in.period - in.count)
+		if !ok {
+			break
+		}
+		in.count += r.InstrCount()
+		buf[n] = r
+		n++
 	}
-	return r, ok
+	return n
 }
 
-// Close closes the inner stream (see closeAll).
+// Close closes the inner generator (see closeAll).
 func (in *Inject) Close() error { return closeAll(in.inner) }
 
 // closeAll closes every element that implements io.Closer.  The
-// combinators and the Stream/Generator adapters pass Close down this way,
-// so closing a composed stream stops the kernel producer goroutines of the
-// workloads inside it, which an abandoned stream would otherwise leak.
+// combinators and GeneratorStream pass Close down this way, so closing a
+// composed generator stops the kernel producer goroutines of the workloads
+// inside it, which an abandoned generator would otherwise leak.
 func closeAll[T any](xs ...T) error {
 	var errs []error
 	for _, x := range xs {

@@ -7,16 +7,28 @@ import (
 	"repro/internal/mem"
 )
 
-func collect(s Stream) []Ref {
+// collect decodes g to one Ref per dynamic instruction.
+func collect(g Generator) []Ref {
 	var out []Ref
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return out
-		}
+	s := NewGeneratorStream(g)
+	for r, ok := s.Next(); ok; r, ok = s.Next() {
 		out = append(out, r)
 	}
+	return out
 }
+
+// fillAll drains g's batches as they are filled, without decoding them.
+func fillAll(g Generator) []Ref {
+	var out []Ref
+	buf := make([]Ref, 3) // small, so batch edges fall mid-sequence
+	for n := g.Fill(buf); n > 0; n = g.Fill(buf) {
+		out = append(out, buf[:n]...)
+	}
+	return out
+}
+
+// load is a Load marker ref; its address identifies it.
+func load(addr mem.Addr) Ref { return Ref{Kind: Load, Addr: addr} }
 
 func TestInjectEveryPeriod(t *testing.T) {
 	base := NewSliceStream(make([]Ref, 10))
@@ -43,8 +55,8 @@ func TestInjectDisabled(t *testing.T) {
 }
 
 func TestInterleaveRoundRobin(t *testing.T) {
-	a := NewSliceStream([]Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}})
-	b := NewSliceStream([]Ref{{Addr: 101}, {Addr: 102}, {Addr: 103}, {Addr: 104}})
+	a := NewSliceStream([]Ref{load(1), load(2), load(3), load(4)})
+	b := NewSliceStream([]Ref{load(101), load(102), load(103), load(104)})
 	s := NewInterleave(2, a, b)
 	var addrs []mem.Addr
 	for _, r := range collect(s) {
@@ -62,8 +74,8 @@ func TestInterleaveRoundRobin(t *testing.T) {
 }
 
 func TestInterleaveUnevenStreams(t *testing.T) {
-	a := NewSliceStream([]Ref{{Addr: 1}})
-	b := NewSliceStream([]Ref{{Addr: 101}, {Addr: 102}, {Addr: 103}})
+	a := NewSliceStream([]Ref{load(1)})
+	b := NewSliceStream([]Ref{load(101), load(102), load(103)})
 	refs := collect(NewInterleave(2, a, b))
 	if len(refs) != 4 {
 		t.Fatalf("yielded %d refs, want 4 (no loss when one stream ends early)", len(refs))
@@ -71,8 +83,8 @@ func TestInterleaveUnevenStreams(t *testing.T) {
 }
 
 func TestInterleaveZeroQuantum(t *testing.T) {
-	a := NewSliceStream([]Ref{{Addr: 1}, {Addr: 2}})
-	b := NewSliceStream([]Ref{{Addr: 101}})
+	a := NewSliceStream([]Ref{load(1), load(2)})
+	b := NewSliceStream([]Ref{load(101)})
 	refs := collect(NewInterleave(0, a, b)) // clamps to 1
 	if len(refs) != 3 {
 		t.Fatalf("yielded %d refs, want 3", len(refs))
@@ -94,11 +106,11 @@ func TestInterleaveConservationProperty(t *testing.T) {
 	f := func(na, nb uint8, q uint8) bool {
 		a := make([]Ref, na)
 		for i := range a {
-			a[i] = Ref{Addr: mem.Addr(i + 1)}
+			a[i] = load(mem.Addr(i + 1))
 		}
 		b := make([]Ref, nb)
 		for i := range b {
-			b[i] = Ref{Addr: mem.Addr(1000 + i)}
+			b[i] = load(mem.Addr(1000 + i))
 		}
 		s := NewInterleave(uint64(q), NewSliceStream(a), NewSliceStream(b))
 		got := collect(s)
@@ -134,5 +146,38 @@ func TestInjectCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInjectCutsRuns: an Exec run crossing a period boundary is cut there,
+// so the barrier lands after exactly period instructions.
+func TestInjectCutsRuns(t *testing.T) {
+	bar := Ref{Kind: Membar}
+	got := fillAll(NewInject(NewSliceStream([]Ref{ExecRun(10), load(8)}), bar, 3))
+	want := []Ref{ExecRun(3), bar, ExecRun(3), bar, ExecRun(3), bar, ExecRun(1), load(8)}
+	if len(got) != len(want) {
+		t.Fatalf("filled %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("filled %v, want %v", got, want)
+		}
+	}
+}
+
+// TestInterleaveCutsRuns: an Exec run crossing a quantum boundary is cut
+// there, and the spent input's remainder resumes on its next turn.
+func TestInterleaveCutsRuns(t *testing.T) {
+	a := NewSliceStream([]Ref{ExecRun(10)})
+	b := NewSliceStream([]Ref{load(1), ExecRun(2), load(2)})
+	got := fillAll(NewInterleave(4, a, b))
+	want := []Ref{ExecRun(4), load(1), ExecRun(2), load(2), ExecRun(4), ExecRun(2)}
+	if len(got) != len(want) {
+		t.Fatalf("filled %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("filled %v, want %v", got, want)
+		}
 	}
 }

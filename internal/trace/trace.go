@@ -4,16 +4,16 @@
 // The paper produced its streams by instrumenting Alpha binaries with DEC's
 // ATOM tool.  This repository replaces that proprietary pipeline with one
 // producer interface, Generator: anything able to fill batches of Ref
-// values — a synthetic kernel, a recorded trace, a hand-built slice — can
+// values — a synthetic kernel, a recorded trace (Reader), a combination of
+// other generators (Concat, Interleave, Inject), a hand-built slice — can
 // drive the machine model, and the simulator never needs to know where
 // references come from.  Generators may run-length encode runs of
 // plain-execution instructions (ExecRun, Ref.InstrCount).
 //
-// Stream is the per-reference decode view, one Ref per dynamic
-// instruction.  It serves the consumers that want references one at a
-// time: the simulator's Step oracle, trace files (Write, Reader) and the
-// combinators (Concat, Interleave, Inject).  GeneratorStream decodes a
-// generator to a stream; GeneratorOf returns a stream's batched view.
+// A Stream is a Generator you can also read one instruction at a time:
+// Next decodes the batches to one Ref per dynamic instruction, for the
+// simulator's Step oracle and for dumps.  GeneratorStream is the Stream
+// view of any Generator.
 package trace
 
 import "repro/internal/mem"
@@ -66,7 +66,7 @@ func (k Kind) String() string {
 //
 // In a Generator batch an Exec ref may be run-length encoded: Addr carries
 // the number of consecutive plain-execution instructions the ref stands
-// for (0 and 1 both mean a single one).  Only generators compress —
+// for (0 and 1 both mean a single one).  Only batches compress —
 // Stream.Next always yields one Ref per dynamic instruction, with Addr
 // zero on Exec refs — and only Exec refs carry a count, because they are
 // the only kind with no address to carry and no per-instruction machine
@@ -89,10 +89,12 @@ func (r Ref) InstrCount() uint64 {
 	return 1
 }
 
-// Stream produces a finite sequence of references.  Next returns the next
-// reference and true, or a zero Ref and false after the stream is exhausted.
-// Streams are single-use; a benchmark provides fresh ones on demand.
+// Stream is a Generator you can also read one instruction at a time.
+// Next returns the next dynamic instruction and true, or a zero Ref and
+// false after the sequence is exhausted; it never run-length encodes.
+// Next and Fill may be mixed and consume the same sequence.
 type Stream interface {
+	Generator
 	Next() (Ref, bool)
 }
 
@@ -124,7 +126,7 @@ func pct(part, whole uint64) float64 {
 	return 100 * float64(part) / float64(whole)
 }
 
-// Add accumulates one reference into the mix.
+// Add accumulates one reference, every instruction of an Exec run, into m.
 func (m *Mix) Add(r Ref) {
 	switch r.Kind {
 	case Load:
@@ -136,18 +138,18 @@ func (m *Mix) Add(r Ref) {
 	case Release:
 		m.Releases++
 	default:
-		m.Execs++
+		m.Execs += r.InstrCount()
 	}
 }
 
-// MeasureMix drains a stream and returns its instruction mix.
-func MeasureMix(s Stream) Mix {
+// MeasureMix drains a generator and returns its instruction mix.
+func MeasureMix(g Generator) Mix {
 	var m Mix
-	for {
-		r, ok := s.Next()
-		if !ok {
-			return m
+	var buf [256]Ref
+	for n := g.Fill(buf[:]); n > 0; n = g.Fill(buf[:]) {
+		for _, r := range buf[:n] {
+			m.Add(r)
 		}
-		m.Add(r)
 	}
+	return m
 }

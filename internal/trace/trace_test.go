@@ -56,6 +56,15 @@ func TestMeasureMix(t *testing.T) {
 	}
 }
 
+// TestMeasureMixCountsRuns: a run-length-encoded Exec ref counts every
+// instruction it stands for.
+func TestMeasureMixCountsRuns(t *testing.T) {
+	m := MeasureMix(NewSliceStream([]Ref{ExecRun(1000), {Kind: Load, Addr: 8}}))
+	if m.Execs != 1000 || m.Loads != 1 || m.Total() != 1001 {
+		t.Fatalf("mix = %+v, want 1000 execs and 1 load", m)
+	}
+}
+
 func TestSliceStream(t *testing.T) {
 	refs := []Ref{{Kind: Load, Addr: 1}, {Kind: Store, Addr: 2}}
 	s := NewSliceStream(refs)
@@ -76,15 +85,7 @@ func TestConcat(t *testing.T) {
 	a := NewSliceStream([]Ref{{Kind: Load, Addr: 1}})
 	b := NewSliceStream(nil)
 	c := NewSliceStream([]Ref{{Kind: Store, Addr: 2}, {Kind: Exec}})
-	s := NewConcat(a, b, c)
-	var got []Ref
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
+	got := collect(NewConcat(a, b, c))
 	if len(got) != 3 || got[0].Addr != 1 || got[1].Addr != 2 || got[2].Kind != Exec {
 		t.Fatalf("concat yielded %v", got)
 	}

@@ -53,24 +53,11 @@ var streamDigests = map[string][2]uint64{
 // streamDigest hashes the first n decoded references of b.
 func streamDigest(t *testing.T, b workload.Benchmark, n uint64) uint64 {
 	t.Helper()
-	h := fnv.New64a()
-	var rec [9]byte
-	s := b.Stream(n)
-	var count uint64
-	for {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		count++
-		rec[0] = byte(r.Kind)
-		binary.LittleEndian.PutUint64(rec[1:], uint64(r.Addr))
-		h.Write(rec[:])
-	}
+	sum, count := generatorDigest(t, b.Generator(n))
 	if count != n {
 		t.Errorf("n=%d: stream ended after %d instructions", n, count)
 	}
-	return h.Sum64()
+	return sum
 }
 
 // checkStreamDigests compares each benchmark's decoded sequences with the
@@ -125,8 +112,8 @@ func TestGeneratorBatchInstrCounts(t *testing.T) {
 // derivedDigests pin the decoded sequences of the derived streams the
 // extension experiments build from suite benchmarks: concatenation,
 // time-sliced interleaving and barrier injection.  They were recorded
-// from the per-reference Stream combinators, so a batched combinator must
-// reproduce them exactly: cutting a run-length-encoded Exec run at a
+// when the combinators were per-reference Streams, so the batched
+// combinators must reproduce them exactly: cutting a run-length-encoded Exec run at a
 // quantum or period boundary may change the batches, never the decoded
 // sequence.  Inject over fft covers a kernel with long Exec runs and a
 // producer goroutine, so the run-cutting and Close paths are both hit.
@@ -149,18 +136,18 @@ func derivedStreams(t *testing.T) map[string]func(n uint64) trace.Generator {
 	li, compress, fft := mustBench(t, "li"), mustBench(t, "compress"), mustBench(t, "fft")
 	cases := map[string]func(n uint64) trace.Generator{
 		"concat li+compress": func(n uint64) trace.Generator {
-			return trace.GeneratorOf(trace.NewConcat(li.Stream(n/2), compress.Stream(n/2)))
+			return trace.NewConcat(li.Generator(n/2), compress.Generator(n/2))
 		},
 	}
 	for _, q := range []uint64{1, 1000, 100_000} {
 		cases[fmt.Sprintf("interleave %d li+compress", q)] = func(n uint64) trace.Generator {
-			return trace.GeneratorOf(trace.NewInterleave(q, li.Stream(n/2), compress.Stream(n/2)))
+			return trace.NewInterleave(q, li.Generator(n/2), compress.Generator(n/2))
 		}
 	}
 	for _, b := range []workload.Benchmark{li, fft} {
 		for _, period := range []uint64{0, 1, 1000} {
 			cases[fmt.Sprintf("inject %d %s", period, b.Name)] = func(n uint64) trace.Generator {
-				return trace.GeneratorOf(trace.NewInject(b.Stream(n), trace.Ref{Kind: trace.Membar}, period))
+				return trace.NewInject(b.Generator(n), trace.Ref{Kind: trace.Membar}, period)
 			}
 		}
 	}
@@ -176,14 +163,16 @@ func mustBench(t *testing.T, name string) workload.Benchmark {
 	return b
 }
 
-// generatorDigest hashes g's decoded sequence as streamDigest does, then
-// closes g.
-func generatorDigest(t *testing.T, g trace.Generator) uint64 {
+// generatorDigest hashes g's decoded sequence — FNV-64a over (kind byte,
+// little-endian 64-bit address) of every dynamic instruction — and counts
+// its instructions, then closes g.
+func generatorDigest(t *testing.T, g trace.Generator) (sum, count uint64) {
 	t.Helper()
 	h := fnv.New64a()
 	var rec [9]byte
 	s := trace.NewGeneratorStream(g)
 	for r, ok := s.Next(); ok; r, ok = s.Next() {
+		count++
 		rec[0] = byte(r.Kind)
 		binary.LittleEndian.PutUint64(rec[1:], uint64(r.Addr))
 		h.Write(rec[:])
@@ -193,7 +182,7 @@ func generatorDigest(t *testing.T, g trace.Generator) uint64 {
 			t.Errorf("close: %v", err)
 		}
 	}
-	return h.Sum64()
+	return h.Sum64(), count
 }
 
 // TestDerivedGeneratorsMatchParent: every derived stream decodes to the
@@ -206,7 +195,7 @@ func TestDerivedGeneratorsMatchParent(t *testing.T) {
 				t.Fatalf("no recorded digest for %s", name)
 			}
 			for i, n := range []uint64{digestShort, digestLong} {
-				if got := generatorDigest(t, build(n)); got != want[i] {
+				if got, _ := generatorDigest(t, build(n)); got != want[i] {
 					t.Errorf("n=%d: digest %#016x, recorded %#016x", n, got, want[i])
 				}
 			}
