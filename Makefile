@@ -97,9 +97,9 @@ serve-smoke:
 	bash scripts/serve_smoke.sh
 
 # scrub-smoke is the self-healing gate: one wbserve with a two-replica
-# store, bearer-token auth, and -supervise takes a bit-flip on a stored
-# entry and a SIGKILLed worker mid-sweep, and must finish byte-identical
-# to a fault-free baseline with the corruption quarantined and repaired.
+# store and bearer-token auth takes a bit-flip on a stored entry
+# mid-sweep, and must finish byte-identical to a fault-free baseline with
+# the corruption quarantined and repaired.
 # See the disk-fault runbook in docs/SERVING.md.
 scrub-smoke:
 	bash scripts/scrub_smoke.sh

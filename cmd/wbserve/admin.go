@@ -127,7 +127,7 @@ func (s *server) handleStoreStatus(w http.ResponseWriter, _ *http.Request) {
 
 // handleQueueStatus is GET /admin/queue/status: backlog depth (total and
 // per tenant), journal size, and run accounting — the figures the
-// autoscale hint and the supervisor act on, exposed for operators.
+// autoscale hint is computed from, exposed for operators.
 func (s *server) handleQueueStatus(w http.ResponseWriter, _ *http.Request) {
 	depth := s.queue.Depth()
 	runs, skipped := s.queue.Loaded()

@@ -24,7 +24,6 @@
 //	wbserve -tenants tenants.json -rate 10 -maxpending 256
 //	wbserve -authkeys keys.json               # bearer-token auth + /admin surface
 //	wbserve -worker -addr :8101               # also accept sweep jobs on POST /job
-//	wbserve -supervise -minworkers 1 -maxworkers 4   # self-managed worker pool
 //
 // Endpoints (with -authkeys every surface except /healthz and /job demands
 // a bearer token; run documents are readable only by their owning tenant or
@@ -66,10 +65,7 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -92,10 +88,6 @@ func main() {
 		drain     = flag.Duration("draintimeout", 30*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 		authKeys  = flag.String("authkeys", "", "bearer-token keys JSON file (see docs/SERVING.md); enables authentication and the /admin surface")
 		scrubEach = flag.Duration("scrubinterval", 5*time.Minute, "background scrub interval of a store with two or more replicas (jittered; only meaningful with a comma-separated -store)")
-		supervise = flag.Bool("supervise", false, "supervise local wbserve -worker subprocesses, scaling them to the queue backlog between -minworkers and -maxworkers")
-		minWorker = flag.Int("minworkers", 0, "supervised worker floor (with -supervise)")
-		maxWorker = flag.Int("maxworkers", 4, "supervised worker ceiling (with -supervise)")
-		workPort  = flag.Int("workerport", 8200, "first port for supervised worker subprocesses; slots use workerport..workerport+maxworkers-1")
 	)
 	flag.Parse()
 
@@ -109,16 +101,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wbserve: %v\n", err)
 		os.Exit(2)
 	}
-	var workerAddrs []string
-	if *supervise {
-		if *maxWorker < 1 || *minWorker < 0 || *minWorker > *maxWorker {
-			fmt.Fprintf(os.Stderr, "wbserve: -supervise needs 0 <= minworkers <= maxworkers and maxworkers >= 1 (got %d..%d)\n", *minWorker, *maxWorker)
-			os.Exit(2)
-		}
-		for i := 0; i < *maxWorker; i++ {
-			workerAddrs = append(workerAddrs, fmt.Sprintf("http://127.0.0.1:%d", *workPort+i))
-		}
-	}
 	s, err := newServer(serverConfig{
 		CacheSize:       *cacheSize,
 		MaxN:            *maxN,
@@ -130,38 +112,11 @@ func main() {
 		TenantDefaults:  tenant.Limits{Rate: *rate, Burst: *burst, MaxPending: *maxPend},
 		TenantOverrides: overrides,
 		Keyring:         keyring,
-		WorkerAddrs:     workerAddrs,
 		Logf:            log.New(os.Stderr, "", log.LstdFlags).Printf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wbserve: %v\n", err)
 		os.Exit(2)
-	}
-	var sup *supervisor
-	if *supervise {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wbserve: %v\n", err)
-			os.Exit(2)
-		}
-		maxNStr := strconv.FormatUint(*maxN, 10)
-		sup = newSupervisor(supervisorConfig{
-			Min:   *minWorker,
-			Max:   *maxWorker,
-			Addrs: workerAddrs,
-			Spawn: func(addr string) *exec.Cmd {
-				port := strings.TrimPrefix(addr, "http://")
-				cmd := exec.Command(exe, "-worker", "-addr", port, "-maxn", maxNStr)
-				cmd.Stdout = os.Stderr
-				cmd.Stderr = os.Stderr
-				return cmd
-			},
-			Depth:   s.queue.Depth,
-			Metrics: s.reg,
-			Logf:    s.logf,
-		})
-		fmt.Fprintf(os.Stderr, "wbserve: supervising %d..%d workers on ports %d..%d\n",
-			*minWorker, *maxWorker, *workPort, *workPort+*maxWorker-1)
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -211,9 +166,6 @@ func main() {
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
-	}
-	if sup != nil {
-		sup.Stop(*drain)
 	}
 	s.Close()
 	fmt.Fprintln(os.Stderr, "wbserve: drained, exiting")

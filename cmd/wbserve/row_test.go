@@ -8,14 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/jobqueue"
 	"repro/internal/machconf"
-	"repro/internal/metrics"
 	"repro/internal/resultstore"
 	"repro/internal/sim"
 )
@@ -277,44 +275,5 @@ func TestRowBurstSplitAcrossDispatchers(t *testing.T) {
 	rows := s.reg.Histogram("wbserve_row_jobs")
 	if rows.Count() != 4 || rows.Sum() != 8 {
 		t.Errorf("wbserve_row_jobs count %d sum %d, want rows of 4, 2, 1, 1", rows.Count(), rows.Sum())
-	}
-}
-
-// TestRowRemoteJobsRunInParallel: under a worker pool, where a row shares
-// no generation, every dispatcher takes one queued job at a time, so jobs
-// of one benchmark go to the pool concurrently, not one after another from
-// one dispatcher's row.
-func TestRowRemoteJobsRunInParallel(t *testing.T) {
-	var inflight, peak atomic.Int32
-	both := make(chan struct{})
-	var once sync.Once
-	worker := dispatch.WorkerHandler(metrics.NewRegistry())
-	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/job" {
-			n := inflight.Add(1)
-			defer inflight.Add(-1)
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-			}
-			if n == 2 {
-				once.Do(func() { close(both) })
-			}
-			select { // hold each job until a second one is in flight
-			case <-both:
-			case <-time.After(5 * time.Second):
-			}
-		}
-		worker.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ws.Close)
-	s, _ := testServerCfg(t, serverConfig{CacheSize: 64, MaxN: 5_000_000, Dispatchers: 2, WorkerAddrs: []string{ws.URL}})
-	run := burst(t, s, "li-remote", 4, 20_000)
-	if u := waitSettled(t, s, run.ID).progress(); !u.Complete {
-		t.Fatalf("run settled with %d of %d done, %d failed", u.Done, u.Total, u.FailedJobs)
-	}
-	if p := peak.Load(); p != 2 {
-		t.Errorf("at most %d jobs were in flight at the worker, want 2: the queued jobs ran one after another", p)
-	}
-	if rows := s.reg.Histogram("wbserve_row_jobs"); rows.Count() != 4 || rows.Sum() != 4 {
-		t.Errorf("wbserve_row_jobs count %d sum %d, want four rows of one job", rows.Count(), rows.Sum())
 	}
 }

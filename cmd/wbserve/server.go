@@ -31,9 +31,9 @@ import (
 // and per-tenant metrics.  Absent means tenant.DefaultName.
 const tenantHeader = "X-WB-Tenant"
 
-// autoscaleJobsPerWorker is the queue depth one additional worker process
+// autoscaleJobsPerWorker is the queue depth one additional wbserve process
 // is assumed to absorb; /metrics divides the backlog by it to produce
-// wbserve_autoscale_workers_hint.
+// wbserve_autoscale_workers_hint, a signal for operators who run more.
 const autoscaleJobsPerWorker = 8
 
 // RunRequest is the JSON body of POST /run.  Zero-valued fields take the
@@ -265,13 +265,6 @@ type serverConfig struct {
 	// requires the admin bit.  Nil keeps identity header-declared and the
 	// admin surface disabled.
 	Keyring *tenant.Keyring
-	// WorkerAddrs, when non-empty, routes simulations through a
-	// dispatch.Remote pool over these addresses instead of the in-process
-	// local backend (still wrapped with the result store).  Supervisor mode
-	// preassigns one address per worker slot here; addresses with no
-	// process yet are simply unhealthy until the supervisor starts them,
-	// and with every address down execution falls back in-process.
-	WorkerAddrs []string
 	// QueuePath is the durable job-queue journal; empty keeps the queue in
 	// memory.  A durable queue requires a durable store: a job is done only
 	// while the store holds its result, and a memory-only store forgets
@@ -287,9 +280,9 @@ type serverConfig struct {
 	// Logf receives operational events; nil discards them.
 	Logf func(format string, args ...any)
 	// testBackend, when non-nil, wraps the fully assembled backend —
-	// Cached(Local or Remote) — before the dispatcher pool starts.  Local
-	// execution cannot fail for an admitted config, so tests use this seam
-	// to exercise the dispatcher's failure path behind the real
+	// Cached(Local) — before the dispatcher pool starts.  Local execution
+	// cannot fail for an admitted config, so tests use this seam to
+	// exercise the dispatcher's failure path behind the real
 	// queue/store/registry stack.  Unexported: not reachable from flags.
 	testBackend func(dispatch.Backend) dispatch.Backend
 }
@@ -313,7 +306,6 @@ type server struct {
 	tenants *tenant.Registry
 	keys    *tenant.Keyring
 	runs    *runRegistry
-	remote  *dispatch.Remote // nil unless WorkerAddrs routed through a pool
 	backend dispatch.Backend
 
 	logf   func(format string, args ...any)
@@ -347,23 +339,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		store.Close()
 		return nil, err
 	}
-	var inner dispatch.Backend = &dispatch.Local{Metrics: reg}
-	var remote *dispatch.Remote
-	if len(cfg.WorkerAddrs) > 0 {
-		remote, err = dispatch.NewRemote(cfg.WorkerAddrs, dispatch.RemoteOptions{
-			FallbackLocal:   true,
-			QuarantineAfter: 2,
-			ProbeInterval:   500 * time.Millisecond,
-			Metrics:         reg,
-			Logf:            logf,
-		})
-		if err != nil {
-			store.Close()
-			queue.Close()
-			return nil, err
-		}
-		inner = remote
-	}
 	s := &server{
 		reg:     reg,
 		maxN:    cfg.MaxN,
@@ -374,8 +349,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		tenants: tenant.NewRegistry(cfg.TenantDefaults, cfg.TenantOverrides, reg),
 		keys:    cfg.Keyring,
 		runs:    newRunRegistry(),
-		remote:  remote,
-		backend: dispatch.NewCached(inner, store, reg),
+		backend: dispatch.NewCached(&dispatch.Local{Metrics: reg}, store, reg),
 		logf:    logf,
 	}
 	if cfg.testBackend != nil {
@@ -394,18 +368,11 @@ func newServer(cfg serverConfig) (*server, error) {
 	if n < 1 {
 		n = runtime.NumCPU()
 	}
-	// Only the in-process backend shares a row's generation; a worker pool
-	// runs one job per call, so under -workers each dispatcher takes one
-	// job and the pool keeps every dispatcher's parallelism.
-	width := experiment.RowWidth()
-	if remote != nil {
-		width = 1
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
 	for i := 0; i < n; i++ {
 		s.wg.Add(1)
-		go s.dispatchLoop(ctx, width, n)
+		go s.dispatchLoop(ctx, n)
 	}
 	// Construction is cheap and the process serves nothing until the
 	// listener is up, so the server is born ready; main flips it to
@@ -422,9 +389,6 @@ func (s *server) Close() {
 	s.cancel()
 	s.wg.Wait()
 	_ = s.queue.Close()
-	if s.remote != nil {
-		s.remote.Close()
-	}
 	_ = s.store.Close() // stops the store's scrubber, if one runs
 }
 
@@ -460,24 +424,23 @@ func (p stored) has(key string) bool {
 
 // dispatchLoop is one of ways simulation workers: dequeue a row — the
 // oldest queued job and the queued jobs that share its benchmark and
-// length, up to width and to a ways-th of the backlog — run it through the
-// store-backed backend as one row over one generated stream, then end each
-// job's flight and fan its outcome out to every waiting run.  It never
-// waits to fill a row, so a lone job starts as soon as it is queued, and a
-// burst of one benchmark is split across the dispatchers rather than run
-// on one of them.  The store writes happen inside the backend's RunRow
-// (the Cached wrapper), before any job's Done; a write that fails is
-// counted by the store and the job still completes — the measurement is
-// in hand and the memory tier serves it — but it is not done after a
-// restart, so the journal re-delivers it.
-func (s *server) dispatchLoop(ctx context.Context, width, ways int) {
+// length, up to experiment.RowWidth() and to a ways-th of the backlog —
+// run it through the store-backed backend as one row over one generated
+// stream, then end each job's flight and fan its outcome out to every
+// waiting run.  It never waits to fill a row, so a lone job starts as
+// soon as it is queued, and a burst of one benchmark is split across the
+// dispatchers rather than run on one of them.  The store writes happen
+// inside the backend's RunRow (the Cached wrapper), before any job's Done;
+// a write that fails is counted by the store and the job still completes
+// — the measurement is in hand and the memory tier serves it — but it is
+// not done after a restart, so the journal re-delivers it.
+func (s *server) dispatchLoop(ctx context.Context, ways int) {
 	defer s.wg.Done()
 	dispatched := s.reg.Counter("wbserve_dispatched_jobs_total")
 	failures := s.reg.Counter("wbserve_job_failures_total")
 	rowJobs := s.reg.Histogram("wbserve_row_jobs")
-	jobTimes := s.reg.Histogram("experiment_job_microseconds")
 	for {
-		row, err := s.queue.DequeueRow(ctx, width, ways)
+		row, err := s.queue.DequeueRow(ctx, experiment.RowWidth(), ways)
 		if err != nil {
 			return
 		}
@@ -519,9 +482,7 @@ func (s *server) dispatchLoop(ctx context.Context, width, ways int) {
 				s.runs.settle(job.Key, experiment.ProgressEvent{Bench: job.Bench, Label: job.Label}, true)
 				continue
 			}
-			s.reg.Counter("experiment_jobs_total").Inc()
-			s.reg.Counter("experiment_instructions_total").Add(r.M.C.Instructions)
-			jobTimes.Observe(uint64(r.Time.Microseconds()))
+			experiment.CountJob(s.reg, r.M, r.Time)
 			tn := job.Tenant
 			if tn == "" {
 				tn = tenant.DefaultName
@@ -1080,8 +1041,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for tn, n := range s.queue.DepthByTenant() {
 		s.reg.Gauge(metrics.Label("wbserve_tenant_pending", "tenant", tn)).Set(float64(n))
 	}
-	// The autoscaling hint: how many extra `wbserve -worker` processes the
-	// backlog justifies, assuming each absorbs autoscaleJobsPerWorker jobs.
+	// The autoscaling hint: how many extra wbserve processes the backlog
+	// justifies, assuming each absorbs autoscaleJobsPerWorker jobs.
 	s.reg.Gauge("wbserve_autoscale_workers_hint").
 		Set(float64((depth + autoscaleJobsPerWorker - 1) / autoscaleJobsPerWorker))
 	_, diskBytes, memEntries := s.store.Stats()

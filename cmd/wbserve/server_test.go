@@ -359,7 +359,7 @@ func TestCacheSizeValidation(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	postRun(t, ts, `{"bench":"li","n":100000}`)
+	_, run := postRun(t, ts, `{"bench":"li","n":100000}`)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sim_instructions_total",
 		"sim_retirement_latency_cycles_count",
 		`sim_stall_cycles_total{kind="L2-read-access"}`,
-		"experiment_jobs_total 1",
+		"experiment_jobs_total 1\n",
+		fmt.Sprintf("experiment_instructions_total %d\n", run.Instructions),
+		// A served job counts its simulated cycles like a matrix job does.
+		fmt.Sprintf("experiment_sim_cycles_total %d\n", run.Cycles),
 		"wbserve_goroutines",
 	} {
 		if !strings.Contains(out, want) {

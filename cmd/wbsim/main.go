@@ -2,6 +2,11 @@
 // prints the full measurement: cycle counts, the three stall categories,
 // and the hit rates — the single-run view of the paper's methodology.
 //
+// wbsim reports the whole run, cold start included.  wbexp, wbopt and
+// wbserve measure only the last three quarters of each job (the first
+// quarter warms the caches and buffer), so their counters for the same
+// benchmark, machine and -n never match wbsim's.
+//
 // Usage:
 //
 //	wbsim -bench li                                # baseline (Table 2)

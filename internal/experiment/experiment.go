@@ -159,6 +159,17 @@ func RunMatrixCtx(ctx context.Context, benches []workload.Benchmark, specs []Con
 
 func noVisit(bi, ci int, m *sim.Machine) {}
 
+// CountJob adds one finished job to reg's experiment_* throughput series:
+// jobs, instructions, simulated cycles and job wall time.  Matrix runs and
+// wbserve's dispatchers both count through it, so a served job and a
+// matrix job publish the same series.
+func CountJob(reg *metrics.Registry, m Measurement, jobTime time.Duration) {
+	reg.Counter("experiment_jobs_total").Inc()
+	reg.Counter("experiment_instructions_total").Add(m.C.Instructions)
+	reg.Counter("experiment_sim_cycles_total").Add(m.C.Cycles)
+	reg.Histogram("experiment_job_microseconds").Observe(uint64(jobTime.Microseconds()))
+}
+
 // runMatrix is RunMatrixCtx that hands job (bi, ci)'s finished machine to
 // visit on the worker that ran it; a backend has no machines to hand over.
 func runMatrix(ctx context.Context, benches []workload.Benchmark, specs []ConfigSpec, o Options, visit func(bi, ci int, m *sim.Machine)) ([][]Measurement, error) {
@@ -174,10 +185,7 @@ func runMatrix(ctx context.Context, benches []workload.Benchmark, specs []Config
 	)
 	report := func(mnt Measurement, jobTime time.Duration) {
 		if o.Metrics != nil {
-			o.Metrics.Counter("experiment_jobs_total").Inc()
-			o.Metrics.Counter("experiment_instructions_total").Add(mnt.C.Instructions)
-			o.Metrics.Counter("experiment_sim_cycles_total").Add(mnt.C.Cycles)
-			o.Metrics.Histogram("experiment_job_microseconds").Observe(uint64(jobTime.Microseconds()))
+			CountJob(o.Metrics, mnt, jobTime)
 		}
 		if o.Progress == nil {
 			return

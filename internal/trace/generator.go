@@ -45,34 +45,46 @@ func NewGeneratorStream(g Generator) *GeneratorStream {
 	return &GeneratorStream{g: g}
 }
 
-// next returns the next ref of the wrapped generator.  An Exec run longer
-// than max instructions (max ≥ 1) is cut: its first max instructions are
-// returned and the tail stays buffered as the next ref.
-func (s *GeneratorStream) next(max uint64) (Ref, bool) {
+// take copies refs of the wrapped generator into buf until buf is full or
+// the copied refs stand for max instructions (max ≥ 1), whichever comes
+// first; an Exec run that would cross max is cut there and its tail stays
+// buffered.  It reports the refs copied and the instructions they stand
+// for; 0 refs means the generator is exhausted.
+func (s *GeneratorStream) take(buf []Ref, max uint64) (refs int, instrs uint64) {
 	if s.pos >= len(s.cur) {
 		n := s.g.Fill(s.buf[:])
 		if n == 0 {
-			return Ref{}, false
+			return 0, 0
 		}
 		s.cur, s.pos = s.buf[:n], 0
 	}
-	r := s.cur[s.pos]
-	if k := r.InstrCount(); k > max {
-		s.cur[s.pos] = ExecRun(k - max)
-		return ExecRun(max), true
+	src := s.cur[s.pos:min(len(s.cur), s.pos+len(buf))]
+	for ; refs < len(src) && instrs < max; refs++ {
+		k, left := src[refs].InstrCount(), max-instrs
+		if k > left {
+			src[refs] = ExecRun(k - left)
+			buf[refs] = ExecRun(left)
+			s.pos += refs
+			return refs + 1, max
+		}
+		buf[refs] = src[refs]
+		instrs += k
 	}
-	s.pos++
-	return r, true
+	s.pos += refs
+	return refs, instrs
 }
 
 // Next implements Stream, decoding run-length-encoded Exec refs back to
 // one Ref per dynamic instruction.
 func (s *GeneratorStream) Next() (Ref, bool) {
-	r, ok := s.next(1)
-	if r.Kind == Exec {
-		r.Addr = 0
+	var r [1]Ref
+	if n, _ := s.take(r[:], 1); n == 0 {
+		return Ref{}, false
 	}
-	return r, ok
+	if r[0].Kind == Exec {
+		r[0].Addr = 0
+	}
+	return r[0], true
 }
 
 // Close closes the wrapped generator (see closeAll).

@@ -86,16 +86,15 @@ func (in *Interleave) Fill(buf []Ref) int {
 			in.cur = (in.cur + 1) % len(in.streams)
 			in.used = 0
 		}
-		r, ok := in.streams[in.cur].next(in.quantum - in.used)
-		if !ok {
+		k, instrs := in.streams[in.cur].take(buf[n:], in.quantum-in.used)
+		if k == 0 {
 			in.used = in.quantum // force rotation off the spent input
 			fails++
 			continue
 		}
 		fails = 0
-		in.used += r.InstrCount()
-		buf[n] = r
-		n++
+		in.used += instrs
+		n += k
 	}
 	return n
 }
@@ -132,13 +131,12 @@ func (in *Inject) Fill(buf []Ref) int {
 			n++
 			continue
 		}
-		r, ok := in.inner.next(in.period - in.count)
-		if !ok {
+		k, instrs := in.inner.take(buf[n:], in.period-in.count)
+		if k == 0 {
 			break
 		}
-		in.count += r.InstrCount()
-		buf[n] = r
-		n++
+		in.count += instrs
+		n += k
 	}
 	return n
 }

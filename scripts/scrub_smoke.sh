@@ -1,29 +1,27 @@
 #!/usr/bin/env bash
-# scrub_smoke.sh — self-healing smoke for the replicated store, the admin
-# surface, and the worker supervisor.
+# scrub_smoke.sh — self-healing smoke for the replicated store and the
+# admin surface.
 #
-# One wbserve process runs the full robustness stack at once: a two-replica
-# result store with a fast background scrubber, bearer-token auth with the
-# /admin surface enabled, and -supervise managing local worker
-# subprocesses.  Mid-sweep the script flips a bit in a stored entry on the
-# first replica (the one reads hit first) and SIGKILLs a supervised
-# worker, then asserts:
+# One wbserve process runs the robustness stack at once: a two-replica
+# result store with a fast background scrubber and bearer-token auth with
+# the /admin surface enabled.  Mid-sweep the script flips a bit in a stored
+# entry on the first replica (the one reads hit first), then asserts:
 #
-#   1. the supervisor counts the crash and restarts the worker, keeping
-#      the pool within [minworkers, maxworkers],
-#   2. the sweep completes byte-identical to a baseline server that saw
+#   1. the sweep completes byte-identical to a baseline server that saw
 #      no faults at all,
-#   3. the scrubber (background or via POST /admin/store/verify) detects
+#   2. the scrubber (background or via POST /admin/store/verify) detects
 #      the corrupt copy, quarantines it, and repairs it from the healthy
 #      replica — the final verify reports zero corruption,
-#   4. the admin surface enforces auth: no token answers 401, a non-admin
+#   3. the admin surface enforces auth: no token answers 401, a non-admin
 #      token answers 403.
+#
+# Process crashes are covered elsewhere: make serve-smoke SIGKILLs the
+# server mid-sweep, and make chaos crashes dispatch.Remote workers.
 #
 # Run it from the repository root:  make scrub-smoke
 set -euo pipefail
 
 PORT="${WB_SCRUB_PORT:-8183}"
-WPORT="${WB_SCRUB_WORKER_PORT:-8290}"
 BASE="http://127.0.0.1:$PORT"
 TMP="$(mktemp -d)"
 BIN="$TMP/wbserve"
@@ -33,7 +31,6 @@ USER='Authorization: Bearer tok-alice'
 
 cleanup() {
   [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
-  pkill -f "$BIN -worker" 2>/dev/null || true
   rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -92,12 +89,11 @@ wait_complete "$ID" > "$TMP/baseline.json"
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true; SERVER_PID=""
 echo "scrub-smoke: baseline run $ID complete"
 
-# --- Pass 2: the robustness stack — replicated store, auth, supervisor.
+# --- Pass 2: the robustness stack — replicated store and auth.
 mkdir -p "$TMP/chaos"
 "$BIN" -addr "127.0.0.1:$PORT" -store "$TMP/chaos/a,$TMP/chaos/b" \
   -queue "$TMP/chaos/queue.jsonl" -dispatchers 1 -cachesize 64 \
   -authkeys "$TMP/keys.json" -scrubinterval 1s \
-  -supervise -minworkers 1 -maxworkers 2 -workerport "$WPORT" \
   >>"$TMP/server.log" 2>&1 &
 SERVER_PID=$!
 wait_healthy
@@ -136,28 +132,6 @@ size="$(wc -c < "$entry")"
 printf '\377' | dd of="$entry" bs=1 seek="$((size / 2))" count=1 conv=notrunc 2>/dev/null
 echo "scrub-smoke: flipped a byte in $(basename "$entry") on replica a"
 
-# SIGKILL a supervised worker mid-sweep: a crash the supervisor must count
-# and heal.
-wpid="$(pgrep -f "$BIN -worker" | head -n 1 || true)"
-[ -n "$wpid" ] || fail "no supervised worker subprocess found to kill"
-kill -9 "$wpid"
-echo "scrub-smoke: SIGKILLed supervised worker (pid $wpid)"
-for _ in $(seq 1 100); do
-  crashes="$(metric wbserve_supervisor_crashes_total || echo 0)"
-  [ "${crashes%.*}" -ge 1 ] 2>/dev/null && break
-  sleep 0.1
-done
-[ "${crashes%.*}" -ge 1 ] || fail "supervisor never counted the crash"
-for _ in $(seq 1 100); do
-  w="$(metric wbserve_supervisor_workers || echo 0)"
-  w="${w%.*}"
-  [ "$w" -gt 2 ] && fail "supervisor ran $w workers, above maxworkers=2"
-  [ "$w" -ge 1 ] && break
-  sleep 0.1
-done
-[ "$w" -ge 1 ] || fail "supervisor never restarted the killed worker"
-echo "scrub-smoke: supervisor counted the crash and restarted ($w workers running)"
-
 # The sweep must still complete, byte-identical to the baseline.
 wait_complete "$ID" -H "$USER" > "$TMP/chaos.json"
 cmp "$TMP/baseline.json" "$TMP/chaos.json" \
@@ -178,4 +152,4 @@ find "$TMP/chaos/a/quarantine" -name '*.corrupt' | grep -q . \
 echo "scrub-smoke: corrupt copy quarantined and repaired from the healthy replica"
 
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true; SERVER_PID=""
-echo "scrub-smoke: PASS — self-healed through bitrot + worker SIGKILL, byte-identical"
+echo "scrub-smoke: PASS — self-healed through bitrot, byte-identical"
