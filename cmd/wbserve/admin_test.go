@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/resultstore"
 	"repro/internal/tenant"
 )
 
@@ -208,14 +210,15 @@ func TestAdminStoreStatusSingleDir(t *testing.T) {
 			t.Fatalf("seeding run: status %d", resp.StatusCode)
 		}
 	}
-	var victim string
-	filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(p, ".json") && victim == "" {
-			victim = p
-		}
-		return nil
-	})
-	if err := os.WriteFile(victim, []byte("not json"), 0o644); err != nil {
+	// Garble the first record's envelope in place, keeping its header.
+	logPath := filepath.Join(dir, resultstore.LogName)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(data, '\n')
+	copy(data[34:first], bytes.Repeat([]byte("x"), first-34))
+	if err := os.WriteFile(logPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	resp := adminReq(t, ts, "POST", "/admin/store/verify", "tok-ops", "")

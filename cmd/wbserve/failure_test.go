@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
+	"repro/internal/resultstore"
 )
 
 // failBackend fails every job — the injected stand-in for config skew or a
@@ -104,22 +103,17 @@ func TestJobFailureKeepsLedgerHonest(t *testing.T) {
 // A job whose store write failed still completes its runs — the measurement
 // is valid and served — but the store only holds it in memory, so after a
 // restart over the same directories the journal re-runs it instead of
-// trusting a result that was never kept.  The write fails because a regular
-// file sits where the entry's two-hex-character shard directory goes.
+// trusting a result that was never kept.  The write fails because a
+// directory sits where the store's log goes.
 func TestUnstoredResultCompletesWithoutDoneMarker(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serverConfig{CacheSize: 4, MaxN: 5_000_000, StoreDir: dir + "/store", QueuePath: dir + "/queue.jsonl"}
 	key := requestKey(t, "li", 100_000)
-	sum := sha256.Sum256([]byte(key))
-	shard := filepath.Join(cfg.StoreDir, hex.EncodeToString(sum[:1]))
-	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(shard, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	s, ts := testServerCfg(t, cfg)
+	blocker := filepath.Join(cfg.StoreDir, resultstore.LogName)
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	resp, out := postRun(t, ts, `{"bench":"li","n":100000}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync run with an unstorable result: status %d, want 200 (the measurement is in hand)", resp.StatusCode)
@@ -138,7 +132,7 @@ func TestUnstoredResultCompletesWithoutDoneMarker(t *testing.T) {
 
 	// The disk recovers; a restart over the same directories re-runs the
 	// job the store never kept, and this time stores it.
-	if err := os.Remove(shard); err != nil {
+	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
 	s2, _ := testServerCfg(t, cfg)

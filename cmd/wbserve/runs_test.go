@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/jobqueue"
 )
 
 // registered reports how many runs the registry holds.
@@ -28,10 +30,11 @@ func TestRunRegistryBounded(t *testing.T) {
 		t.Fatalf("%d runs registered after 400 completed requests, want at most %d", n, maxCompletedRuns)
 	}
 
-	// Reading every old run's document registers none of them, although
-	// the store has evicted all but four of their results.
+	// Reading every old run the queue still holds registers none of them,
+	// although the store has evicted all but four of their results.
+	held := s.queue.Runs()
 	evicted := 0
-	for _, run := range s.queue.Runs() {
+	for _, run := range held {
 		resp, err := http.Get(ts.URL + "/run/" + run.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -45,11 +48,40 @@ func TestRunRegistryBounded(t *testing.T) {
 			evicted++
 		}
 	}
-	if evicted < 400-4 {
-		t.Errorf("%d of 400 old runs read not complete, want at least 396 (the store holds 4 results)", evicted)
+	if evicted < len(held)-4 {
+		t.Errorf("%d of %d held runs read not complete, want at least %d (the store holds 4 results)", evicted, len(held), len(held)-4)
 	}
 	if n := registered(s); n > maxCompletedRuns {
 		t.Fatalf("%d runs registered after reading 400 old run documents, want at most %d", n, maxCompletedRuns)
+	}
+}
+
+// TestQueueRunHistoryBounded: distinct synchronous requests each journal a
+// run, but the queue holds at most jobqueue.RetainedRuns of them once they
+// settle, and a run dropped by both the registry and the queue answers 404,
+// as it does after a restart.
+func TestQueueRunHistoryBounded(t *testing.T) {
+	s, ts := testServerCfg(t, serverConfig{CacheSize: 4, MaxN: 5_000_000})
+	var first string
+	for i := range 400 {
+		body := fmt.Sprintf(`{"bench":"li","n":%d}`, 2000+i)
+		if status, _ := postRunWithin(t, ts, "", "", body, 10*time.Second); status != http.StatusOK {
+			t.Fatalf("POST /run %s: status %d", body, status)
+		}
+		if i == 0 {
+			first = s.queue.Runs()[0].ID
+		}
+	}
+	if n := len(s.queue.Runs()); n > jobqueue.RetainedRuns {
+		t.Fatalf("queue holds %d runs after 400 completed requests, want at most %d", n, jobqueue.RetainedRuns)
+	}
+	resp, err := http.Get(ts.URL + "/run/" + first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /run/%s of a run dropped by registry and queue: status %d, want 404", first, resp.StatusCode)
 	}
 }
 

@@ -13,26 +13,25 @@ import (
 
 // Disk-fault injection.  DiskInjector implements resultstore's Disk seam
 // (structurally — the interface is matched by shape, not by import) and
-// makes a seeded, reproducible subset of entry files fail in a chosen way:
-// at-rest bitrot, a torn write that escaped the atomic rename, a full disk,
-// or a read error.  The same determinism rules as the network faults apply:
-// the schedule is a pure function of (scenario seed, entry file name) — the
-// file name is the SHA-256 of the store key, so the same sweep faults the
-// same entries on every run, on every machine — and MaxFaults bounds how
-// many operations on a targeted file fault before it behaves, so scrub and
-// read-repair always converge.
+// makes a seeded, reproducible subset of records fail in a chosen way:
+// at-rest bitrot, a torn write, a full disk, or a read error.  The same
+// determinism rules as the network faults apply: the schedule is a pure
+// function of (scenario seed, record id) — the id is the store key's
+// address, so the same sweep faults the same keys on every run, on every
+// machine — and MaxFaults bounds how many operations on a targeted key
+// fault before it behaves, so scrub and read-repair always converge.
 
 // DiskKind names one disk failure mode.
 type DiskKind string
 
 const (
-	// DiskBitrot persists an entry with one flipped bit — corruption that
+	// DiskBitrot persists a record with one flipped bit — corruption that
 	// sits at rest until a read trips over it.  Defense: the checksum
 	// envelope turns it into a quarantine + repair from a healthy replica.
 	DiskBitrot DiskKind = "disk-bitrot"
-	// DiskTorn persists only a prefix of the entry — a torn write that
-	// somehow escaped the write-then-rename protocol (a lying disk).
-	// Defense: the envelope no longer parses; quarantine + repair.
+	// DiskTorn persists only a prefix of the record while reporting the
+	// whole write done (a lying disk).  Defense: the record no longer
+	// parses; quarantine + repair, and the next append starts a new line.
 	DiskTorn DiskKind = "disk-torn-write"
 	// DiskENOSPC fails the write outright with ENOSPC.  Defense: a
 	// replicated Put is degraded, not failed; the scrubber completes the
@@ -52,15 +51,14 @@ type DiskScenario struct {
 	Kind DiskKind
 	// Seed makes the schedule reproducible.
 	Seed uint64
-	// Rate, in (0, 1], is the fraction of entry files targeted (by file
-	// name, which is the hash of the store key — stable across runs,
-	// replicas, and machines).
+	// Rate, in (0, 1], is the fraction of keys targeted (by record id,
+	// the key's address — stable across runs, replicas, and machines).
 	Rate float64
-	// MaxFaults bounds how many operations on a targeted file fault; the
-	// actual budget is seeded per file in [1, MaxFaults].  Once spent, the
-	// file behaves — so repairs always converge.
+	// MaxFaults bounds how many operations on a targeted key fault; the
+	// actual budget is seeded per key in [1, MaxFaults].  Once spent, the
+	// key's records behave — so repairs always converge.
 	MaxFaults int
-	// Root, when non-empty, confines faults to paths under this directory
+	// Root, when non-empty, confines faults to logs under this directory
 	// — point it at one replica to corrupt that replica only.
 	Root string
 }
@@ -83,27 +81,27 @@ func (s DiskScenario) sched() Scenario {
 	return Scenario{Seed: s.Seed, Rate: s.Rate, MaxFaults: s.MaxFaults}
 }
 
-// fileID is the identity a file's fault schedule is keyed on: its base
-// name, which for a store entry is the content address of the key.
-func fileID(path string) []byte {
-	sum := sha256.Sum256([]byte(filepath.Base(path)))
+// recordID is the identity a key's fault schedule is keyed on.
+func recordID(id string) []byte {
+	sum := sha256.Sum256([]byte(id))
 	return sum[:]
 }
 
-// TargetsPath reports whether the file at path is in the fault set.
-func (s DiskScenario) TargetsPath(path string) bool {
+// Targets reports whether the record id in the log at path is in the
+// fault set.
+func (s DiskScenario) Targets(path, id string) bool {
 	if s.Root != "" {
 		rel, err := filepath.Rel(s.Root, path)
 		if err != nil || strings.HasPrefix(rel, "..") {
 			return false
 		}
 	}
-	return s.sched().Targets(fileID(path))
+	return s.sched().Targets(recordID(id))
 }
 
-// FaultBudget returns how many operations on a targeted file fault.
-func (s DiskScenario) FaultBudget(path string) int {
-	return s.sched().FaultCount(fileID(path))
+// FaultBudget returns how many operations on a targeted key fault.
+func (s DiskScenario) FaultBudget(id string) int {
+	return s.sched().FaultCount(recordID(id))
 }
 
 // DiskInjector implements the result store's Disk interface with the
@@ -113,7 +111,7 @@ type DiskInjector struct {
 	sc DiskScenario
 
 	mu    sync.Mutex
-	spent map[string]int // file base name → faulted operations so far
+	spent map[string]int // record id → faulted operations so far
 
 	injected atomic.Int64
 }
@@ -127,83 +125,58 @@ func NewDiskInjector(sc DiskScenario) *DiskInjector {
 // non-zero so parity passes are never vacuous.
 func (d *DiskInjector) Injected() int64 { return d.injected.Load() }
 
-// take consumes one unit of the file's fault budget, reporting whether
+// take consumes one unit of the key's fault budget, reporting whether
 // this operation should fault.
-func (d *DiskInjector) take(path string) bool {
-	if !d.sc.TargetsPath(path) {
+func (d *DiskInjector) take(log *os.File, id string) bool {
+	if !d.sc.Targets(log.Name(), id) {
 		return false
 	}
-	base := filepath.Base(path)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.spent[base] >= d.sc.FaultBudget(path) {
+	if d.spent[id] >= d.sc.FaultBudget(id) {
 		return false
 	}
-	d.spent[base]++
+	d.spent[id]++
 	d.injected.Add(1)
 	return true
 }
 
-// ReadFile implements Disk.  Reads of files that do not exist miss for
-// real — a fault budget is only spent where there are bytes to fail.
-func (d *DiskInjector) ReadFile(path string) ([]byte, error) {
-	if d.sc.Kind == DiskReadErr {
-		if _, err := os.Stat(path); err == nil && d.take(path) {
-			return nil, fmt.Errorf("faultline: injected read error on %s: %w", path, syscall.EIO)
-		}
+// ReadRecord implements Disk.
+func (d *DiskInjector) ReadRecord(log *os.File, id string, p []byte, off int64) (int, error) {
+	if d.sc.Kind == DiskReadErr && d.take(log, id) {
+		return 0, fmt.Errorf("faultline: injected read error on %s record %s: %w", log.Name(), id, syscall.EIO)
 	}
-	return os.ReadFile(path)
+	return log.ReadAt(p, off)
 }
 
-// WriteFile implements Disk: the same temp-fsync-rename protocol as the
-// real store, with the scenario's write-side faults applied to the bytes
-// (bitrot, torn write) or to the outcome (ENOSPC).
-func (d *DiskInjector) WriteFile(path string, data []byte) error {
+// AppendRecord implements Disk: one write, like the real store, with the
+// scenario's write-side faults applied to the bytes (bitrot, torn write)
+// or to the outcome (ENOSPC).
+func (d *DiskInjector) AppendRecord(log *os.File, id string, data []byte) (int, error) {
 	switch d.sc.Kind {
 	case DiskENOSPC:
-		if d.take(path) {
-			return fmt.Errorf("faultline: injected full disk on %s: %w", path, syscall.ENOSPC)
+		if d.take(log, id) {
+			return 0, fmt.Errorf("faultline: injected full disk on %s record %s: %w", log.Name(), id, syscall.ENOSPC)
 		}
 	case DiskBitrot:
-		if d.take(path) {
+		if d.take(log, id) {
 			rotted := make([]byte, len(data))
 			copy(rotted, data)
-			if len(rotted) > 0 {
-				// Flip one seeded bit in the back half — payload territory,
-				// the kind of corruption that still parses.
-				off := len(rotted)/2 + int(d.sc.sched().hash64("bitoff", fileID(path))%uint64(len(rotted)-len(rotted)/2))
-				rotted[off] ^= 1 << (d.sc.sched().hash64("bit", fileID(path)) % 8)
-			}
-			data = rotted
+			// Flip one seeded bit in the back half, short of the final
+			// newline — payload territory, the kind of corruption that
+			// still parses.
+			body := len(rotted) - 1
+			off := body/2 + int(d.sc.sched().hash64("bitoff", recordID(id))%uint64(body-body/2))
+			rotted[off] ^= 1 << (d.sc.sched().hash64("bit", recordID(id)) % 8)
+			return log.Write(rotted)
 		}
 	case DiskTorn:
-		if d.take(path) {
-			data = data[:len(data)/2]
+		if d.take(log, id) {
+			if _, err := log.Write(data[:len(data)/2]); err != nil {
+				return 0, err
+			}
+			return len(data), nil
 		}
 	}
-	return atomicWrite(path, data)
-}
-
-// atomicWrite is the store's publish protocol: temp file in the final
-// directory, fsync, rename.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
-	if err != nil {
-		return err
-	}
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return log.Write(data)
 }

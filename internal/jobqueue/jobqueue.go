@@ -32,7 +32,8 @@
 // only the runs that still have jobs the store lacks and atomically
 // swapping the file — a long-lived server replays a backlog, not its whole
 // history.  The jobqueue_journal_bytes gauge tracks the file size between
-// restarts.
+// restarts.  In memory the queue holds at most RetainedRuns runs, beyond
+// which only runs with a job pending or in flight stay.
 //
 // The queue does not interpret job payloads: the machconf blob rides
 // through opaquely, so custom registered policies queue like built-ins.
@@ -77,6 +78,12 @@ type Run struct {
 	Jobs   []Job  `json:"jobs"`
 }
 
+// RetainedRuns bounds the runs a Queue holds in memory: while it holds
+// more, the oldest settled runs — none of their jobs pending or in flight —
+// leave Runs and RunByID.  The journal is not touched, so a replay brings
+// them back until Resume's compaction drops them.
+const RetainedRuns = 256
+
 // record is one journal line.
 type record struct {
 	Op  string `json:"op"` // "run"; older journals also hold "done"
@@ -89,8 +96,8 @@ type Queue struct {
 	f       *os.File        // nil for a memory-only queue
 	path    string          // journal path, "" for memory-only
 	bytes   int64           // journal size (tracked so appends stay O(1))
-	runs    map[string]*Run // every journaled run, by id
-	order   []string        // run ids in submission order
+	runs    map[string]*Run // the journaled runs still held (RetainedRuns), by id
+	order   []string        // their ids in submission order
 	pending []Job           // FIFO of deduped jobs the store lacks
 	// active is the dedup index: keys pending or dequeued and still in
 	// flight.  A key leaves it only through Done, so a resubmission while
@@ -213,6 +220,7 @@ func (q *Queue) Resume(isDone func(key string) bool) int {
 		}
 	}
 	q.compactLocked(isDone)
+	q.trimLocked()
 	return n
 }
 
@@ -312,8 +320,9 @@ func (q *Queue) Loaded() (runs, skipped int) {
 // pending or in flight (from any run or tenant) or accepted by isDone —
 // the result store's membership test; nil counts nothing done — is not
 // enqueued again.  Returns how many jobs were newly enqueued.
-// Resubmitting a journaled run id appends nothing: the first submission's
-// record stands.
+// Resubmitting a run id the queue holds appends nothing: the first
+// submission's record stands.  A run the queue dropped (RetainedRuns) is
+// journaled again when resubmitted; replay keeps the first record.
 func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -341,7 +350,28 @@ func (q *Queue) Submit(run Run, isDone func(key string) bool) (queued int, err e
 	if queued > 0 {
 		q.wakeAll()
 	}
+	q.trimLocked()
 	return queued, nil
+}
+
+// trimLocked drops the oldest settled runs while the queue holds more
+// than RetainedRuns.  Callers hold mu.
+func (q *Queue) trimLocked() {
+	excess := len(q.order) - RetainedRuns
+	if excess <= 0 {
+		return
+	}
+	kept := q.order[:0]
+	for _, id := range q.order {
+		if excess > 0 && !slices.ContainsFunc(q.runs[id].Jobs, func(j Job) bool { return q.active[j.Key] }) {
+			delete(q.runs, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	clear(q.order[len(kept):])
+	q.order = kept
 }
 
 // Dequeue removes and returns the oldest pending job, blocking until one
@@ -427,7 +457,7 @@ func (q *Queue) Done(key string) error {
 	return nil
 }
 
-// RunByID returns a journaled run.
+// RunByID returns a run the queue holds.
 func (q *Queue) RunByID(id string) (Run, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -438,7 +468,7 @@ func (q *Queue) RunByID(id string) (Run, bool) {
 	return *r, true
 }
 
-// Runs returns every journaled run in submission order.
+// Runs returns the runs the queue holds, in submission order.
 func (q *Queue) Runs() []Run {
 	q.mu.Lock()
 	defer q.mu.Unlock()

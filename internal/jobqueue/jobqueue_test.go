@@ -457,6 +457,73 @@ func TestResubmissionJournalsOnce(t *testing.T) {
 	}
 }
 
+// The queue holds at most RetainedRuns runs once they settle: unsettled
+// runs are never dropped, the oldest settled ones go first, the journal is
+// untouched, and a dropped id is journaled again on resubmission while
+// replay keeps its first record.
+func TestRetainedRunsBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.jsonl")
+	q, err := Open(path, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	const total = RetainedRuns + 10
+	for i := range total {
+		id := fmt.Sprintf("r%d", i)
+		if _, err := q.Submit(Run{ID: id, Jobs: []Job{job("li", "k"+id, "t")}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(q.Runs()); n != total {
+		t.Fatalf("queue holds %d runs with every job pending, want all %d", n, total)
+	}
+	for range total {
+		j, err := q.Dequeue(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Done(j.Key)
+	}
+	journal := q.JournalBytes()
+	if _, err := q.Submit(Run{ID: "last", Jobs: []Job{job("li", "klast", "t")}}, storeSet{"klast": true}.has); err != nil {
+		t.Fatal(err)
+	}
+	runs := q.Runs()
+	if len(runs) != RetainedRuns {
+		t.Fatalf("queue holds %d settled runs, want %d", len(runs), RetainedRuns)
+	}
+	if runs[0].ID != "r11" || runs[len(runs)-1].ID != "last" {
+		t.Errorf("held runs %s..%s, want the newest (r11..last)", runs[0].ID, runs[len(runs)-1].ID)
+	}
+	if _, ok := q.RunByID("r0"); ok {
+		t.Error("the oldest settled run is still held")
+	}
+	if q.JournalBytes() <= journal {
+		t.Error("the new run was not journaled")
+	}
+
+	// A dropped id is journaled again; replay keeps the first record.
+	if _, err := q.Submit(Run{ID: "r0", Jobs: []Job{job("go", "kother", "t")}}, storeSet{"kother": true}.has); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"id":"r0"`); n != 2 {
+		t.Errorf("journal holds %d records of r0, want 2", n)
+	}
+	q2, err := Open(path, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	if r, ok := q2.RunByID("r0"); !ok || r.Jobs[0].Key != "kr0" {
+		t.Errorf("replayed r0 = %+v, %v; want the first submission (key kr0)", r, ok)
+	}
+}
+
 // A journal written with {"op":"done"} markers replays them as no-ops: they
 // are not counted as skipped lines, a done key the store lacks re-runs, and
 // the first compaction drops every done line.

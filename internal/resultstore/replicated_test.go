@@ -1,11 +1,11 @@
 package resultstore_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,34 +24,18 @@ func openReplicated(t *testing.T, dirs []string, reg *metrics.Registry) *results
 	return r
 }
 
-// entryFiles lists the entry files under one replica root.
-func entryFiles(t *testing.T, dir string) []string {
+// corruptRecord flips a payload byte of one record in place, keeping the
+// record parseable so only the checksum catches it.
+func corruptRecord(t *testing.T, dir string, rec record) {
 	t.Helper()
-	var out []string
-	filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(p, ".json") {
-			out = append(out, p)
+	rewriteRecord(t, dir, rec, func(line []byte) {
+		i := bytes.Index(line, []byte(`"cpi":`))
+		if i < 0 {
+			garble(line)
+			return
 		}
-		return nil
+		line[i+6] = '9' - (line[i+6]-'0'+1)%2 // a different digit
 	})
-	return out
-}
-
-// corruptFile flips payload bytes in place, keeping the file parseable so
-// only the checksum catches it.
-func corruptFile(t *testing.T, path string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	garbled := strings.Replace(string(data), `"cpi":`, `"cpi":9`, 1)
-	if garbled == string(data) {
-		garbled = "not json at all"
-	}
-	if err := os.WriteFile(path, []byte(garbled), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestReplicatedPutMirrorsAllReplicas(t *testing.T) {
@@ -62,7 +46,7 @@ func TestReplicatedPutMirrorsAllReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dir := range []string{dirA, dirB} {
-		if got := entryFiles(t, dir); len(got) != 1 {
+		if got := records(t, dir); len(got) != 1 {
 			t.Errorf("replica %s holds %d entries, want 1", dir, len(got))
 		}
 	}
@@ -84,7 +68,7 @@ func TestReplicatedReadRepair(t *testing.T) {
 		}
 		r.Close()
 	}
-	corruptFile(t, entryFiles(t, dirA)[0])
+	corruptRecord(t, dirA, records(t, dirA)[0])
 
 	reg := metrics.NewRegistry()
 	fresh, err := resultstore.OpenDirs([]string{dirA, dirB}, resultstore.Options{Metrics: reg, MemoryEntries: 8})
@@ -122,9 +106,9 @@ func TestReplicatedScrubRepairsBitrot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victims := entryFiles(t, dirB)
-	corruptFile(t, victims[0])
-	corruptFile(t, victims[1])
+	victims := records(t, dirB)
+	corruptRecord(t, dirB, victims[0])
+	corruptRecord(t, dirB, victims[1])
 
 	rep := r.Scrub()
 	if rep.Entries != 5 || rep.CorruptCopies != 2 || rep.Repaired != 2 || rep.Unrecoverable != 0 {
@@ -163,7 +147,7 @@ func TestReplicatedWholeReplicaLoss(t *testing.T) {
 	if rep.MissingCopies != 4 || rep.Repaired != 4 || rep.Unrecoverable != 0 {
 		t.Fatalf("scrub after replica loss = %+v, want 4 missing, 4 repaired", rep)
 	}
-	if got := entryFiles(t, dirB); len(got) != 4 {
+	if got := records(t, dirB); len(got) != 4 {
 		t.Errorf("rebuilt replica holds %d entries, want 4", len(got))
 	}
 	rep = r.Scrub()
@@ -185,8 +169,8 @@ func TestReplicatedUnrecoverableEntry(t *testing.T) {
 		}
 		r.Close()
 	}
-	corruptFile(t, entryFiles(t, dirA)[0])
-	corruptFile(t, entryFiles(t, dirB)[0])
+	corruptRecord(t, dirA, records(t, dirA)[0])
+	corruptRecord(t, dirB, records(t, dirB)[0])
 
 	fresh := openReplicated(t, []string{dirA, dirB}, nil)
 	rep := fresh.Scrub()
@@ -229,7 +213,8 @@ func TestReplicatedEvictHashAndPrune(t *testing.T) {
 }
 
 // Prune must remove the SAME victim set from every replica even when copy
-// mtimes disagree — exactly what repair and read-repair rewrites produce.
+// write times disagree — exactly what repair and read-repair appends
+// produce.
 // Independent per-replica pruning would sort each replica differently,
 // keep different survivors, and the next scrub would "heal" every victim
 // back from the replica that kept it: the bound would never converge.
@@ -247,42 +232,23 @@ func TestReplicatedPruneConvergesAcrossSkewedMtimes(t *testing.T) {
 	}
 	// Skew the copies so each replica, sorted alone, would pick a different
 	// oldest entry: replica A ages keys[0] hardest, replica B ages keys[3].
-	// (A read-repair into A resets A's copy mtime without touching B's —
-	// this is that state, constructed directly.)
+	// (A read-repair into A gives A's copy a new write time without
+	// touching B's — this is that state, constructed directly.)
 	base := time.Now().Add(-time.Hour)
 	stampsA := []time.Duration{0, 10 * time.Minute, 20 * time.Minute, 30 * time.Minute}
 	stampsB := []time.Duration{35 * time.Minute, 10 * time.Minute, 20 * time.Minute, 0}
-	// Entry file names are content-addressed, so locate each key's copy by
-	// its payload.
 	stamp := func(dir string, stamps []time.Duration) {
 		t.Helper()
-		files := entryFiles(t, dir)
-		if len(files) != 4 {
-			t.Fatalf("replica %s holds %d entries, want 4", dir, len(files))
+		if n := len(records(t, dir)); n != 4 {
+			t.Fatalf("replica %s holds %d entries, want 4", dir, n)
 		}
 		for i, k := range keys {
-			found := false
-			for _, f := range files {
-				data, err := os.ReadFile(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if strings.Contains(string(data), fmt.Sprintf(`{"cpi":%d}`, i)) {
-					when := base.Add(stamps[i])
-					if err := os.Chtimes(f, when, when); err != nil {
-						t.Fatal(err)
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("no entry file for key %s in %s", k, dir)
-			}
+			stampWriteTime(t, dir, k, base.Add(stamps[i]))
 		}
 	}
 	stamp(dirA, stampsA)
 	stamp(dirB, stampsB)
+	r = openReplicated(t, []string{dirA, dirB}, reg) // read the stamped times
 
 	removed, err := r.Prune(3)
 	if err != nil {
@@ -293,8 +259,8 @@ func TestReplicatedPruneConvergesAcrossSkewedMtimes(t *testing.T) {
 	}
 	names := func(dir string) map[string]bool {
 		out := map[string]bool{}
-		for _, f := range entryFiles(t, dir) {
-			out[filepath.Base(f)] = true
+		for _, rec := range records(t, dir) {
+			out[rec.addr()] = true
 		}
 		return out
 	}

@@ -11,19 +11,27 @@
 // how "no simulation is ever paid for twice" becomes a property of the
 // deployment rather than of one process's memory.
 //
-// Layout and integrity.  Entries live under each replica root as
-// `<2-hex>/<64-hex>.json`, where the hex digits are the SHA-256 of the key
-// (content addressing keeps arbitrary key bytes out of file names and
-// spreads directories).  Each file is a JSON envelope carrying the key, the
-// machine's canonical machconf hash, the payload, and a checksum in the
-// result-integrity format (hex SHA-256 over `hash\npayload`, Checksum,
-// which dispatch's POST /job responses carry too).  Reads
-// verify the checksum and the entry's address before returning; a corrupt
-// entry counts as a miss, is quarantined into the root's `quarantine/`
-// subdirectory (out of the lookup path, preserved for inspection), and the
-// affected job simply re-simulates.  Writes are write-then-rename with an
-// fsync in between, so a torn write can never be read back as a valid
-// entry.
+// Layout and integrity.  Each replica root holds one append-only log,
+// entries.log (LogName), of newline-terminated records:
+//
+//	<address> <write time> <envelope>
+//
+// The address is the first 64 bits of the key's SHA-256 and the write time
+// is in Unix nanoseconds, both as 16 hex digits; the envelope is a JSON
+// object carrying the key, the machine's canonical machconf hash, the
+// payload, and a checksum in the result-integrity format (hex SHA-256 over
+// `hash\npayload`, Checksum, which dispatch's POST /job responses carry
+// too).  An in-memory index maps each address to its newest record, built
+// by scanning the log at Open; a lookup the index cannot answer re-scans
+// only the tail other processes appended since.  Reads verify the checksum
+// and that the key hashes to the record's address before returning; a
+// corrupt record counts as a miss, is copied into the root's `quarantine/`
+// subdirectory (preserved for inspection) and unindexed, and the affected
+// job simply re-simulates.  Put appends one record with one write and
+// fdatasyncs it before returning.  A record torn by a crash is never
+// indexed, and the next append starts on a fresh line.  The log is created
+// by the first Put, so opening an empty directory creates nothing.  The
+// replicas rely on flock(2) and fdatasync(2), so the disk tier is Linux's.
 //
 // Tiers and replicas.  One Store is a bounded in-memory LRU tier over zero
 // or more directory replicas, the same structure at every replica count:
@@ -50,10 +58,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -81,12 +87,11 @@ func Checksum(cfgHash string, payload []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// QuarantineDir is the subdirectory of a replica root that holds
-// quarantined corrupt entries (renamed with a ".corrupt" suffix so they
-// never match the entry walk).
+// QuarantineDir is the subdirectory of a replica root that holds copies of
+// quarantined corrupt records, one `<address>-<offset>.corrupt` file each.
 const QuarantineDir = "quarantine"
 
-// entry is the on-disk envelope, one JSON object per file.
+// entry is the on-disk envelope, the JSON object that ends each record.
 type entry struct {
 	V        int             `json:"v"`
 	Key      string          `json:"key"`
@@ -95,45 +100,30 @@ type entry struct {
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// Disk is the store's filesystem seam: every entry read and every atomic
-// entry write goes through it, so deterministic disk faults — bitrot, torn
+// Disk is the store's fault seam: every record read and every record
+// append goes through it, so deterministic disk faults — bitrot, torn
 // writes, ENOSPC, read errors — can be injected from the outside
 // (internal/faultline's DiskInjector implements this interface
-// structurally).  The zero value of a store uses the real filesystem.
+// structurally).  id names the record's key by its address, 16 hex digits
+// that are the same in every replica, run and machine, so a fault schedule
+// can target keys.  The zero value of a store uses the real filesystem.
 type Disk interface {
-	// ReadFile returns the file's bytes, os.ReadFile semantics.
-	ReadFile(path string) ([]byte, error)
-	// WriteFile atomically publishes data at path: temp file in the final
-	// directory, fsync, rename.
-	WriteFile(path string, data []byte) error
+	// ReadRecord reads len(p) bytes of key id's record at off in the log,
+	// io.ReaderAt semantics.
+	ReadRecord(log *os.File, id string, p []byte, off int64) (int, error)
+	// AppendRecord appends data, which holds key id's record, to the log
+	// (opened O_APPEND) with one write, os.File.Write semantics.
+	AppendRecord(log *os.File, id string, data []byte) (int, error)
 }
 
 // osDisk is the real filesystem.
 type osDisk struct{}
 
-func (osDisk) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
-
-func (osDisk) WriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
-	if err != nil {
-		return err
-	}
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+func (osDisk) ReadRecord(log *os.File, _ string, p []byte, off int64) (int, error) {
+	return log.ReadAt(p, off)
 }
+
+func (osDisk) AppendRecord(log *os.File, _ string, data []byte) (int, error) { return log.Write(data) }
 
 // KV is the minimal Get/Put surface the dispatch layer consumes
 // (dispatch.Cached); Store satisfies it, and tests substitute doubles.
@@ -148,16 +138,16 @@ type Options struct {
 	// the default of 256.
 	MemoryEntries int
 	// Metrics, when non-nil, receives the resultstore_* series (hits split
-	// by tier, misses, writes, corrupt-entry detections, evictions, disk
+	// by tier, misses, writes, corrupt-record detections, evictions, disk
 	// entries) and the sim_store_* scrub, repair and replica series.
 	Metrics *metrics.Registry
 	// Logf, when non-nil, receives operational events: corrupt entries
 	// quarantined, degraded writes, repairs, GC sweeps, evictions by hash.
 	Logf func(format string, args ...any)
-	// Disk, when non-nil, replaces the real filesystem for entry reads and
-	// writes — the deterministic disk-fault seam.  Directory creation,
-	// renames, and walks stay real: faults target entry bytes, not the
-	// directory tree.
+	// Disk, when non-nil, replaces the real filesystem for record reads and
+	// appends — the deterministic disk-fault seam.  Opening, scanning,
+	// locking and rewriting the log stay real: faults target records, not
+	// the log as a whole.
 	Disk Disk
 	// ScrubInterval, when positive, starts the background scrubber on a
 	// store of two or more replicas; passes run on a ±20%-jittered
@@ -169,11 +159,11 @@ type Options struct {
 // Store is the result store: a bounded memory tier over zero or more
 // directory replicas.  All methods are safe for concurrent use, including
 // concurrently with a running scrub; the replicas additionally tolerate
-// multiple processes sharing one directory (atomic rename makes concurrent
-// writers last-write-wins with identical content, which determinism
-// guarantees).  The sim_store_scrub_* / sim_store_repair_* series expose
-// every scrub and repair decision; docs/SERVING.md's disk-fault runbook is
-// built on them.
+// multiple processes sharing one directory (appends and log rewrites hold
+// the log's flock, and two writers of one key write identical content,
+// which determinism guarantees).  The sim_store_scrub_* /
+// sim_store_repair_* series expose every scrub and repair decision;
+// docs/SERVING.md's disk-fault runbook is built on them.
 type Store struct {
 	replicas []*replica
 	mem      *lru
@@ -214,9 +204,9 @@ type Store struct {
 	closeOnce sync.Once
 }
 
-// Open opens (creating if needed) the store rooted at dir.  An empty dir
-// selects a memory-only store: the LRU tier works as usual and nothing is
-// ever written to disk.
+// Open opens (creating the directory if needed) the store rooted at dir.
+// An empty dir selects a memory-only store: the LRU tier works as usual and
+// nothing is ever written to disk.
 func Open(dir string, opts Options) (*Store, error) {
 	var dirs []string
 	if dir != "" {
@@ -284,11 +274,8 @@ func OpenDirs(dirs []string, opts Options) (*Store, error) {
 		if dir == "" {
 			return nil, errors.New("resultstore: replica directories must be non-empty paths")
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		r := &replica{dir: dir, disk: disk}
-		if _, _, err := r.walk(nil); err != nil {
+		r, err := newReplica(dir, disk, logf)
+		if err != nil {
 			return nil, err
 		}
 		s.replicas = append(s.replicas, r)
@@ -312,20 +299,24 @@ func (s *Store) Dirs() []string {
 	return out
 }
 
-// Close stops the background scrubber, if one runs, and waits for an
-// in-flight pass to finish.  Idempotent.
+// Close stops the background scrubber, if one runs, waits for an
+// in-flight pass to finish, and closes the replicas' logs (a later call
+// reopens them).  Idempotent.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() { close(s.done) })
 	s.wg.Wait()
+	for _, r := range s.replicas {
+		r.close()
+	}
 	return nil
 }
 
 // syncEntries publishes the widest replica's entry count — the figure
 // Stats reports — on the resultstore_disk_entries gauge.
 func (s *Store) syncEntries() {
-	var widest int64
+	widest := 0
 	for _, r := range s.replicas {
-		widest = max(widest, r.n.Load())
+		widest = max(widest, r.entries())
 	}
 	s.entries.Set(float64(widest))
 }
@@ -334,17 +325,20 @@ func (s *Store) syncEntries() {
 // then the replicas in order, and the first healthy copy wins: it is
 // promoted into the memory tier, counted under the disk tier label, and
 // read-repaired into every replica the lookup passed over.  A corrupt copy
-// is quarantined (moved into quarantine/ so it stops matching) on the way.
+// is quarantined (copied into quarantine/ and unindexed) on the way.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if p, ok := s.mem.get(key); ok {
 		s.hitsMem.Inc()
 		return p, true
 	}
+	addr := addrOf(key)
 	for i, r := range s.replicas {
-		path := r.path(key)
-		e, st, err := r.load(path)
+		e, at, st, err := r.load(addr)
+		if st == copyOK && e.Key != key {
+			st = copyAbsent // another key with the same 64-bit address
+		}
 		if st == copyBad {
-			s.quarantine(r, path, err)
+			s.quarantine(r, addr, at, err)
 		}
 		if st != copyOK {
 			continue
@@ -360,15 +354,15 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// quarantine moves a corrupt copy out of the lookup path; the job
+// quarantine takes a corrupt copy out of the lookup path; the job
 // re-simulates, or is repaired from a healthy replica.
-func (s *Store) quarantine(r *replica, path string, cause error) {
+func (s *Store) quarantine(r *replica, addr uint64, at loc, cause error) {
 	s.corrupt.Inc()
-	s.logf("resultstore: quarantined corrupt entry %s → %s: %v", path, r.quarantine(path), cause)
+	s.logf("resultstore: quarantined corrupt record %016x at %s:%d → %s: %v", addr, r.logPath(), at.off, r.quarantine(addr, at), cause)
 }
 
-// repair rewrites a replica's copy from a healthy one, reporting success.
-// It writes the disk entry only, leaving the memory tier's recency order
+// repair appends a healthy copy to a replica, reporting success.  It
+// writes the disk record only, leaving the memory tier's recency order
 // alone.
 func (s *Store) repair(r *replica, e entry) bool {
 	if err := s.putDisk(r, e.Key, e.CfgHash, e.Payload); err != nil {
@@ -380,10 +374,10 @@ func (s *Store) repair(r *replica, e entry) bool {
 	return true
 }
 
-// putDisk writes one replica's entry, counting the write and publishing
+// putDisk appends one replica's record, counting the write and publishing
 // the entry count.
 func (s *Store) putDisk(r *replica, key, cfgHash string, payload []byte) error {
-	err := r.putDisk(key, cfgHash, payload)
+	err := r.append(key, cfgHash, payload)
 	if err == nil {
 		s.writes.Inc()
 	}
@@ -426,7 +420,7 @@ func (s *Store) Put(key, cfgHash string, payload []byte) error {
 // ScrubReport is one scrub pass's findings.
 type ScrubReport struct {
 	// Entries is the number of distinct entries examined (the union of all
-	// replicas' directories).
+	// replicas' indexes).
 	Entries int `json:"entries"`
 	// Healthy counts entries whose every replica copy verified clean.
 	Healthy int `json:"healthy"`
@@ -461,26 +455,31 @@ func (s *Store) Scrub() ScrubReport {
 	defer s.maint.Unlock()
 	s.scrubRuns.Inc()
 
-	// The union of entry names across replicas: a copy missing everywhere
+	// The union of addresses across replicas: a copy missing everywhere
 	// is invisible (nothing to repair from), which is exactly right.
-	union := map[string]bool{}
+	union := map[uint64]bool{}
 	for _, r := range s.replicas {
-		if _, _, err := r.walk(func(rel string, _ fs.FileInfo) { union[rel] = true }); err != nil {
+		idx, err := r.snapshot()
+		if err != nil {
 			s.logf("resultstore: scrub scan of %s: %v", r.dir, err)
+		}
+		for addr := range idx {
+			union[addr] = true
 		}
 	}
 
 	var rep ScrubReport
 	states := make([]copyState, len(s.replicas))
 	causes := make([]error, len(s.replicas))
-	for rel := range union {
+	locs := make([]loc, len(s.replicas))
+	for addr := range union {
 		rep.Entries++
 		s.scrubEntries.Inc()
 
 		var healthy *entry
 		for i, r := range s.replicas {
-			e, st, err := r.load(filepath.Join(r.dir, rel))
-			states[i], causes[i] = st, err
+			e, at, st, err := r.load(addr)
+			states[i], causes[i], locs[i] = st, err, at
 			if st == copyOK && healthy == nil {
 				healthy = &e
 			}
@@ -497,7 +496,7 @@ func (s *Store) Scrub() ScrubReport {
 			case st == copyBad || healthy != nil:
 				rep.CorruptCopies++
 				s.scrubCorrupt.Inc()
-				s.quarantine(r, filepath.Join(r.dir, rel), causes[i])
+				s.quarantine(r, addr, locs[i], causes[i])
 			}
 			allOK = false
 			if healthy == nil {
@@ -515,7 +514,7 @@ func (s *Store) Scrub() ScrubReport {
 		if healthy == nil {
 			rep.Unrecoverable++
 			s.scrubUnrecov.Inc()
-			s.logf("resultstore: scrub: %s has no healthy copy in any replica; it will re-simulate on demand", rel)
+			s.logf("resultstore: scrub: record %016x has no healthy copy in any replica; it will re-simulate on demand", addr)
 		}
 	}
 
@@ -561,7 +560,7 @@ func (s *Store) scrubLoop(interval time.Duration) {
 // cache-poisoning runbook in docs/SERVING.md — and reports ok, the number
 // of entries left with a healthy copy, and corrupt, the number of copies
 // quarantined.  The pass leaves the store clean; the counts let the
-// operator decide whether to dig further.  A replica that cannot be walked
+// operator decide whether to dig further.  A replica that cannot be scanned
 // is logged, not returned: its entries count missing and are healed from
 // the others.  This is what POST /admin/store/verify calls.
 func (s *Store) Verify() (ok, corrupt int, err error) {
@@ -573,8 +572,8 @@ func (s *Store) Verify() (ok, corrupt int, err error) {
 // machconf hash, across all benchmarks and instruction counts — the
 // runbook's targeted response when one configuration's results are
 // suspect.  The memory tier drops exactly the entries carrying that hash;
-// unrelated hot entries stay resident.  Returns how many copies were
-// removed across replicas.
+// unrelated hot entries stay resident.  Each replica's log is rewritten
+// without them.  Returns how many copies were removed across replicas.
 func (s *Store) EvictHash(cfgHash string) (int, error) {
 	s.mem.evictHash(cfgHash)
 	s.maint.Lock()
@@ -582,23 +581,13 @@ func (s *Store) EvictHash(cfgHash string) (int, error) {
 	removed := 0
 	var firstErr error
 	for _, r := range s.replicas {
-		var victims []string
-		_, _, err := r.walk(func(rel string, _ fs.FileInfo) {
-			path := filepath.Join(r.dir, rel)
-			if e, _, _ := r.load(path); e.CfgHash == cfgHash {
-				victims = append(victims, path)
-			}
+		n, err := r.rewrite(func(addr uint64, data []byte) bool {
+			e, _, _ := decode(addr, data)
+			return e.CfgHash == cfgHash
 		})
-		if err != nil {
-			firstErr = cmp.Or(firstErr, err)
-			continue
-		}
-		for _, path := range victims {
-			if r.remove(path) {
-				removed++
-				s.evicted.Inc()
-			}
-		}
+		removed += n
+		s.evicted.Add(uint64(n))
+		firstErr = cmp.Or(firstErr, err)
 	}
 	s.syncEntries()
 	if removed > 0 {
@@ -611,10 +600,10 @@ func (s *Store) EvictHash(cfgHash string) (int, error) {
 // maxEntries distinct entries, the oldest are removed until the bound
 // holds, and returns how many copies were removed.  One victim set is
 // computed over the union of every replica's entries — each entry aged by
-// the NEWEST copy any replica holds (write time, since entries are
-// immutable), entry name as the tie-break — and that same set is removed
-// from every replica.  Pruning each replica independently looks equivalent
-// but is not: repair rewrites reset copy mtimes per replica, so each
+// the NEWEST copy any replica holds (the write time its record carries),
+// address as the tie-break — and that same set is removed from every
+// replica by rewriting its log.  Pruning each replica independently looks
+// equivalent but is not: repairs append fresh copies per replica, so each
 // replica would keep a different survivor set, the scrubber would heal
 // every victim back from the others, and prune+scrub would ping-pong
 // forever.  Safe to run while the store serves.
@@ -625,46 +614,47 @@ func (s *Store) Prune(maxEntries int) (int, error) {
 	s.maint.Lock()
 	defer s.maint.Unlock()
 
-	newest := map[string]int64{} // rel name → newest copy mtime anywhere
+	newest := map[uint64]int64{} // address → newest copy's write time anywhere
 	for _, r := range s.replicas {
-		_, _, err := r.walk(func(rel string, info fs.FileInfo) {
-			if mod := info.ModTime().UnixNano(); mod > newest[rel] {
-				newest[rel] = mod
-			}
-		})
+		idx, err := r.snapshot()
 		if err != nil {
 			return 0, err
+		}
+		for addr, at := range idx {
+			newest[addr] = max(newest[addr], at.t)
 		}
 	}
 	if len(newest) <= maxEntries {
 		s.syncEntries()
 		return 0, nil
 	}
-	victims := make([]string, 0, len(newest))
-	for rel := range newest {
-		victims = append(victims, rel)
+	order := make([]uint64, 0, len(newest))
+	for addr := range newest {
+		order = append(order, addr)
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		if a, b := newest[victims[i]], newest[victims[j]]; a != b {
+	sort.Slice(order, func(i, j int) bool {
+		if a, b := newest[order[i]], newest[order[j]]; a != b {
 			return a < b
 		}
-		return victims[i] < victims[j]
+		return order[i] < order[j]
 	})
-	victims = victims[:len(victims)-maxEntries]
+	victims := map[uint64]bool{}
+	for _, addr := range order[:len(order)-maxEntries] {
+		victims[addr] = true
+	}
 	removed := 0
+	var firstErr error
 	for _, r := range s.replicas {
-		for _, rel := range victims {
-			if r.remove(filepath.Join(r.dir, rel)) {
-				removed++
-				s.evicted.Inc()
-			}
-		}
+		n, err := r.rewrite(func(addr uint64, _ []byte) bool { return victims[addr] })
+		removed += n
+		s.evicted.Add(uint64(n))
+		firstErr = cmp.Or(firstErr, err)
 	}
 	s.syncEntries()
 	if removed > 0 {
 		s.logf("resultstore: pruned %d entries (%d copies) down to bound %d", len(victims), removed, maxEntries)
 	}
-	return removed, nil
+	return removed, firstErr
 }
 
 // ReplicaStat is one replica's view for the admin status endpoint.
@@ -675,21 +665,21 @@ type ReplicaStat struct {
 	Quarantined int    `json:"quarantined"`
 }
 
-// ReplicaStats walks every replica and reports its entry count, byte size,
-// and quarantine population.  The walks are ground truth, so they also
-// resync the best-effort entry counts (and the gauge) that concurrent
-// same-key Puts can drift.
+// ReplicaStats catches every replica's index up with its log and reports
+// its entry count (the index's, exact), its log's size in bytes (superseded
+// copies included, until a Prune or EvictHash rewrites the log), and its
+// quarantine population.
 func (s *Store) ReplicaStats() []ReplicaStat {
 	out := make([]ReplicaStat, len(s.replicas))
 	for i, r := range s.replicas {
-		n, b, _ := r.walk(nil)
-		out[i] = ReplicaStat{Dir: r.dir, Entries: n, Bytes: b, Quarantined: r.quarantined()}
+		n, size := r.stat()
+		out[i] = ReplicaStat{Dir: r.dir, Entries: n, Bytes: size, Quarantined: r.quarantined()}
 	}
 	s.syncEntries()
 	return out
 }
 
-// Stats reports the widest replica's entry count and byte size (replicas
+// Stats reports the widest replica's entry count and log size (replicas
 // converge on the same contents; the max is the least surprising single
 // number while one of them is healing), plus the memory tier's entry
 // count.  Per-replica truth is ReplicaStats.

@@ -1,6 +1,7 @@
 package resultstore_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -46,26 +47,90 @@ func openDirs(t *testing.T, dirs []string, reg *metrics.Registry) *resultstore.S
 	return s
 }
 
-// copiesOf returns every replica's copy of the entry file at rel.
-func copiesOf(dirs []string, rel string) []string {
-	out := make([]string, len(dirs))
-	for i, d := range dirs {
-		out[i] = filepath.Join(d, rel)
+// record is one line of a replica's log, as the tests see it.
+type record struct {
+	off  int64  // first byte of the line
+	line []byte // without the trailing newline
+	key  string // the envelope's key; "" when it does not parse
+}
+
+// addr is the record's address field.
+func (r record) addr() string { return string(r.line[:16]) }
+
+// records parses the log under one replica root, in log order.
+func records(t *testing.T, dir string) []record {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, resultstore.LogName))
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []record
+	for off := 0; off < len(data); {
+		end := bytes.IndexByte(data[off:], '\n')
+		if end < 0 {
+			break
+		}
+		line := data[off : off+end]
+		if len(line) > 34 {
+			var e struct {
+				Key string `json:"key"`
+			}
+			json.Unmarshal(line[34:], &e)
+			out = append(out, record{off: int64(off), line: line, key: e.Key})
+		}
+		off += end + 1
 	}
 	return out
 }
 
-// firstEntry returns the root-relative name of the first entry file under
-// dir, or "" when there is none.
-func firstEntry(dir string) string {
-	var rel string
-	filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(p, ".json") && rel == "" {
-			rel, _ = filepath.Rel(dir, p)
+// rewriteRecord edits one record of the log in place; edit must keep the
+// line's length, as bitrot does.
+func rewriteRecord(t *testing.T, dir string, rec record, edit func(line []byte)) {
+	t.Helper()
+	line := append([]byte(nil), rec.line...)
+	edit(line)
+	if len(line) != len(rec.line) {
+		t.Fatal("record edit changed the line's length")
+	}
+	f, err := os.OpenFile(filepath.Join(dir, resultstore.LogName), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(line, rec.off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// garble overwrites a record's envelope with bytes that do not parse,
+// keeping its header.
+func garble(line []byte) {
+	for i := 34; i < len(line); i++ {
+		line[i] = 'x'
+	}
+}
+
+// recordOf returns the record of key in the log under dir.
+func recordOf(t *testing.T, dir, key string) record {
+	t.Helper()
+	for _, r := range records(t, dir) {
+		if r.key == key {
+			return r
 		}
-		return nil
+	}
+	t.Fatalf("no record of %s in %s", key, dir)
+	return record{}
+}
+
+// stampWriteTime sets the write time in key's record under dir.
+func stampWriteTime(t *testing.T, dir, key string, when time.Time) {
+	t.Helper()
+	rewriteRecord(t, dir, recordOf(t, dir, key), func(line []byte) {
+		copy(line[17:33], fmt.Sprintf("%016x", uint64(when.UnixNano())))
 	})
-	return rel
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -130,19 +195,14 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Corrupt the payload on disk behind the store's back.
-		rel := firstEntry(dirs[0])
-		if rel == "" {
-			t.Fatal("no entry file written")
-		}
-		copies := copiesOf(dirs, rel)
-		for _, entryPath := range copies {
-			data, err := os.ReadFile(entryPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(entryPath, []byte(strings.Replace(string(data), "2.0", "9.9", 1)), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		copies := dirs
+		rotted := map[string][]byte{}
+		for _, dir := range copies {
+			rewriteRecord(t, dir, recordOf(t, dir, key), func(line []byte) {
+				i := bytes.Index(line, []byte("2.0"))
+				copy(line[i:], "9.9")
+				rotted[dir] = append([]byte(nil), line...)
+			})
 		}
 
 		fresh := openDirs(t, dirs, reg) // bypass the memory tier
@@ -152,12 +212,16 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 		if n := reg.Counter("resultstore_corrupt_entries_total").Value(); n != uint64(len(copies)) {
 			t.Errorf("corrupt counter = %d, want %d", n, len(copies))
 		}
-		for i, entryPath := range copies {
-			if _, err := os.Stat(entryPath); !os.IsNotExist(err) {
-				t.Error("corrupt entry still in the lookup path")
+		// Out of the lookup path: a second Get finds no record to reject.
+		if _, ok := fresh.Get(key); ok || reg.Counter("resultstore_corrupt_entries_total").Value() != uint64(len(copies)) {
+			t.Error("corrupt entry still in the lookup path")
+		}
+		for _, dir := range copies {
+			kept, _ := filepath.Glob(filepath.Join(dir, resultstore.QuarantineDir, "*.corrupt"))
+			if len(kept) != 1 {
+				t.Fatalf("quarantine/ holds %d copies, want 1", len(kept))
 			}
-			quarantined := filepath.Join(dirs[i], resultstore.QuarantineDir, filepath.Base(entryPath)+".corrupt")
-			if _, err := os.Stat(quarantined); err != nil {
+			if data, err := os.ReadFile(kept[0]); err != nil || !bytes.Equal(data, rotted[dir]) {
 				t.Error("corrupt entry was not preserved in quarantine/ for inspection")
 			}
 		}
@@ -177,11 +241,9 @@ func TestVerifySweepsCorruption(t *testing.T) {
 			}
 		}
 		// Garble every copy of one entry wholesale.
-		copies := copiesOf(dirs, firstEntry(dirs[0]))
-		for _, victim := range copies {
-			if err := os.WriteFile(victim, []byte("not json"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		copies := dirs
+		for _, dir := range copies {
+			rewriteRecord(t, dir, records(t, dir)[0], garble)
 		}
 		ok, corrupt, err := s.Verify()
 		if err != nil {
@@ -236,20 +298,13 @@ func TestPruneByAge(t *testing.T) {
 			if err := s.Put(k, "h", []byte(`{}`)); err != nil {
 				t.Fatal(err)
 			}
-			// Stamp strictly increasing mtimes so the prune order is stable
-			// even on filesystems with coarse timestamps.
-			old := time.Now().Add(time.Duration(i-10) * time.Hour)
+			// Stamp strictly increasing write times so the prune order is
+			// stable whatever the clock's resolution.
 			for _, dir := range dirs {
-				filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-					if err == nil && !info.IsDir() && strings.HasSuffix(p, ".json") && info.ModTime().After(old) {
-						if d, _, derr := decodeKeyOf(p); derr == nil && d == k {
-							os.Chtimes(p, old, old)
-						}
-					}
-					return nil
-				})
+				stampWriteTime(t, dir, k, time.Now().Add(time.Duration(i-10)*time.Hour))
 			}
 		}
+		s = openDirs(t, dirs, nil) // read the stamped times
 		removed, err := s.Prune(1)
 		if err != nil {
 			t.Fatal(err)
@@ -265,22 +320,6 @@ func TestPruneByAge(t *testing.T) {
 			t.Error("oldest entry survived the prune")
 		}
 	})
-}
-
-// decodeKeyOf reads the key field of an entry file (test helper).
-func decodeKeyOf(path string) (string, string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", "", err
-	}
-	var e struct {
-		Key     string `json:"key"`
-		CfgHash string `json:"config_hash"`
-	}
-	if err := json.Unmarshal(data, &e); err != nil {
-		return "", "", err
-	}
-	return e.Key, e.CfgHash, nil
 }
 
 func TestMemoryOnlyStore(t *testing.T) {
@@ -337,21 +376,19 @@ func TestMemoryOnlyMaintenanceIsNoOp(t *testing.T) {
 	}
 }
 
-// failDir rejects every entry write under one directory: a replica whose
-// disk refuses writes while its sibling accepts them.
+// failDir rejects every record append under one directory: a replica
+// whose disk refuses writes while its sibling accepts them.
 type failDir string
 
-func (failDir) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+func (failDir) ReadRecord(log *os.File, _ string, p []byte, off int64) (int, error) {
+	return log.ReadAt(p, off)
+}
 
-func (d failDir) WriteFile(path string, data []byte) error {
-	if strings.HasPrefix(path, string(d)) {
-		return fmt.Errorf("injected write failure under %s", string(d))
+func (d failDir) AppendRecord(log *os.File, _ string, data []byte) (int, error) {
+	if strings.HasPrefix(log.Name(), string(d)) {
+		return 0, fmt.Errorf("injected write failure under %s", string(d))
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return log.Write(data)
 }
 
 // The resultstore_disk_entries gauge reports the figure Stats returns —

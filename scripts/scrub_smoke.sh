@@ -4,8 +4,9 @@
 #
 # One wbserve process runs the robustness stack at once: a two-replica
 # result store with a fast background scrubber and bearer-token auth with
-# the /admin surface enabled.  Mid-sweep the script flips a bit in a stored
-# entry on the first replica (the one reads hit first), then asserts:
+# the /admin surface enabled.  Mid-sweep the script flips a byte inside a
+# stored record on the first replica (the one reads hit first), then
+# asserts:
 #
 #   1. the sweep completes byte-identical to a baseline server that saw
 #      no faults at all,
@@ -119,18 +120,19 @@ echo "scrub-smoke: auth gate holds (401/403/200, reads gated)"
 ID2="$(curl -sf -X POST "$BASE/run" -H "$USER" -H 'Content-Type: application/json' -d "$SWEEP" | run_id)"
 [ "$ID2" = "$ID" ] || fail "run ids differ ($ID vs $ID2) — content-addressed ids should match"
 
-# Wait until the store holds at least one entry, then flip one bit in a
-# copy on replica a — the replica reads consult first.
-entry=""
+# Wait until the store holds at least one whole record, then flip a byte
+# in the middle of the first record of replica a's log — the replica reads
+# consult first.
+log="$TMP/chaos/a/entries.log"
+records() { if [ -f "$log" ]; then wc -l < "$log"; else echo 0; fi; }
 for _ in $(seq 1 600); do
-  entry="$(find "$TMP/chaos/a" -name '*.json' -type f 2>/dev/null | head -n 1)"
-  [ -n "$entry" ] && break
+  [ "$(records)" -ge 1 ] && break
   sleep 0.1
 done
-[ -n "$entry" ] || fail "no store entry appeared within 60s"
-size="$(wc -c < "$entry")"
-printf '\377' | dd of="$entry" bs=1 seek="$((size / 2))" count=1 conv=notrunc 2>/dev/null
-echo "scrub-smoke: flipped a byte in $(basename "$entry") on replica a"
+[ "$(records)" -ge 1 ] || fail "no store record appeared within 60s"
+size="$(head -n 1 "$log" | wc -c)"
+printf '\377' | dd of="$log" bs=1 seek="$((size / 2))" count=1 conv=notrunc 2>/dev/null
+echo "scrub-smoke: flipped a byte in the first record of replica a's log"
 
 # The sweep must still complete, byte-identical to the baseline.
 wait_complete "$ID" -H "$USER" > "$TMP/chaos.json"
