@@ -7,6 +7,8 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/mem"
+	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -200,5 +202,266 @@ func TestDerivedGeneratorsMatchParent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// extDigestN is the length at which extDigests pin the extension
+// experiments' streams.
+const extDigestN = 200_000
+
+// extDigests pin, by name, every stream the extension experiments derive:
+// ext-variance's reseeded profiles (seeds 0–4), ext-membar's
+// barrier-injected suite (none, 1000, 200, 50), ext-multiprog's pairs
+// (none, 100000, 10000, 1000) and ext-analytic's Bernoulli stream.  Each
+// value is generatorDigest at extDigestN instructions.
+var extDigests = map[string]uint64{
+	"espresso~s0":           0x6329768f66a587ea,
+	"espresso~s1":           0xf1f56a689b3b9f14,
+	"espresso~s2":           0x401f27d8c6e7eb95,
+	"espresso~s3":           0x930d32ce838d1e9d,
+	"espresso~s4":           0xf2fad47f228a3787,
+	"compress~s0":           0x97f0579203d82a14,
+	"compress~s1":           0x4ba7b2b97129b1df,
+	"compress~s2":           0xcbb085734eae8b2e,
+	"compress~s3":           0xa65e6fba706148c9,
+	"compress~s4":           0xbcf648346a8645b5,
+	"uncompress~s0":         0xbd9e4d0bb6b51078,
+	"uncompress~s1":         0x196e7b89e74d0c3d,
+	"uncompress~s2":         0x5c0481e29676f8cc,
+	"uncompress~s3":         0xc3783265c868267e,
+	"uncompress~s4":         0xf8ad6ddd7d311280,
+	"sc~s0":                 0x324e7b0641f311c4,
+	"sc~s1":                 0x2211fb96ca10a8ce,
+	"sc~s2":                 0x5f2ce8d7976c649a,
+	"sc~s3":                 0x55da9796fc65afe9,
+	"sc~s4":                 0xfde96b3e6d22c766,
+	"cc1~s0":                0x817966a7a7bd77f7,
+	"cc1~s1":                0x55e7a5a5f31111ee,
+	"cc1~s2":                0x7259a948f8a94c8c,
+	"cc1~s3":                0x0bb8fe42f75315c7,
+	"cc1~s4":                0xc9798724fe043a80,
+	"li~s0":                 0xac0e60925b111f36,
+	"li~s1":                 0x253497c82f0a6ab3,
+	"li~s2":                 0x67c56285d4499bab,
+	"li~s3":                 0xf955e25926a37013,
+	"li~s4":                 0x008479be7e36b1e5,
+	"doduc~s0":              0x7ea27d393f1a855e,
+	"doduc~s1":              0x65e255b58faf1444,
+	"doduc~s2":              0x0dd0be01bf1f5cf3,
+	"doduc~s3":              0x17dbaeb23255f1a5,
+	"doduc~s4":              0xdcb1bfc17efba9c3,
+	"hydro2d~s0":            0x5157df0387c1bb33,
+	"hydro2d~s1":            0xc61b2654132fb615,
+	"hydro2d~s2":            0xa1a4942c0ba849a0,
+	"hydro2d~s3":            0xba81eb6ec4d1a721,
+	"hydro2d~s4":            0xd3acf260994d7120,
+	"mdljsp2~s0":            0xefe76dd26de04101,
+	"mdljsp2~s1":            0x26e687c060b49444,
+	"mdljsp2~s2":            0x0cd41f4fc7914657,
+	"mdljsp2~s3":            0xa7e76f9620a377be,
+	"mdljsp2~s4":            0xfd1e1155c4dfdd3e,
+	"fpppp~s0":              0x410bbe0e705106be,
+	"fpppp~s1":              0x379feb4892c84d00,
+	"fpppp~s2":              0xf1ae9af670ccce41,
+	"fpppp~s3":              0x9cc423b5c38db34b,
+	"fpppp~s4":              0x1597d98d727cd30b,
+	"mdljdp2~s0":            0x40b9fe859359d92e,
+	"mdljdp2~s1":            0xa6690e0e6cbef868,
+	"mdljdp2~s2":            0xb8950ca5114bb91c,
+	"mdljdp2~s3":            0x3a6497c91fcb9f55,
+	"mdljdp2~s4":            0x86021cca1af3b5f2,
+	"wave5~s0":              0x79fe63a5fc6b502b,
+	"wave5~s1":              0x5f9e98019057612b,
+	"wave5~s2":              0xacbdefff35cd0c29,
+	"wave5~s3":              0x0e9d25c100b8bf68,
+	"wave5~s4":              0x842b213839b82435,
+	"su2cor~s0":             0xcefa56ab5dba50be,
+	"su2cor~s1":             0x61656cceebd03f0f,
+	"su2cor~s2":             0xec49576281afd71f,
+	"su2cor~s3":             0x2e86dbc2929dc82a,
+	"su2cor~s4":             0x9dc004c53a130815,
+	"espresso / none":       0x6329768f66a587ea,
+	"espresso / 1000":       0x6097d1bbfd388dfa,
+	"espresso / 200":        0x01b2018d67a166a4,
+	"espresso / 50":         0xd826c4fd5fd4bad6,
+	"compress / none":       0x97f0579203d82a14,
+	"compress / 1000":       0x938587ba1100d242,
+	"compress / 200":        0x826dcade58e63a52,
+	"compress / 50":         0xcd100c82d4eb2ac8,
+	"uncompress / none":     0xbd9e4d0bb6b51078,
+	"uncompress / 1000":     0xa75cacb905f28288,
+	"uncompress / 200":      0x4c4abbdfc2474c6c,
+	"uncompress / 50":       0x6bf58ea4705b1c72,
+	"sc / none":             0x324e7b0641f311c4,
+	"sc / 1000":             0xf3f34c13bd8f4cf6,
+	"sc / 200":              0x0497d05ba58b2e10,
+	"sc / 50":               0xec6cdbf5976b3df4,
+	"cc1 / none":            0x817966a7a7bd77f7,
+	"cc1 / 1000":            0x8c345bfc4f828cdd,
+	"cc1 / 200":             0x27eafdf9f7a8eac9,
+	"cc1 / 50":              0xe47a890392dc4e7d,
+	"li / none":             0xac0e60925b111f36,
+	"li / 1000":             0xd8fe9085f6317576,
+	"li / 200":              0x21c70b7a0315d33e,
+	"li / 50":               0x8b42ac9acbbb5c9e,
+	"doduc / none":          0x7ea27d393f1a855e,
+	"doduc / 1000":          0x48c45190a0eef192,
+	"doduc / 200":           0x3dd400a9f642692e,
+	"doduc / 50":            0x8b7094b31d294d5e,
+	"hydro2d / none":        0x5157df0387c1bb33,
+	"hydro2d / 1000":        0x6ed2c3f6ad79f26d,
+	"hydro2d / 200":         0xf36b170474fdd43b,
+	"hydro2d / 50":          0x24a4ed32728a5a11,
+	"mdljsp2 / none":        0xefe76dd26de04101,
+	"mdljsp2 / 1000":        0x8504f3cc3c5bf9a7,
+	"mdljsp2 / 200":         0x0bc661cf19d00145,
+	"mdljsp2 / 50":          0x56c4048f378b2c95,
+	"tomcatv / none":        0x794c9a5bac7c45d2,
+	"tomcatv / 1000":        0x53133ad8012d6edc,
+	"tomcatv / 200":         0x7c6063343ae88204,
+	"tomcatv / 50":          0xb5718d7abfdee81a,
+	"fpppp / none":          0x410bbe0e705106be,
+	"fpppp / 1000":          0x80a92e3ad9b16998,
+	"fpppp / 200":           0x47df000cea7bf7a8,
+	"fpppp / 50":            0x1fa61f8c4e9c29c8,
+	"mdljdp2 / none":        0x40b9fe859359d92e,
+	"mdljdp2 / 1000":        0x9b31d287a2496f36,
+	"mdljdp2 / 200":         0xe9a42515914ab34e,
+	"mdljdp2 / 50":          0x6a504fda2d11e90e,
+	"wave5 / none":          0x79fe63a5fc6b502b,
+	"wave5 / 1000":          0x66b3232c8a4def35,
+	"wave5 / 200":           0x1b5fbf67c23b101f,
+	"wave5 / 50":            0x901a1c3da028bce5,
+	"su2cor / none":         0xcefa56ab5dba50be,
+	"su2cor / 1000":         0xfaabdfe62f197fa2,
+	"su2cor / 200":          0xcb0bbf43bc473e48,
+	"su2cor / 50":           0xf5a089341db7dc8e,
+	"fft / none":            0x2408f1ba85de57f7,
+	"fft / 1000":            0xace2b886e0edfa8b,
+	"fft / 200":             0xfe3c68aabbf2793d,
+	"fft / 50":              0x9634b9a2effbf529,
+	"cholsky / none":        0x8e2ea653d4fbc943,
+	"cholsky / 1000":        0x6ec82e95c4fd518f,
+	"cholsky / 200":         0xd80536b42b4b1e2b,
+	"cholsky / 50":          0x6837903d8528707f,
+	"gmtry / none":          0x8dc85e2a384975ec,
+	"gmtry / 1000":          0xc451571cdff6bc60,
+	"gmtry / 200":           0xbe5df9ce4335f986,
+	"gmtry / 50":            0xfb61321a560e8370,
+	"li+compress / none":    0x7ed89ca95af4535e,
+	"li+compress / 100000":  0x7ed89ca95af4535e,
+	"li+compress / 10000":   0x71b0eba7568c102e,
+	"li+compress / 1000":    0x7991f1ec62ac6e22,
+	"sc+hydro2d / none":     0x91cd3ccec941a821,
+	"sc+hydro2d / 100000":   0x91cd3ccec941a821,
+	"sc+hydro2d / 10000":    0x099932f5c73eca55,
+	"sc+hydro2d / 1000":     0x58285a27e09e6dbd,
+	"espresso+fft / none":   0x836103151654fb75,
+	"espresso+fft / 100000": 0x836103151654fb75,
+	"espresso+fft / 10000":  0x0e0af1aaf6b5c445,
+	"espresso+fft / 1000":   0x945c4e0f6ba032cd,
+	"bernoulli-q0.10":       0xfe621131ea1efee0,
+}
+
+// extNames lists the names extDigests pins, in the experiments' order.
+func extNames() []string {
+	var names []string
+	for _, b := range workload.All() {
+		for s := 0; s < 5; s++ {
+			names = append(names, fmt.Sprintf("%s~s%d", b.Name, s))
+		}
+	}
+	for _, b := range workload.All() {
+		names = append(names, b.Name+" / none")
+		for _, p := range []int{1000, 200, 50} {
+			names = append(names, fmt.Sprintf("%s / %d", b.Name, p))
+		}
+	}
+	for _, pair := range []string{"li+compress", "sc+hydro2d", "espresso+fft"} {
+		names = append(names, pair+" / none")
+		for _, q := range []int{100_000, 10_000, 1_000} {
+			names = append(names, fmt.Sprintf("%s / %d", pair, q))
+		}
+	}
+	return append(names, "bernoulli-q0.10")
+}
+
+// extStreams builds the derived benchmarks the extension experiments run,
+// with their closures, keyed by name.  Kernel benchmarks do not reseed, so
+// their ~s names have no entry.
+func extStreams(t *testing.T) map[string]workload.Benchmark {
+	out := map[string]workload.Benchmark{}
+	add := func(b workload.Benchmark) { out[b.Name] = b }
+	membar := trace.Ref{Kind: trace.Membar}
+	for _, b := range workload.All() {
+		for s := uint64(0); s < 5; s++ {
+			if rb, ok := workload.Reseeded(b, s); ok {
+				add(rb)
+			}
+		}
+		add(workload.Derive(b.Name+" / none", b.Generator))
+		for _, period := range []uint64{1000, 200, 50} {
+			add(workload.Derive(fmt.Sprintf("%s / %d", b.Name, period), func(n uint64) trace.Generator {
+				return trace.NewInject(b.Generator(n), membar, period)
+			}))
+		}
+	}
+	for _, pair := range [][2]string{{"li", "compress"}, {"sc", "hydro2d"}, {"espresso", "fft"}} {
+		a, b := mustBench(t, pair[0]), mustBench(t, pair[1])
+		for _, q := range []uint64{0, 100_000, 10_000, 1_000} {
+			name := fmt.Sprintf("%s+%s / %d", a.Name, b.Name, q)
+			if q == 0 {
+				name = fmt.Sprintf("%s+%s / none", a.Name, b.Name)
+			}
+			add(workload.Derive(name, func(n uint64) trace.Generator {
+				if q == 0 {
+					return trace.NewConcat(a.Generator(n/2), b.Generator(n/2))
+				}
+				return trace.NewInterleave(q, a.Generator(n/2), b.Generator(n/2))
+			}))
+		}
+	}
+	add(workload.Derive("bernoulli-q0.10", func(n uint64) trace.Generator { return bernoulliStores(0.10, n) }))
+	return out
+}
+
+// bernoulliStores is ext-analytic's stream: each instruction is a store to
+// a fresh line with probability q.
+func bernoulliStores(q float64, n uint64) trace.Generator {
+	refs := make([]trace.Ref, n)
+	r := rng.New(7)
+	line := mem.Addr(0)
+	for i := range refs {
+		if r.Bool(q) {
+			line += mem.LineBytes
+			refs[i] = trace.Ref{Kind: trace.Store, Addr: line}
+		} else {
+			refs[i] = trace.Ref{Kind: trace.Exec}
+		}
+	}
+	return trace.NewSliceStream(refs)
+}
+
+// TestExtensionStreamsPinned: every stream the extension experiments
+// derive decodes to its recorded sequence.
+func TestExtensionStreamsPinned(t *testing.T) {
+	streams := extStreams(t)
+	pinned := 0
+	for _, name := range extNames() {
+		b, ok := streams[name]
+		want, pin := extDigests[name]
+		if ok != pin {
+			t.Errorf("%s: builds %v, pinned %v", name, ok, pin)
+		}
+		if !ok || !pin {
+			continue
+		}
+		pinned++
+		if got, _ := generatorDigest(t, b.Generator(extDigestN)); got != want {
+			t.Errorf("%s: digest %#016x, recorded %#016x", name, got, want)
+		}
+	}
+	if pinned != len(extDigests) {
+		t.Errorf("%d streams checked, %d pinned", pinned, len(extDigests))
 	}
 }
