@@ -3,7 +3,7 @@
 // runs on one machine or across a fleet of wbserve workers.
 //
 // A sweep is an embarrassingly parallel bag of Jobs: each names a
-// benchmark from the registered suite, a complete machine configuration,
+// benchmark (workload.ByName), a complete machine configuration,
 // and an instruction count, and every job is deterministic — the same Job
 // produces bit-identical Measurements on any machine running this code.
 // That determinism is what makes the distributed backends safe: a retried
@@ -121,19 +121,20 @@ func RunRow(ctx context.Context, b Backend, jobs []Job) []RowResult {
 	return out
 }
 
-// ErrUnknownBenchmark marks a job whose Bench resolves to no registered
-// benchmark; workers report it as a client error, not a machine failure.
+// ErrUnknownBenchmark marks a job whose Bench workload.ByName does not
+// resolve; workers report it as a client error, not a machine failure.
 var ErrUnknownBenchmark = errors.New("dispatch: unknown benchmark")
 
 // Execute runs a job in this process.  When reg is non-nil the finished
 // machine's counters are folded into it (sim_* series).  Bench resolves
-// through workload.ByName — the suite, the transformed variants and the
-// stress scenarios, all of which regenerate bit-identical streams on any
-// machine, so every such name is safe to ship.  The error is
-// ErrUnknownBenchmark-wrapped for an unresolvable benchmark name (a
-// derived benchmark, workload.Derive, is never resolvable), and for an
-// inconsistent configuration it wraps the sim validation error, naming
-// the job's label.
+// through workload.ByName — the suite, the transformed variants, the
+// stress scenarios and the streams derived from them by name ("li~s1",
+// "li / 1000", "li+compress / 10000", "bernoulli-q0.10"), all of which
+// regenerate bit-identical streams on any machine, so every such name is
+// safe to ship.  The error is ErrUnknownBenchmark-wrapped for a name that
+// does not resolve (a non-canonical spelling of a derived stream
+// included), and for an inconsistent configuration it wraps the sim
+// validation error, naming the job's label.
 func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 	b, ok := workload.ByName(job.Bench)
 	if !ok {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -88,12 +87,9 @@ func TestExecuteRowErrors(t *testing.T) {
 // kernel benchmark's producer goroutine parked on its channel send.
 func TestExecuteRowCancelStopsGenerator(t *testing.T) {
 	fft, _ := workload.ByName("fft")
-	espresso, _ := workload.ByName("espresso")
 	// A derived stream hides the kernel's generator behind combinators;
 	// closing the row must still reach it.
-	mix := workload.Derive("espresso+fft / 1000", func(n uint64) trace.Generator {
-		return trace.NewInterleave(1000, espresso.Generator(n/2), fft.Generator(n/2))
-	})
+	mix, _ := workload.ByName("espresso+fft / 1000")
 	for _, b := range []workload.Benchmark{fft, mix} {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())

@@ -167,12 +167,14 @@ type countingLocal struct {
 	mu        sync.Mutex
 	runs      int
 	failAfter int
+	benches   []string
 	local     dispatch.Local
 }
 
 func (c *countingLocal) Run(ctx context.Context, job dispatch.Job) (dispatch.Measurement, error) {
 	c.mu.Lock()
 	c.runs++
+	c.benches = append(c.benches, job.Bench)
 	fail := c.failAfter > 0 && c.runs > c.failAfter
 	c.mu.Unlock()
 	if fail {
@@ -185,6 +187,13 @@ func (c *countingLocal) count() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.runs
+}
+
+// names lists the benchmark of every job run so far.
+func (c *countingLocal) names() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.benches...)
 }
 
 // openStore opens the result store rooted at dir, as a fresh process
@@ -342,18 +351,70 @@ func (s *serialProbe) maxInflight() int {
 	return s.max
 }
 
-// A reseeded benchmark shares its source's profile but not its name: a
-// backend resolving jobs by name must refuse it, never substitute the
-// registered benchmark's stream.
-func TestBackendRefusesDerivedBenchmark(t *testing.T) {
-	rb, ok := workload.Reseeded(bench(t, "li"), 1)
-	if !ok {
-		t.Fatal("li should be reseedable")
+// The experiments over derived streams run through any backend, because
+// a derived stream's name is its identity: through Local and through a
+// store-backed Cached(Local) they render the in-process report byte for
+// byte, and a rerun over the same store is all hits.  The names they ship
+// are derived, never registered ones, and a non-canonical spelling of one
+// is an unknown benchmark.
+func TestDerivedStreamsRunThroughBackends(t *testing.T) {
+	ctx := context.Background()
+	reg := metrics.NewRegistry()
+	st, err := resultstore.Open("", resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := RunMatrixCtx(context.Background(), []workload.Benchmark{rb},
-		[]ConfigSpec{{Label: "base", Cfg: sim.Baseline()}},
-		Options{Instructions: 10_000, Backend: &dispatch.Local{}})
-	if !errors.Is(err, dispatch.ErrUnknownBenchmark) {
-		t.Fatalf("err = %v, want dispatch.ErrUnknownBenchmark", err)
+	inner := &countingLocal{}
+	cached := dispatch.NewCached(inner, st, reg)
+	misses := reg.Counter("dispatch_store_misses_total")
+	for _, id := range []string{"ext-membar", "ext-multiprog", "ext-variance"} {
+		e, _ := ByID(id)
+		render := func(b dispatch.Backend) string {
+			t.Helper()
+			rep, err := e.Run(ctx, Options{
+				Instructions: 20_000,
+				Benchmarks:   []workload.Benchmark{bench(t, "espresso"), bench(t, "li"), bench(t, "fft")},
+				Backend:      b,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			return rep.String()
+		}
+		want := render(nil)
+		if got := render(&dispatch.Local{}); got != want {
+			t.Errorf("%s through Local:\n%s\nin-process:\n%s", id, got, want)
+		}
+		before := misses.Value()
+		if got := render(cached); got != want || misses.Value() == before {
+			t.Errorf("%s through Cached(Local), %d misses:\n%s\nin-process:\n%s", id, misses.Value()-before, got, want)
+		}
+		before, ran := misses.Value(), inner.count()
+		if got := render(cached); got != want || misses.Value() != before || inner.count() != ran {
+			t.Errorf("%s rerun over the same store: %d misses, %d jobs run, report equal %v",
+				id, misses.Value()-before, inner.count()-ran, got == want)
+		}
 	}
+	for _, name := range inner.names() {
+		if _, ok := workload.ByName(name); !ok || isRegistered(name) {
+			t.Errorf("experiment shipped %q: resolves %v, registered %v", name, ok, isRegistered(name))
+		}
+	}
+	for _, name := range []string{"li /1000", "li / 01000", "li / 0", "li~s01", "fft~s1"} {
+		_, err := (&dispatch.Local{}).Run(ctx, dispatch.Job{Bench: name, Label: "base", Cfg: sim.Baseline(), N: 1_000})
+		if !errors.Is(err, dispatch.ErrUnknownBenchmark) {
+			t.Errorf("%q: err = %v, want dispatch.ErrUnknownBenchmark", name, err)
+		}
+	}
+}
+
+func isRegistered(name string) bool {
+	for _, list := range [][]workload.Benchmark{workload.All(), workload.Transformed(), workload.Scenarios()} {
+		for _, b := range list {
+			if b.Name == name {
+				return true
+			}
+		}
+	}
+	return false
 }

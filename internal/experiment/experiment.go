@@ -73,9 +73,10 @@ type Options struct {
 	// sweep across wbserve workers, dispatch.Cached stores completed
 	// jobs for resumption, and dispatch.Local reproduces the default path
 	// explicitly.  nil keeps today's behaviour exactly.
-	// Benchmarks handed to a matrix run must be name-resolvable
-	// (workload.ByName) for a backend, since jobs travel by benchmark
-	// name; experiments over derived ones run in-process instead.
+	// Jobs travel by benchmark name, so every benchmark a matrix runs
+	// comes from workload.ByName, derived streams included; only
+	// ext-occupancy and ext-analytic, which read machine state a
+	// Measurement does not carry, ignore the backend.
 	Backend dispatch.Backend
 }
 

@@ -8,11 +8,9 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/rng"
+	"repro/internal/dispatch"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -25,7 +23,7 @@ func init() {
 		Title: "Write buffer vs Jouppi-style write cache: stalls and write traffic",
 		Run:   runWriteCache,
 	})
-	registerInProcess(Experiment{
+	registerExperiment(Experiment{
 		ID:    "ext-membar",
 		Title: "Memory-barrier cost vs write-stage organisation (drain stalls at varying barrier frequency)",
 		Run:   runMembar,
@@ -40,12 +38,12 @@ func init() {
 		Title: "Analytic Markov model vs simulator: blocking probability across depths",
 		Run:   runAnalytic,
 	})
-	registerInProcess(Experiment{
+	registerExperiment(Experiment{
 		ID:    "ext-multiprog",
 		Title: "Multiprogramming: write-buffer and cache behaviour under context-switch quanta",
 		Run:   runMultiprog,
 	})
-	registerInProcess(Experiment{
+	registerExperiment(Experiment{
 		ID:    "ext-variance",
 		Title: "Seed robustness: baseline stall percentages as mean ± sd over 5 generator seeds",
 		Run:   runVariance,
@@ -53,8 +51,8 @@ func init() {
 }
 
 // registerInProcess registers an experiment that ignores o.Backend: it
-// runs derived benchmarks (workload.Derive), which no backend can resolve
-// by name, or reads machine state a Measurement does not carry.
+// reads machine state a Measurement does not carry, through runMatrix's
+// visit hook, and a backend has no machines to hand over.
 func registerInProcess(e Experiment) {
 	run := e.Run
 	e.Run = func(ctx context.Context, o Options) (*Report, error) {
@@ -79,8 +77,8 @@ func runVariance(ctx context.Context, o Options) (*Report, error) {
 	const seeds = 5
 	var seeded []workload.Benchmark // seeds variants per benchmark, b.Name~s0 first
 	for _, b := range o.benchmarks() {
-		for s := uint64(0); s < seeds; s++ {
-			if rb, ok := workload.Reseeded(b, s); ok {
+		for s := 0; s < seeds; s++ {
+			if rb, ok := workload.ByName(fmt.Sprintf("%s~s%d", b.Name, s)); ok {
 				seeded = append(seeded, rb)
 			}
 		}
@@ -123,8 +121,13 @@ func meanSD(vals []float64) (mean, sd, lo, hi float64) {
 // incoming program with the other's cache contents, raising both miss
 // traffic and L2 contention — the OS activity the paper's traces omit.
 func runMultiprog(ctx context.Context, o Options) (*Report, error) {
-	pairs := [][2]string{{"li", "compress"}, {"sc", "hydro2d"}, {"espresso", "fft"}}
-	quanta := []uint64{0, 100_000, 10_000, 1_000}
+	var names []string
+	for _, pair := range []string{"li+compress", "sc+hydro2d", "espresso+fft"} {
+		names = append(names, pair+" / none")
+		for _, q := range []int{100_000, 10_000, 1_000} {
+			names = append(names, fmt.Sprintf("%s / %d", pair, q))
+		}
+	}
 	rep := &Report{
 		ID: "ext-multiprog", Title: "Context-switch quantum sweep (baseline machine)",
 		Columns: []string{"pair / quantum", "stall%", "L1 hit%", "WB hit%"},
@@ -132,21 +135,9 @@ func runMultiprog(ctx context.Context, o Options) (*Report, error) {
 			"quantum 'none' runs the pair back to back; smaller quanta switch more often",
 		},
 	}
-	var mixes []workload.Benchmark
-	for _, pair := range pairs {
-		a, b := mustBench(pair[0]), mustBench(pair[1])
-		for _, q := range quanta {
-			name := fmt.Sprintf("%s+%s / %d", a.Name, b.Name, q)
-			if q == 0 {
-				name = fmt.Sprintf("%s+%s / none", a.Name, b.Name)
-			}
-			mixes = append(mixes, workload.Derive(name, func(n uint64) trace.Generator {
-				if q == 0 {
-					return trace.NewConcat(a.Generator(n/2), b.Generator(n/2))
-				}
-				return trace.NewInterleave(q, a.Generator(n/2), b.Generator(n/2))
-			}))
-		}
+	mixes, err := resolve(names)
+	if err != nil {
+		return nil, err
 	}
 	matrix, err := RunMatrixCtx(ctx, mixes, baseline, o)
 	if err != nil {
@@ -161,13 +152,17 @@ func runMultiprog(ctx context.Context, o Options) (*Report, error) {
 	return rep, nil
 }
 
-// mustBench resolves a benchmark the experiment hard-codes.
-func mustBench(name string) workload.Benchmark {
-	b, ok := workload.ByName(name)
-	if !ok {
-		panic("experiment: missing benchmark " + name)
+// resolve looks up the benchmarks an experiment names.
+func resolve(names []string) ([]workload.Benchmark, error) {
+	out := make([]workload.Benchmark, len(names))
+	for i, name := range names {
+		b, ok := workload.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("experiment: %w: %q", dispatch.ErrUnknownBenchmark, name)
+		}
+		out[i] = b
 	}
-	return b
+	return out, nil
 }
 
 func runWriteCache(ctx context.Context, o Options) (*Report, error) {
@@ -200,7 +195,7 @@ func runWriteCache(ctx context.Context, o Options) (*Report, error) {
 }
 
 func runMembar(ctx context.Context, o Options) (*Report, error) {
-	periods := []uint64{1000, 200, 50} // instructions between barriers
+	periods := []int{1000, 200, 50} // instructions between barriers
 	configs := []ConfigSpec{
 		{Label: "buf-4", Cfg: sim.Baseline()},
 		{Label: "buf-12 RWB", Cfg: sim.Baseline().WithDepth(12).WithRetire(core.RetireAt{N: 8}).WithHazard(core.ReadFromWB)},
@@ -214,15 +209,16 @@ func runMembar(ctx context.Context, o Options) (*Report, error) {
 	}
 	// One derived benchmark per (benchmark, period), the barrier-free
 	// stream first; the three configurations share each one's stream.
-	var fenced []workload.Benchmark
+	var names []string
 	for _, b := range o.benchmarks() {
-		fenced = append(fenced, workload.Derive(b.Name+" / none", b.Generator))
+		names = append(names, b.Name+" / none")
 		for _, period := range periods {
-			fenced = append(fenced, workload.Derive(fmt.Sprintf("%s / %d", b.Name, period),
-				func(n uint64) trace.Generator {
-					return trace.NewInject(b.Generator(n), trace.Ref{Kind: trace.Membar}, period)
-				}))
+			names = append(names, fmt.Sprintf("%s / %d", b.Name, period))
 		}
+	}
+	fenced, err := resolve(names)
+	if err != nil {
+		return nil, err
 	}
 	matrix, err := RunMatrixCtx(ctx, fenced, configs, o)
 	if err != nil {
@@ -305,8 +301,11 @@ func runAnalytic(ctx context.Context, o Options) (*Report, error) {
 			fmt.Sprintf("%.4f", pred.PBlocked), "",
 			fmt.Sprintf("%.2f", pred.MeanOccupancy), ""}
 	}
-	bernoulli := workload.Derive("bernoulli-q0.10", func(n uint64) trace.Generator { return bernoulliStores(q, n) })
-	_, err := runMatrix(ctx, []workload.Benchmark{bernoulli}, specs, o, func(_, ci int, m *sim.Machine) {
+	bernoulli, err := resolve([]string{fmt.Sprintf("bernoulli-q%.2f", q)})
+	if err != nil {
+		return nil, err
+	}
+	_, err = runMatrix(ctx, bernoulli, specs, o, func(_, ci int, m *sim.Machine) {
 		c := m.Counters()
 		simBlock := float64(0)
 		if c.Stores > 0 {
@@ -319,22 +318,4 @@ func runAnalytic(ctx context.Context, o Options) (*Report, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// bernoulliStores mirrors the analytic model's arrival assumptions: each
-// instruction is an allocating store (fresh line, never merges) with
-// probability q.
-func bernoulliStores(q float64, n uint64) trace.Generator {
-	refs := make([]trace.Ref, n)
-	r := rng.New(7)
-	line := mem.Addr(0)
-	for i := range refs {
-		if r.Bool(q) {
-			line += mem.LineBytes
-			refs[i] = trace.Ref{Kind: trace.Store, Addr: line}
-		} else {
-			refs[i] = trace.Ref{Kind: trace.Exec}
-		}
-	}
-	return trace.NewSliceStream(refs)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -84,9 +83,9 @@ func runTable6(ctx context.Context, o Options) (*Report, error) {
 				"the paper reports they suffer almost no write-buffer stalls afterwards",
 		},
 	}
-	var pairs []workload.Benchmark
-	for _, name := range []string{"gmtry", "gmtry-t", "cholsky", "cholsky-t"} {
-		pairs = append(pairs, mustBench(name))
+	pairs, err := resolve([]string{"gmtry", "gmtry-t", "cholsky", "cholsky-t"})
+	if err != nil {
+		return nil, err
 	}
 	matrix, err := RunMatrixCtx(ctx, pairs, baseline, o)
 	if err != nil {

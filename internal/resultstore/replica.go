@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
@@ -357,26 +358,33 @@ func (r *replica) append(key, cfgHash string, payload []byte) error {
 }
 
 // quarantine copies a bad record into the root's quarantine/ subdirectory
-// — preserved for inspection — and unindexes it, so it is never served;
-// it returns where the copy went.  A record the index has moved past (a
-// concurrent repair) is left alone.
+// — preserved for inspection — and drops it from the log, so it is never
+// served and no process that opens the log later indexes and counts it
+// again; it returns where the copy went.  A record the index has moved
+// past (a concurrent repair) is left alone.
 func (r *replica) quarantine(addr uint64, at loc) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if cur, ok := r.idx[addr]; !ok || cur != at {
 		return "(already replaced)"
 	}
-	delete(r.idx, addr)
 	data := make([]byte, at.n)
 	n, _ := r.f.ReadAt(data, at.off)
+	data = data[:n]
 	qdir := filepath.Join(r.dir, QuarantineDir)
 	dst := filepath.Join(qdir, fmt.Sprintf("%016x-%d.corrupt", addr, at.off))
 	err := os.MkdirAll(qdir, 0o755)
 	if err == nil {
-		err = os.WriteFile(dst, data[:n], 0o644)
+		err = os.WriteFile(dst, data, 0o644)
 	}
 	if err != nil {
-		return "(unindexed; copy failed: " + err.Error() + ")"
+		dst = "(copy failed: " + err.Error() + ")"
+	}
+	if _, err := r.rewriteLocked(func(a uint64, rec []byte) bool { return a == addr && bytes.Equal(rec, data) }); err != nil {
+		dst += " (left in the log: " + err.Error() + ")"
+	}
+	if r.idx[addr] == at {
+		delete(r.idx, addr) // not dropped from the log, but never served
 	}
 	return dst
 }
@@ -428,6 +436,10 @@ func (r *replica) entries() int {
 func (r *replica) rewrite(drop func(addr uint64, data []byte) bool) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.rewriteLocked(drop)
+}
+
+func (r *replica) rewriteLocked(drop func(addr uint64, data []byte) bool) (int, error) {
 	if _, err := r.lockLocked(false); err != nil || r.f == nil {
 		return 0, err
 	}

@@ -26,8 +26,8 @@
 // only the tail other processes appended since.  Reads verify the checksum
 // and that the key hashes to the record's address before returning; a
 // corrupt record counts as a miss, is copied into the root's `quarantine/`
-// subdirectory (preserved for inspection) and unindexed, and the affected
-// job simply re-simulates.  Put appends one record with one write and
+// subdirectory (preserved for inspection) and dropped from the log, and the
+// affected job simply re-simulates.  Put appends one record with one write and
 // fdatasyncs it before returning.  A record torn by a crash is never
 // indexed, and the next append starts on a fresh line.  The log is created
 // by the first Put, so opening an empty directory creates nothing.  The
@@ -325,7 +325,8 @@ func (s *Store) syncEntries() {
 // then the replicas in order, and the first healthy copy wins: it is
 // promoted into the memory tier, counted under the disk tier label, and
 // read-repaired into every replica the lookup passed over.  A corrupt copy
-// is quarantined (copied into quarantine/ and unindexed) on the way.
+// is quarantined (copied into quarantine/ and dropped from the log) on the
+// way.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if p, ok := s.mem.get(key); ok {
 		s.hitsMem.Inc()
@@ -667,8 +668,8 @@ type ReplicaStat struct {
 
 // ReplicaStats catches every replica's index up with its log and reports
 // its entry count (the index's, exact), its log's size in bytes (superseded
-// copies included, until a Prune or EvictHash rewrites the log), and its
-// quarantine population.
+// copies included, until a Prune, EvictHash or quarantine rewrites the
+// log), and its quarantine population.
 func (s *Store) ReplicaStats() []ReplicaStat {
 	out := make([]ReplicaStat, len(s.replicas))
 	for i, r := range s.replicas {

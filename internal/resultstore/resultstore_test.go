@@ -231,6 +231,53 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	})
 }
 
+// A quarantined record leaves the log: processes that open the store later
+// neither index it nor count it corrupt again, and the healthy records
+// around it stay.
+func TestQuarantineDropsRecordFromLog(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, nil)
+	bad, good := resultstore.Key("li", 1000, "aa"), resultstore.Key("fft", 1000, "aa")
+	for _, key := range []string{bad, good} {
+		if err := s.Put(key, "aa", []byte(`{"cpi":2.0}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	var rotted []byte
+	rewriteRecord(t, dir, recordOf(t, dir, bad), func(line []byte) {
+		i := bytes.Index(line, []byte("2.0"))
+		copy(line[i:], "9.9")
+		rotted = append([]byte(nil), line...)
+	})
+	var corrupt uint64
+	for i := 0; i < 3; i++ {
+		reg := metrics.NewRegistry()
+		s := open(t, dir, reg)
+		if _, ok := s.Get(bad); ok {
+			t.Fatalf("reopen %d: corrupt record served", i)
+		}
+		if _, ok := s.Get(good); !ok {
+			t.Fatalf("reopen %d: healthy record lost", i)
+		}
+		corrupt += reg.Counter("resultstore_corrupt_entries_total").Value()
+		if n := s.Quarantined(); n != 1 {
+			t.Errorf("reopen %d: Quarantined() = %d, want 1", i, n)
+		}
+		s.Close()
+	}
+	if corrupt != 1 {
+		t.Errorf("corrupt entries counted %d times over three opens, want 1", corrupt)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, resultstore.LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(log, rotted) {
+		t.Error("the quarantined record is still in the log")
+	}
+}
+
 func TestVerifySweepsCorruption(t *testing.T) {
 	layouts(t, func(t *testing.T, dirs []string) {
 		s := openDirs(t, dirs, nil)

@@ -7,8 +7,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/mem"
-	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -213,7 +211,10 @@ const extDigestN = 200_000
 // ext-variance's reseeded profiles (seeds 0–4), ext-membar's
 // barrier-injected suite (none, 1000, 200, 50), ext-multiprog's pairs
 // (none, 100000, 10000, 1000) and ext-analytic's Bernoulli stream.  Each
-// value is generatorDigest at extDigestN instructions.
+// value is generatorDigest at extDigestN instructions, recorded from the
+// closures the experiments built these streams with before their names
+// resolved; kernel benchmarks do not reseed, so their ~s names have no
+// entry and must not resolve.
 var extDigests = map[string]uint64{
 	"espresso~s0":           0x6329768f66a587ea,
 	"espresso~s1":           0xf1f56a689b3b9f14,
@@ -386,80 +387,26 @@ func extNames() []string {
 	return append(names, "bernoulli-q0.10")
 }
 
-// extStreams builds the derived benchmarks the extension experiments run,
-// with their closures, keyed by name.  Kernel benchmarks do not reseed, so
-// their ~s names have no entry.
-func extStreams(t *testing.T) map[string]workload.Benchmark {
-	out := map[string]workload.Benchmark{}
-	add := func(b workload.Benchmark) { out[b.Name] = b }
-	membar := trace.Ref{Kind: trace.Membar}
-	for _, b := range workload.All() {
-		for s := uint64(0); s < 5; s++ {
-			if rb, ok := workload.Reseeded(b, s); ok {
-				add(rb)
-			}
-		}
-		add(workload.Derive(b.Name+" / none", b.Generator))
-		for _, period := range []uint64{1000, 200, 50} {
-			add(workload.Derive(fmt.Sprintf("%s / %d", b.Name, period), func(n uint64) trace.Generator {
-				return trace.NewInject(b.Generator(n), membar, period)
-			}))
-		}
-	}
-	for _, pair := range [][2]string{{"li", "compress"}, {"sc", "hydro2d"}, {"espresso", "fft"}} {
-		a, b := mustBench(t, pair[0]), mustBench(t, pair[1])
-		for _, q := range []uint64{0, 100_000, 10_000, 1_000} {
-			name := fmt.Sprintf("%s+%s / %d", a.Name, b.Name, q)
-			if q == 0 {
-				name = fmt.Sprintf("%s+%s / none", a.Name, b.Name)
-			}
-			add(workload.Derive(name, func(n uint64) trace.Generator {
-				if q == 0 {
-					return trace.NewConcat(a.Generator(n/2), b.Generator(n/2))
-				}
-				return trace.NewInterleave(q, a.Generator(n/2), b.Generator(n/2))
-			}))
-		}
-	}
-	add(workload.Derive("bernoulli-q0.10", func(n uint64) trace.Generator { return bernoulliStores(0.10, n) }))
-	return out
-}
-
-// bernoulliStores is ext-analytic's stream: each instruction is a store to
-// a fresh line with probability q.
-func bernoulliStores(q float64, n uint64) trace.Generator {
-	refs := make([]trace.Ref, n)
-	r := rng.New(7)
-	line := mem.Addr(0)
-	for i := range refs {
-		if r.Bool(q) {
-			line += mem.LineBytes
-			refs[i] = trace.Ref{Kind: trace.Store, Addr: line}
-		} else {
-			refs[i] = trace.Ref{Kind: trace.Exec}
-		}
-	}
-	return trace.NewSliceStream(refs)
-}
-
 // TestExtensionStreamsPinned: every stream the extension experiments
-// derive decodes to its recorded sequence.
+// derive resolves by its name and decodes to its recorded sequence.
 func TestExtensionStreamsPinned(t *testing.T) {
-	streams := extStreams(t)
 	pinned := 0
 	for _, name := range extNames() {
-		b, ok := streams[name]
+		b, ok := workload.ByName(name)
 		want, pin := extDigests[name]
 		if ok != pin {
-			t.Errorf("%s: builds %v, pinned %v", name, ok, pin)
+			t.Errorf("%s: resolves %v, pinned %v", name, ok, pin)
 		}
 		if !ok || !pin {
 			continue
 		}
 		pinned++
-		if got, _ := generatorDigest(t, b.Generator(extDigestN)); got != want {
-			t.Errorf("%s: digest %#016x, recorded %#016x", name, got, want)
-		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			if got, _ := generatorDigest(t, b.Generator(extDigestN)); got != want {
+				t.Errorf("digest %#016x, recorded %#016x", got, want)
+			}
+		})
 	}
 	if pinned != len(extDigests) {
 		t.Errorf("%d streams checked, %d pinned", pinned, len(extDigests))

@@ -105,9 +105,10 @@ type Benchmark struct {
 }
 
 // Generator returns a fresh deterministic generator of exactly n dynamic
-// instructions.  A kernel benchmark's generator runs its kernel on a
-// producer goroutine; a consumer that stops before exhaustion must close
-// it (the generator implements io.Closer when it needs closing).
+// instructions, plus n/period membars for a barrier-injected stream ("li /
+// 1000").  A kernel benchmark's generator runs its kernel on a producer
+// goroutine; a consumer that stops before exhaustion must close it (the
+// generator implements io.Closer when it needs closing).
 func (b Benchmark) Generator(n uint64) trace.Generator { return b.gen(n) }
 
 // Stream returns the generator's per-reference decode view: one Ref per
@@ -125,10 +126,19 @@ func All() []Benchmark {
 	return out
 }
 
-// ByName finds a benchmark (including the transformed NASA kernel variants
-// "cholsky-t" and "gmtry-t" and the stress scenarios "burstw" and
-// "fenceprod").
+// ByName finds a benchmark: a registered one (the suite, the transformed
+// NASA kernel variants "cholsky-t" and "gmtry-t" and the stress scenarios
+// "burstw" and "fenceprod"), or else a stream derived from registered ones,
+// named in the grammar of derive (derived.go): "li~s1", "li / 1000",
+// "li+compress / 10000", "bernoulli-q0.10".
 func ByName(name string) (Benchmark, bool) {
+	if b, ok := registered(name); ok {
+		return b, true
+	}
+	return derive(name)
+}
+
+func registered(name string) (Benchmark, bool) {
 	for _, list := range [][]Benchmark{registry, extras, scenarios} {
 		for _, b := range list {
 			if b.Name == name {
@@ -148,37 +158,6 @@ func Scenarios() []Benchmark {
 	out := make([]Benchmark, len(scenarios))
 	copy(out, scenarios)
 	return out
-}
-
-// Derive returns an unregistered benchmark generated by gen.  It panics on
-// a name ByName resolves: name-keyed execution (result store, workers)
-// must fail on a derived benchmark, not run a registered one in its place.
-func Derive(name string, gen func(n uint64) trace.Generator) Benchmark {
-	if _, ok := ByName(name); ok {
-		panic(fmt.Sprintf("workload: derived benchmark %q shadows a registered one", name))
-	}
-	return Benchmark{Name: name, gen: gen}
-}
-
-// Reseeded returns a copy of a profile-driven benchmark whose generator
-// uses a shifted seed, producing a statistically equivalent but distinct
-// reference stream — the repository's stand-in for running a benchmark on
-// a different input, used to put error bars on stall measurements, named
-// b.Name~s<delta> (li~s1).  Kernel benchmarks (whose streams are
-// deterministic loop nests) are returned unchanged, and ok reports whether
-// reseeding had any effect.
-func Reseeded(b Benchmark, delta uint64) (Benchmark, bool) {
-	for _, np := range syntheticProfiles {
-		if np.Name == b.Name {
-			p := np.Profile
-			p.Seed += delta * 1_000_003 // spread shifted seeds far apart
-			out := Derive(fmt.Sprintf("%s~s%d", b.Name, delta),
-				func(n uint64) trace.Generator { return newSynth(p, n) })
-			out.Group, out.Target = b.Group, b.Target
-			return out, true
-		}
-	}
-	return b, false
 }
 
 // Transformed returns the Table 6 variants: the gmtry and cholsky kernels

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"io"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -261,36 +264,13 @@ func TestAllRegisteredProfilesValid(t *testing.T) {
 	}
 }
 
-// TestDeriveNamesNeverResolve: a derived benchmark must not answer to a
-// registered name, or name-keyed execution would run the registered one.
-func TestDeriveNamesNeverResolve(t *testing.T) {
-	li, _ := ByName("li")
-	for _, name := range []string{"li", "gmtry-t", "fenceprod"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Derive(%q) did not refuse a registered name", name)
-				}
-			}()
-			Derive(name, li.Generator)
-		}()
-	}
-	r1, _ := Reseeded(li, 1)
-	if r1.Name != "li~s1" {
-		t.Errorf("Reseeded(li, 1).Name = %q, want li~s1", r1.Name)
-	}
-	if _, ok := ByName(r1.Name); ok {
-		t.Errorf("reseeded variant %q resolves by name", r1.Name)
-	}
-}
-
 func TestReseeded(t *testing.T) {
 	li, _ := ByName("li")
-	r1, ok := Reseeded(li, 1)
+	r1, ok := ByName("li~s1")
 	if !ok {
 		t.Fatal("li should be reseedable")
 	}
-	r2, _ := Reseeded(li, 2)
+	r2, _ := ByName("li~s2")
 	// Different seeds → different streams; same seed → same stream.
 	a, b, c := r1.Stream(2000), r2.Stream(2000), li.Stream(2000)
 	diff12, diffBase := false, false
@@ -308,8 +288,57 @@ func TestReseeded(t *testing.T) {
 	if !diff12 || !diffBase {
 		t.Error("reseeded streams did not diverge")
 	}
-	fft, _ := ByName("fft")
-	if _, ok := Reseeded(fft, 1); ok {
-		t.Error("kernel benchmark reported as reseedable")
+	for _, name := range []string{"fft~s1", "burstw~s1"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("%s resolves: only profile-driven suite benchmarks reseed", name)
+		}
+	}
+}
+
+// FuzzByName: no name panics ByName.  A name that resolves to a derived
+// stream is its own canonical spelling, shadows no registered benchmark,
+// and generates exactly n instructions plus, for barrier injection, one
+// membar per period.
+func FuzzByName(f *testing.F) {
+	for _, name := range []string{
+		"", "li", "li~s1", "li~s01", "fft~s1", "burstw~s1", "li~s1 / 50",
+		"li / none", "li / 1000", "li /1000", "li / 01000", "li / 0", "fenceprod / 1",
+		"li+compress / none", "espresso+fft / 1000", "gmtry-t+burstw / 7", "li+li+li / 3",
+		"bernoulli-q0.10", "bernoulli-q0.1", "bernoulli-q1.00", "bernoulli-q0.00",
+	} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		b, ok := ByName(name)
+		if _, reg := registered(name); !ok || reg {
+			return
+		}
+		if b.Name != name {
+			t.Fatalf("%q resolves as %q", name, b.Name)
+		}
+		const n = 1001
+		want := uint64(n)
+		if lhs, rhs, ok := strings.Cut(name, " / "); ok && !strings.Contains(lhs, "+") && rhs != "none" {
+			p, _ := strconv.ParseUint(rhs, 10, 64)
+			want += n / p
+		}
+		g := b.Generator(n)
+		defer closeGen(g)
+		buf := make([]trace.Ref, 64)
+		var got uint64
+		for k := g.Fill(buf); k > 0; k = g.Fill(buf) {
+			for _, r := range buf[:k] {
+				got += r.InstrCount()
+			}
+		}
+		if got != want {
+			t.Fatalf("%q: Generator(%d) yields %d instructions, want %d", name, n, got, want)
+		}
+	})
+}
+
+func closeGen(g trace.Generator) {
+	if c, ok := g.(io.Closer); ok {
+		c.Close()
 	}
 }
