@@ -351,6 +351,24 @@ func (s *serialProbe) maxInflight() int {
 	return s.max
 }
 
+// A backend runs a benchmark by its name alone, so a stream whose name is
+// not the canonical spelling of its derivation is refused with
+// ErrUnknownBenchmark rather than run as whatever the name resolves to;
+// the canonical name of the same stream runs.
+func TestBackendRefusesDerivedBenchmark(t *testing.T) {
+	rb := bench(t, "li~s1")
+	specs := []ConfigSpec{{Label: "base", Cfg: sim.Baseline()}}
+	o := Options{Instructions: 10_000, Backend: &dispatch.Local{}}
+	if _, err := RunMatrixCtx(context.Background(), []workload.Benchmark{rb}, specs, o); err != nil {
+		t.Fatalf("canonical %q: %v", rb.Name, err)
+	}
+	rb.Name = "li~s01"
+	_, err := RunMatrixCtx(context.Background(), []workload.Benchmark{rb}, specs, o)
+	if !errors.Is(err, dispatch.ErrUnknownBenchmark) {
+		t.Fatalf("err = %v, want dispatch.ErrUnknownBenchmark", err)
+	}
+}
+
 // The experiments over derived streams run through any backend, because
 // a derived stream's name is its identity: through Local and through a
 // store-backed Cached(Local) they render the in-process report byte for

@@ -264,6 +264,32 @@ func TestAllRegisteredProfilesValid(t *testing.T) {
 	}
 }
 
+// TestDeriveNamesNeverResolve: a derived name never answers as a
+// registered one, or name-keyed execution would run the wrong stream.  No
+// registered name parses as a derived one, a derived name that resolves is
+// not registered, and a non-canonical spelling of a derived name does not
+// resolve at all.
+func TestDeriveNamesNeverResolve(t *testing.T) {
+	for _, list := range [][]Benchmark{All(), Transformed(), Scenarios()} {
+		for _, b := range list {
+			if _, ok := derive(b.Name); ok {
+				t.Errorf("registered name %q also parses as a derived one", b.Name)
+			}
+		}
+	}
+	for _, name := range []string{"li~s1", "li / none", "li / 1000", "li+compress / none", "espresso+fft / 1000", "bernoulli-q0.10"} {
+		b, ok := ByName(name)
+		if _, reg := registered(name); !ok || reg || b.Name != name {
+			t.Errorf("%q: resolves %v as %q, registered %v", name, ok, b.Name, reg)
+		}
+	}
+	for _, name := range []string{"li /1000", "li / 01000", "li / 0", "li~s01", "fft~s1", "bernoulli-q0.1"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("non-canonical %q resolves by name", name)
+		}
+	}
+}
+
 func TestReseeded(t *testing.T) {
 	li, _ := ByName("li")
 	r1, ok := ByName("li~s1")
