@@ -14,7 +14,9 @@
 //
 //   - Local runs jobs in-process: a row of jobs that share a benchmark
 //     and length per RunRow call, through one ExecuteRow that generates
-//     the stream once for all of them; Run is the one-job row.
+//     the stream once for all of them; Run is the one-job row.  Its rows
+//     share a process-wide, byte-bounded stream cache, so a stream served
+//     again is replayed rather than generated.
 //     (The backend-less default of experiment.RunMatrixCtx is not Local:
 //     it steps each benchmark's configurations in rows with ExecuteRow.)
 //   - Remote dispatches jobs over HTTP to a pool of `wbserve -worker`
@@ -167,6 +169,12 @@ func Execute(job Job, reg *metrics.Registry) (Measurement, error) {
 // producer goroutine even inside a composed stream (trace.Concat,
 // Interleave, Inject).
 func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry, visit func(int, *sim.Machine)) ([]Measurement, []time.Duration, error) {
+	return executeRow(ctx, b.Name, func() trace.Generator { return b.Generator(n) }, labels, cfgs, n, reg, visit)
+}
+
+// executeRow is ExecuteRow over the stream gen returns, called once the
+// machines are built.
+func executeRow(ctx context.Context, bench string, gen func() trace.Generator, labels []string, cfgs []sim.Config, n uint64, reg *metrics.Registry, visit func(int, *sim.Machine)) ([]Measurement, []time.Duration, error) {
 	if len(cfgs) == 0 {
 		return nil, nil, nil
 	}
@@ -182,7 +190,7 @@ func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs
 		ms[i] = m
 		own[i] = time.Since(t)
 	}
-	g := b.Generator(n)
+	g := gen()
 	if c, ok := g.(io.Closer); ok {
 		defer c.Close() // stops kernel producers when the row is cancelled
 	}
@@ -193,7 +201,7 @@ func ExecuteRow(ctx context.Context, b workload.Benchmark, labels []string, cfgs
 	out := make([]Measurement, len(cfgs))
 	for i, m := range ms {
 		t := time.Now()
-		out[i] = measure(m, b.Name, labels[i], cfgs[i])
+		out[i] = measure(m, bench, labels[i], cfgs[i])
 		if reg != nil {
 			m.PublishMetrics(reg)
 		}
@@ -241,10 +249,23 @@ func WarmRunGenerator(m *sim.Machine, g trace.Generator, n uint64) {
 
 // Local is the in-process backend: Run and RunRow execute on the calling
 // goroutine.  The zero value is ready to use.
+//
+// Every Local in a process shares one stream cache (streamcache.go): the
+// first row over a (benchmark, n) records its reference stream in a
+// compact encoding, and later rows over it replay the recording instead of
+// generating the stream again.  The cache holds at most 4 MiB of encoded
+// streams, least recently used evicted first, and measurements are
+// byte-identical either way.
 type Local struct {
 	// Metrics, when non-nil, receives each finished machine's counters,
-	// exactly as the harness's default (backend-less) path does.
+	// exactly as the harness's default (backend-less) path does, and the
+	// stream cache's series: workload_stream_cache_hits_total and
+	// workload_stream_cache_misses_total count this Local's rows by
+	// whether they replayed their stream, and workload_stream_cache_bytes
+	// is the encoded size of the process's cache after the last row.
 	Metrics *metrics.Registry
+
+	streams *streamCache // nil: the process-wide cache
 }
 
 // Run implements Backend: the one-job RunRow.
@@ -254,8 +275,8 @@ func (l *Local) Run(ctx context.Context, job Job) (Measurement, error) {
 }
 
 // RunRow runs jobs that share one Bench and N as one ExecuteRow, so the
-// reference stream is generated once for all of them; each result carries
-// ExecuteRow's attributed host time.  A job whose configuration fails
+// reference stream is generated once for all of them, or replayed from
+// the stream cache; each result carries ExecuteRow's attributed host time.  A job whose configuration fails
 // validation, or whose Bench or N differs from the first job's, fails on
 // its own and the rest of the row still runs.  An unknown benchmark or a
 // cancelled context fails every job.
@@ -294,7 +315,25 @@ func (l *Local) RunRow(ctx context.Context, jobs []Job) []RowResult {
 			cfgs = append(cfgs, job.Cfg)
 		}
 	}
-	ms, times, err := ExecuteRow(ctx, b, labels, cfgs, n, l.Metrics, nil)
+	cache := l.streams
+	if cache == nil {
+		cache = streams
+	}
+	gen := func() trace.Generator {
+		g, hit := cache.generator(b, n)
+		if l.Metrics != nil {
+			name := "workload_stream_cache_misses_total"
+			if hit {
+				name = "workload_stream_cache_hits_total"
+			}
+			l.Metrics.Counter(name).Inc()
+		}
+		return g
+	}
+	ms, times, err := executeRow(ctx, b.Name, gen, labels, cfgs, n, l.Metrics, nil)
+	if l.Metrics != nil {
+		l.Metrics.Gauge("workload_stream_cache_bytes").Set(float64(cache.size()))
+	}
 	for k, i := range idx {
 		if err != nil {
 			out[i].Err = err

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,8 +21,9 @@ import (
 // cmd/wbserve mounts it under -worker; tests mount it on an httptest
 // server to get an in-process worker.  When reg is non-nil it receives
 // the worker-side series: dispatch_worker_jobs_total,
-// dispatch_worker_job_errors_total, dispatch_worker_job_microseconds, and
-// every finished machine's sim_* counters.
+// dispatch_worker_job_errors_total, dispatch_worker_job_microseconds,
+// every finished machine's sim_* counters and the stream cache's series
+// (Local).
 //
 // Every measurement response carries an integrity checksum over the job's
 // canonical machconf hash and the exact payload bytes (ChecksumHeader);
@@ -55,6 +57,7 @@ func WorkerHandlerState(reg *metrics.Registry, rdy *Readiness) http.Handler {
 		jobErrs = reg.Counter("dispatch_worker_job_errors_total")
 		latency = reg.Histogram("dispatch_worker_job_microseconds")
 	}
+	local := &Local{Metrics: reg}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if !rdy.IsReady() {
@@ -85,7 +88,9 @@ func WorkerHandlerState(reg *metrics.Registry, rdy *Readiness) http.Handler {
 			return
 		}
 		start := time.Now()
-		m, err := Execute(job, reg)
+		// The job runs to the end even if the client goes away, as a
+		// worker always has; it shares the process's stream cache.
+		m, err := local.Run(context.Background(), job)
 		if err != nil {
 			status := http.StatusUnprocessableEntity
 			if errors.Is(err, ErrUnknownBenchmark) {
