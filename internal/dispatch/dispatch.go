@@ -276,9 +276,10 @@ func (l *Local) Run(ctx context.Context, job Job) (Measurement, error) {
 
 // RunRow runs jobs that share one Bench and N as one ExecuteRow, so the
 // reference stream is generated once for all of them, or replayed from
-// the stream cache; each result carries ExecuteRow's attributed host time.  A job whose configuration fails
-// validation, or whose Bench or N differs from the first job's, fails on
-// its own and the rest of the row still runs.  An unknown benchmark or a
+// the stream cache; each result carries ExecuteRow's attributed host
+// time.  A job whose configuration fails validation, or whose Bench or N
+// differs from the first job's, fails on its own and the rest of the row
+// still runs.  An unknown benchmark or a
 // cancelled context fails every job.
 func (l *Local) RunRow(ctx context.Context, jobs []Job) []RowResult {
 	out := make([]RowResult, len(jobs))

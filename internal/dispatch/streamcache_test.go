@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -201,14 +202,10 @@ func drain(g trace.Generator) []trace.Ref {
 	for n := g.Fill(buf); n > 0; n = g.Fill(buf) {
 		out = append(out, buf[:n]...)
 	}
-	closeGen(g)
-	return out
-}
-
-func closeGen(g trace.Generator) {
-	if r, ok := g.(*recorder); ok {
-		r.Close()
+	if c, ok := g.(io.Closer); ok {
+		c.Close()
 	}
+	return out
 }
 
 // TestStreamCacheBudget: admitting a stream evicts the least recently
