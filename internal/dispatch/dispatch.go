@@ -251,18 +251,19 @@ func WarmRunGenerator(m *sim.Machine, g trace.Generator, n uint64) {
 // goroutine.  The zero value is ready to use.
 //
 // Every Local in a process shares one stream cache (streamcache.go): the
-// first row over a (benchmark, n) records its reference stream in a
+// second row over a (benchmark, n) records its reference stream in a
 // compact encoding, and later rows over it replay the recording instead of
-// generating the stream again.  The cache holds at most 4 MiB of encoded
-// streams, least recently used evicted first, and measurements are
-// byte-identical either way.
+// generating the stream again.  The cache and its recordings in flight
+// hold at most StreamCacheBudget bytes, least recently used evicted
+// first, and measurements are byte-identical either way.
 type Local struct {
 	// Metrics, when non-nil, receives each finished machine's counters,
 	// exactly as the harness's default (backend-less) path does, and the
 	// stream cache's series: workload_stream_cache_hits_total and
 	// workload_stream_cache_misses_total count this Local's rows by
 	// whether they replayed their stream, and workload_stream_cache_bytes
-	// is the encoded size of the process's cache after the last row.
+	// is the process's cache size, recordings in flight included, after
+	// the last row.
 	Metrics *metrics.Registry
 
 	streams *streamCache // nil: the process-wide cache

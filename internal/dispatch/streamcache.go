@@ -18,29 +18,36 @@ import (
 // and length, so a replay yields exactly the references generation would,
 // Exec run lengths included, and every measurement stays byte-identical.
 //
-// Streams are kept in a compact encoding, one code of 1.9 bytes on
-// average per reference (see the codes below).  A reference the code
-// cannot hold (an unaligned address, a delta beyond 2^59, a kind above 7)
-// makes the recorder decline the stream, which is then generated on every
-// request.  The codes live in chunks of streamChunk bytes that never split
-// a code.
+// A key's first miss only marks the key seen; its second miss records the
+// stream as it is generated, and later rows replay it.  A stream asked for
+// once therefore costs its generation and nothing more.  Streams are kept
+// in a compact encoding, about 2.3 bytes per reference (see the codes
+// below), in chunks of streamChunk bytes.  A reference the code cannot hold
+// (an unaligned address, a delta beyond 2^59, a kind above 7) makes the
+// recorder decline the stream.
 //
-// The cache holds at most streamCacheBudget encoded bytes, evicting whole
-// streams least recently used first.  A recording that would grow past the
-// budget stops and drops its chunks, so no stream larger than the budget is
-// ever held.  Only one recording per key runs at a time: a concurrent miss
-// on a key being recorded generates on its own rather than waiting.
+// StreamCacheBudget bounds the bytes the cache holds and the bytes its
+// recordings in flight hold, together: a recording reserves each chunk
+// before it fills it, evicting entries least recently used first to make
+// room, and stops, dropping its chunks, when no room is left.  A stream
+// that is declined or outgrows the budget on its own is marked
+// uncacheable, and later rows over it generate it without recording.
+// Marks cost entryBytes of the budget each, so they are bounded too.  Only
+// one recording per key runs at a time: a concurrent miss on a key being
+// recorded generates on its own rather than waiting.
 const (
-	// streamCacheBudget holds the two served working sets (serve_sweep's
-	// 17 streams at n = 50 000 take 0.87 MB, serve_mixed's at n = 20 000
-	// 0.36 MB) and the whole suite at n = 100 000 (1.7 MB).
-	streamCacheBudget = 4 << 20
+	// StreamCacheBudget holds the two served working sets (serve_sweep's
+	// 17 streams at n = 50 000 take 1.0 MB, serve_mixed's at n = 20 000
+	// 0.4 MB) and the whole suite at n = 100 000 (2.0 MB).
+	StreamCacheBudget = 4 << 20
 	streamChunk       = 32 << 10
+	// entryBytes is what an entry costs the budget besides its chunks.
+	entryBytes = 128
 )
 
 // streams is the process-wide cache every Local shares unless a test gives
 // it its own.
-var streams = newStreamCache(streamCacheBudget)
+var streams = newStreamCache(StreamCacheBudget)
 
 type streamKey struct {
 	bench string
@@ -54,14 +61,25 @@ type streamCache struct {
 	lru       *list.List // of *cachedStream, most recently used first
 	entries   map[streamKey]*list.Element
 	recording map[streamKey]bool
-	bytes     int
+	bytes     int // held by entries and reserved by recordings
 }
 
+// cachedStream is one entry: a recorded stream, or a mark.
 type cachedStream struct {
 	key    streamKey
+	state  entryState
 	chunks [][]byte
-	bytes  int
+	refs   int
+	bytes  int // charged to the budget
 }
+
+type entryState uint8
+
+const (
+	seenOnce    entryState = iota // missed once: the next miss records
+	uncacheable                   // declined, or larger than the budget
+	recorded
+)
 
 func newStreamCache(budget int) *streamCache {
 	return &streamCache{
@@ -73,54 +91,90 @@ func newStreamCache(budget int) *streamCache {
 }
 
 // generator returns b's stream of length n and whether it is a replay: a
-// replay on a hit, a recording generator on the key's first miss, and b's
-// own generator on a miss while another row records the key.
+// replay on a hit, a recording generator on a seen key's miss, and b's own
+// generator on any other miss.
 func (c *streamCache) generator(b workload.Benchmark, n uint64) (trace.Generator, bool) {
 	k := streamKey{b.Name, n}
 	c.mu.Lock()
+	var s *cachedStream
 	if e, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(e)
-		c.mu.Unlock()
-		return &replay{chunks: e.Value.(*cachedStream).chunks}, true
+		s = e.Value.(*cachedStream)
+	} else {
+		c.admit(&cachedStream{key: k, state: seenOnce, bytes: entryBytes})
 	}
-	busy := c.recording[k]
-	c.recording[k] = true
+	if s != nil && s.state == recorded {
+		c.mu.Unlock()
+		return &replay{chunks: s.chunks, left: s.refs}, true
+	}
+	record := s != nil && s.state == seenOnce && !c.recording[k]
+	if record {
+		c.recording[k] = true
+	}
 	c.mu.Unlock()
-	if busy {
+	if !record {
 		return b.Generator(n), false
 	}
 	return &recorder{g: b.Generator(n), c: c, key: k, live: true}, false
 }
 
-// size returns the encoded bytes the cache holds.
+// size returns the bytes the cache holds and its recordings have reserved.
 func (c *streamCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
 
-// finish ends k's recording, admitting s unless it is nil, and evicts the
-// least recently used streams until the cache fits its budget again.
-func (c *streamCache) finish(k streamKey, s *cachedStream) {
+// admit puts s in the cache in place of its key's entry, evicting least
+// recently used entries until the cache fits its budget.
+func (c *streamCache) admit(s *cachedStream) {
+	if e, ok := c.entries[s.key]; ok {
+		c.bytes -= c.lru.Remove(e).(*cachedStream).bytes
+	}
+	c.entries[s.key] = c.lru.PushFront(s)
+	c.bytes += s.bytes
+	c.evict()
+}
+
+// reserve charges one more chunk to a recording, evicting least recently
+// used entries to make room, and reports whether the chunk fits.
+func (c *streamCache) reserve() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.recording, k)
-	if s == nil {
-		return
+	c.bytes += streamChunk
+	c.evict()
+	if c.bytes > c.budget {
+		c.bytes -= streamChunk
+		return false
 	}
-	c.entries[k] = c.lru.PushFront(s)
-	c.bytes += s.bytes
-	for c.bytes > c.budget {
+	return true
+}
+
+func (c *streamCache) evict() {
+	for c.bytes > c.budget && c.lru.Len() > 0 {
 		old := c.lru.Remove(c.lru.Back()).(*cachedStream)
 		delete(c.entries, old.key)
 		c.bytes -= old.bytes
 	}
 }
 
-// recorder wraps a generator on a miss: it encodes each batch inside Fill,
+// finish ends k's recording, releasing the reserved bytes and admitting s
+// unless it is nil.
+func (c *streamCache) finish(k streamKey, reserved int, s *cachedStream) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.recording, k)
+	c.bytes -= reserved
+	if s != nil {
+		c.admit(s)
+	}
+}
+
+// recorder wraps a generator on a seen key's miss: it encodes each batch inside Fill,
 // before the caller can edit it, and admits the stream to the cache once
 // the generator is exhausted.  A declined, over-budget or closed recording
-// admits nothing; the references still flow through unchanged.
+// admits nothing but, for the first two, an uncacheable mark; the
+// references still flow through unchanged.
 type recorder struct {
 	g      trace.Generator
 	c      *streamCache
@@ -128,8 +182,12 @@ type recorder struct {
 	prev   [8]uint64 // the previous address of each kind
 	chunks [][]byte
 	cur    []byte
-	bytes  int  // capacity of chunks and cur
+	ctrl   int  // the current group's control byte in cur
+	codes  uint // codes in the current group
+	refs   int
+	bytes  int  // reserved: streamChunk per chunk
 	live   bool // still recording
+	never  bool // the stream can never be cached
 }
 
 func (r *recorder) Fill(buf []trace.Ref) int {
@@ -139,13 +197,18 @@ func (r *recorder) Fill(buf []trace.Ref) int {
 	case n == 0:
 		r.live = false
 		if r.cur != nil {
-			// The last chunk keeps only what it holds.
-			r.bytes -= cap(r.cur) - len(r.cur) - codePad
-			r.cur = append(make([]byte, 0, len(r.cur)+codePad), r.cur...)
-			r.seal()
+			// Complete the last group with one-byte zero codes, which
+			// replay decodes but never hands out, and keep only what
+			// the last chunk holds.
+			r.cur = append(r.cur, make([]byte, (4-r.codes)&3+codePad)...)
+			r.chunks = append(r.chunks, append([]byte(nil), r.cur...))
 		}
-		r.c.finish(r.key, &cachedStream{key: r.key, chunks: r.chunks, bytes: r.bytes})
-		r.chunks = nil
+		s := &cachedStream{key: r.key, state: recorded, chunks: r.chunks, refs: r.refs, bytes: entryBytes}
+		for _, ch := range r.chunks {
+			s.bytes += cap(ch)
+		}
+		r.c.finish(r.key, r.bytes, s)
+		r.chunks, r.cur = nil, nil
 	case !r.record(buf[:n]):
 		r.stop()
 	}
@@ -167,116 +230,173 @@ func (r *recorder) Close() error {
 func (r *recorder) stop() {
 	r.live = false
 	r.chunks, r.cur = nil, nil
-	r.c.finish(r.key, nil)
-}
-
-// seal ends the current chunk with the zero padding decode reads past its
-// last code.
-func (r *recorder) seal() {
-	r.chunks = append(r.chunks, append(r.cur, make([]byte, codePad)...))
-	r.cur = nil
+	var mark *cachedStream
+	if r.never {
+		mark = &cachedStream{key: r.key, state: uncacheable, bytes: entryBytes}
+	}
+	r.c.finish(r.key, r.bytes, mark)
 }
 
 // Codes: each reference is one value v = zigzag(Δ)<<3 | kind, where Δ is
 // the distance from the previous reference of the same kind, counted in
 // words for memory kinds and in instructions for Exec run lengths.  v is
-// written in 1 to 8 bytes as a prefix varint: the first byte's trailing
-// one bits count the bytes after it and the remaining 7 bits per byte hold
-// v, little-endian; a first byte of 0xff is followed by all 64 bits of v.
-// The length is known from the first byte, so decoding needs no loop.
+// stored little-endian in 1, 2, 3 or 8 bytes, and the codes go in groups of
+// four behind a control byte whose bit pairs, lowest first, give each
+// code's size (codeLen).  A group's layout is known from its control byte
+// alone, so decoding one code never waits on the one before it.  A chunk
+// holds whole groups and ends in codePad zero bytes, so every code can be
+// read as 8 bytes.
 const (
-	codeMax = 9 // bytes in the longest code
-	codePad = 8 // zero bytes after a chunk's last code
+	groupMax = 1 + 4*8
+	codePad  = 8
 )
 
-// codeShift scales each kind's delta: addresses count words, Exec runs
-// count instructions.
-var codeShift = [8]uint8{0, 3, 3, 3, 3, 3, 3, 3}
+var (
+	codeLen  = [4]int{1, 2, 3, 8}
+	codeMask = [4]uint64{1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<64 - 1}
+	// codeSize is the size selector of a value of each bit length.
+	codeSize [65]byte
+	// groupLen is the length of a group with each control byte.
+	groupLen [256]int
+	// codeShift scales each kind's delta: addresses count words, Exec runs
+	// count instructions.
+	codeShift = [8]uint8{0, 3, 3, 3, 3, 3, 3, 3}
+)
+
+func init() {
+	for l := range codeSize {
+		for codeSize[l] < 3 && l > 8*codeLen[codeSize[l]] {
+			codeSize[l]++
+		}
+	}
+	for ctrl := range groupLen {
+		groupLen[ctrl] = 1
+		for j := 0; j < 8; j += 2 {
+			groupLen[ctrl] += codeLen[ctrl>>j&3]
+		}
+	}
+}
 
 // record appends refs' codes, reporting false when a ref has no code or
-// the recording would outgrow the budget.
+// the recording finds no room in the budget.
 func (r *recorder) record(refs []trace.Ref) bool {
+	cur, ctrl, codes, prev := r.cur, r.ctrl, r.codes, r.prev
 	for _, ref := range refs {
-		if cap(r.cur)-len(r.cur) < codeMax+codePad {
-			if r.bytes+streamChunk > r.c.budget {
-				return false
+		if codes == 0 {
+			if cap(cur)-len(cur) < groupMax+codePad {
+				if !r.grow(cur) {
+					return false
+				}
+				cur = r.cur
 			}
-			if r.cur != nil {
-				r.seal()
-			}
-			r.cur = make([]byte, 0, streamChunk)
-			r.bytes += streamChunk
+			ctrl = len(cur)
+			cur = append(cur, 0)
 		}
 		k, a := uint64(ref.Kind), uint64(ref.Addr)
 		if k > 7 {
+			r.never = true
 			return false
 		}
 		sh := codeShift[k]
-		d := int64(a - r.prev[k])
-		if d>>sh<<sh != d || d>>sh > 1<<59-1 || d>>sh < -(1<<59) {
+		d := int64(a - prev[k])
+		w := d >> sh
+		if d != w<<sh || uint64(w+1<<59) >= 1<<60 {
+			r.never = true
 			return false // unaligned, or too far to code
 		}
-		r.prev[k] = a
-		d >>= sh
-		r.cur = appendCode(r.cur, uint64(d<<1^d>>63)<<3|k)
+		prev[k] = a
+		v := uint64(w<<1^w>>63)<<3 | k
+		s := codeSize[bits.Len64(v)]
+		l := len(cur)
+		binary.LittleEndian.PutUint64(cur[l:l+8], v)
+		cur = cur[:l+codeLen[s]]
+		cur[ctrl] |= s << (2 * codes)
+		codes = (codes + 1) & 3
 	}
+	r.cur, r.ctrl, r.codes, r.prev = cur, ctrl, codes, prev
+	r.refs += len(refs)
 	return true
 }
 
-// appendCode appends v's prefix varint.
-func appendCode(b []byte, v uint64) []byte {
-	l := uint(bits.Len64(v)+6) / 7
-	if l > 8 {
-		return binary.LittleEndian.AppendUint64(append(b, 0xff), v)
+// grow seals cur, the current chunk, and starts the next, reporting false
+// when the stream would outgrow the budget on its own (marking it never
+// cacheable) or the budget has no room for another chunk.
+func (r *recorder) grow(cur []byte) bool {
+	if r.bytes+streamChunk > r.c.budget-entryBytes {
+		r.never = true
+		return false
 	}
-	l = max(l, 1)
-	x := v<<l | 1<<(l-1) - 1
-	for ; l > 0; l-- {
-		b = append(b, byte(x))
-		x >>= 8
+	if !r.c.reserve() {
+		return false
 	}
-	return b
+	r.bytes += streamChunk
+	if cur != nil {
+		r.chunks = append(r.chunks, append(cur, make([]byte, codePad)...))
+	}
+	r.cur = make([]byte, 0, streamChunk)
+	return true
 }
 
 // replay decodes a cached stream into the caller's batches.
 type replay struct {
 	chunks [][]byte
 	cur    []byte
+	left   int // refs not yet decoded
 	prev   [8]uint64
+	// pend holds the rest of a group decoded for a batch too short for
+	// all of it.
+	pend     [4]trace.Ref
+	pendFrom int
+	pendTo   int
 }
 
 func (r *replay) Fill(buf []trace.Ref) int {
-	n := 0
-	for n < len(buf) {
+	n := copy(buf, r.pend[r.pendFrom:r.pendTo])
+	r.pendFrom += n
+	for n < len(buf) && r.left > 0 {
 		if len(r.cur) <= codePad {
-			if len(r.chunks) == 0 {
-				break
-			}
 			r.cur, r.chunks = r.chunks[0], r.chunks[1:]
 		}
-		n += r.decode(buf[n:])
+		if len(buf)-n >= 4 && r.left >= 4 {
+			n += r.decode(buf[n:][:min(len(buf)-n, r.left)])
+			continue
+		}
+		r.decode(r.pend[:])
+		r.pendTo = min(4, r.left+4)
+		r.pendFrom = copy(buf[n:], r.pend[:r.pendTo])
+		n += r.pendFrom
 	}
 	return n
 }
 
-// decode fills buf from the current chunk until either runs out.
+// decode fills buf with whole groups from the current chunk until either
+// runs out, and returns the number of refs it filled.
 func (r *replay) decode(buf []trace.Ref) int {
-	c, p, i := r.cur, 0, 0
-	for end := len(c) - codePad; i < len(buf) && p < end; i++ {
-		x := binary.LittleEndian.Uint64(c[p:])
-		var v uint64
-		if l := uint(bits.TrailingZeros64(^x)) + 1; l <= 8 {
-			v = x << (64 - 8*l) >> (64 - 7*l)
-			p += int(l)
-		} else {
-			v = binary.LittleEndian.Uint64(c[p+1:])
-			p += codeMax
-		}
-		k, z := v&7, v>>3
-		a := r.prev[k] + uint64(int64(z>>1)^-int64(z&1))<<codeShift[k]
-		r.prev[k] = a
-		buf[i] = trace.Ref{Kind: trace.Kind(k), Addr: mem.Addr(a)}
+	c, prev, p, i := r.cur, r.prev, 0, 0
+	for end := len(c) - codePad; i+4 <= len(buf) && p < end; i += 4 {
+		ctrl := uint(c[p])
+		q := p + 1
+		p += groupLen[ctrl]
+		out := buf[i : i+4 : i+4]
+		out[0] = decodeRef(&prev, binary.LittleEndian.Uint64(c[q:]), ctrl)
+		q += codeLen[ctrl&3]
+		out[1] = decodeRef(&prev, binary.LittleEndian.Uint64(c[q:]), ctrl>>2)
+		q += codeLen[ctrl>>2&3]
+		out[2] = decodeRef(&prev, binary.LittleEndian.Uint64(c[q:]), ctrl>>4)
+		q += codeLen[ctrl>>4&3]
+		out[3] = decodeRef(&prev, binary.LittleEndian.Uint64(c[q:]), ctrl>>6)
 	}
-	r.cur = c[p:]
+	r.cur, r.prev = c[p:], prev
+	r.left -= i
 	return i
+}
+
+// decodeRef decodes the code at the start of x whose size selector is the
+// low two bits of s.
+func decodeRef(prev *[8]uint64, x uint64, s uint) trace.Ref {
+	v := x & codeMask[s&3]
+	k, z := v&7, v>>3
+	a := prev[k] + uint64(int64(z>>1)^-int64(z&1))<<codeShift[k]
+	prev[k] = a
+	return trace.Ref{Kind: trace.Kind(k), Addr: mem.Addr(a)}
 }

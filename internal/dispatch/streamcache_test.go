@@ -69,14 +69,15 @@ func checkRow(t *testing.T, what string, got []RowResult, want []Measurement) {
 	}
 }
 
-// TestStreamCacheByteIdentical: the recording row and every replayed row
-// equal an uncached ExecuteRow field for field, one- and three-machine
-// rows alike, for every benchmark and each kind of derived stream.
+// TestStreamCacheByteIdentical: the first row, the recording row and every
+// replayed row equal an uncached ExecuteRow field for field, one- and
+// three-machine rows alike, for every benchmark and each kind of derived
+// stream.
 func TestStreamCacheByteIdentical(t *testing.T) {
 	for _, b := range cacheBenches(t) {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			c := newStreamCache(streamCacheBudget)
+			c := newStreamCache(StreamCacheBudget)
 			local := &Local{streams: c}
 			for i, n := range []uint64{20_000, 50_001} {
 				one, three := cacheRow(b.Name, n, 1), cacheRow(b.Name, n, 3)
@@ -85,6 +86,7 @@ func TestStreamCacheByteIdentical(t *testing.T) {
 				if i == 1 {
 					record, recordWant = three, want3
 				}
+				checkRow(t, "first row", local.RunRow(context.Background(), record), recordWant)
 				checkRow(t, "recording row", local.RunRow(context.Background(), record), recordWant)
 				if _, hit := c.generator(b, n); !hit {
 					t.Fatalf("n=%d: not cached after its recording row", n)
@@ -118,7 +120,7 @@ func (c *countdown) Err() error {
 func TestStreamCacheCancelPublishesNothing(t *testing.T) {
 	for _, name := range []string{"li", "fft", "espresso+fft / 1000"} {
 		b, _ := workload.ByName(name)
-		c := newStreamCache(streamCacheBudget)
+		c := newStreamCache(StreamCacheBudget)
 		local := &Local{streams: c}
 		jobs := cacheRow(name, 200_000, 3)
 		before := runtime.NumGoroutine()
@@ -132,24 +134,32 @@ func TestStreamCacheCancelPublishesNothing(t *testing.T) {
 		if !goroutinesSettle(before) {
 			t.Errorf("%s: %d goroutines after 20 cancelled rows, %d before", name, runtime.NumGoroutine(), before)
 		}
-		if c.size() != 0 || len(c.recording) != 0 {
-			t.Fatalf("%s: cancelled rows left %d bytes cached, %d recordings open", name, c.size(), len(c.recording))
+		if st, _ := c.state(name, 200_000); st == recorded || len(c.recording) != 0 {
+			t.Fatalf("%s: cancelled rows left a stream cached or %d recordings open", name, len(c.recording))
 		}
 		checkRow(t, name+" row after cancellations", local.RunRow(context.Background(), jobs), uncached(t, b, jobs))
-		if c.size() == 0 {
+		if st, _ := c.state(name, 200_000); st != recorded {
 			t.Errorf("%s: a completed row after the cancellations cached nothing", name)
 		}
 	}
 }
 
-// TestStreamCacheConcurrentMisses: of two misses on one key, only the
-// first records; the second generates on its own without waiting, both
+// TestStreamCacheConcurrentMisses: a key's first miss does not record; of
+// two misses on it after that, only the first records; the second generates on its own without waiting, both
 // match, and the key is then a hit.  Rows racing on one key from several
 // goroutines also all match.
 func TestStreamCacheConcurrentMisses(t *testing.T) {
 	b, _ := workload.ByName("fft")
 	const n = 30_000
-	c := newStreamCache(streamCacheBudget)
+	c := newStreamCache(StreamCacheBudget)
+	want := drain(b.Generator(n))
+	g0, _ := c.generator(b, n)
+	if _, ok := g0.(*recorder); ok {
+		t.Fatal("a key's first miss records")
+	}
+	if got := drain(g0); !reflect.DeepEqual(got, want) {
+		t.Error("first miss: stream differs from the generator's")
+	}
 	g1, hit1 := c.generator(b, n)
 	g2, hit2 := c.generator(b, n)
 	if hit1 || hit2 {
@@ -161,7 +171,6 @@ func TestStreamCacheConcurrentMisses(t *testing.T) {
 	if _, ok := g2.(*recorder); ok {
 		t.Fatal("second concurrent miss records too")
 	}
-	want := drain(b.Generator(n))
 	for i, g := range []trace.Generator{g1, g2} {
 		if got := drain(g); !reflect.DeepEqual(got, want) {
 			t.Errorf("miss %d: stream differs from the generator's", i+1)
@@ -171,11 +180,12 @@ func TestStreamCacheConcurrentMisses(t *testing.T) {
 		t.Error("the recorded key does not replay its stream")
 	}
 
-	c = newStreamCache(streamCacheBudget)
+	c = newStreamCache(StreamCacheBudget)
 	local := &Local{streams: c}
 	jobs := cacheRow("li", 40_000, 3)
 	b, _ = workload.ByName("li")
 	wantRow := uncached(t, b, jobs)
+	checkRow(t, "row before the race", local.RunRow(context.Background(), jobs), wantRow)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -195,6 +205,16 @@ func TestStreamCacheConcurrentMisses(t *testing.T) {
 	}
 }
 
+// state returns the state of the entry for (bench, n), if there is one.
+func (c *streamCache) state(bench string, n uint64) (entryState, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[streamKey{bench, n}]; ok {
+		return e.Value.(*cachedStream).state, true
+	}
+	return 0, false
+}
+
 // drain returns every ref g yields, in 1000-ref batches, and closes it.
 func drain(g trace.Generator) []trace.Ref {
 	var out []trace.Ref
@@ -209,28 +229,92 @@ func drain(g trace.Generator) []trace.Ref {
 }
 
 // TestStreamCacheBudget: admitting a stream evicts the least recently
-// used ones until the cache fits, and a stream larger than the whole
-// budget is never admitted.
+// used ones until the cache fits; recordings in flight reserve their
+// chunks from the same budget, so the cache and its recordings together
+// never hold more than it; and a stream larger than the whole budget is
+// recorded at most once, on its second request, and then generated
+// without a recorder.
 func TestStreamCacheBudget(t *testing.T) {
 	const budget = 4 * streamChunk
 	c := newStreamCache(budget)
+	check := func(what string) {
+		t.Helper()
+		if c.size() > budget {
+			t.Fatalf("%s: %d bytes cached or reserved, budget %d", what, c.size(), budget)
+		}
+	}
 	for _, name := range []string{"li", "compress", "espresso", "fft", "li", "tomcatv", "su2cor", "gmtry"} {
 		b, _ := workload.ByName(name)
-		g, _ := c.generator(b, 20_000)
-		drain(g)
-		if c.size() > budget {
-			t.Fatalf("after %s: %d bytes cached, budget %d", name, c.size(), budget)
+		for range 2 {
+			g, _ := c.generator(b, 20_000)
+			drain(g)
+			check("after " + name)
 		}
 	}
 	if len(c.entries) < 2 || len(c.entries) > 6 {
 		t.Fatalf("%d streams cached, want some evicted", len(c.entries))
 	}
+
+	// Six recordings at once, each needing two or more chunks, filled in
+	// turn: their reservations and the admitted streams stay inside the
+	// budget, and the recordings that found no room admit nothing.
+	names := []string{"compress", "espresso", "cc1", "doduc", "hydro2d", "mdljsp2"}
+	var gs []trace.Generator
+	for _, name := range names {
+		b, _ := workload.ByName(name)
+		g, _ := c.generator(b, 60_000)
+		drain(g) // the first miss marks the key seen
+		g, hit := c.generator(b, 60_000)
+		if _, ok := g.(*recorder); hit || !ok {
+			t.Fatalf("%s: first miss got %T, want a recorder", name, g)
+		}
+		gs = append(gs, g)
+	}
+	buf := make([]trace.Ref, 500)
+	for live := len(gs); live > 0; {
+		live = 0
+		for _, g := range gs {
+			if g.Fill(buf) > 0 {
+				live++
+			}
+			check("while six recordings run")
+		}
+	}
+	if len(c.recording) != 0 {
+		t.Fatalf("%d recordings still open", len(c.recording))
+	}
+	stopped := 0
+	for _, name := range names {
+		switch st, _ := c.state(name, 60_000); st {
+		case uncacheable:
+			t.Errorf("%s: a recording stopped for want of room was marked uncacheable", name)
+		case seenOnce:
+			stopped++
+		}
+		b, _ := workload.ByName(name)
+		g, _ := c.generator(b, 60_000)
+		want := drain(b.Generator(60_000))
+		if got := drain(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stream after the concurrent recordings differs", name)
+		}
+		check("after " + name + " again")
+	}
+	if stopped == 0 {
+		t.Error("six recordings of two chunks each all found room in four")
+	}
+
 	b, _ := workload.ByName("li")
-	sizeBefore := c.size()
-	g, _ := c.generator(b, 200_000)
-	drain(g)
-	if _, hit := c.generator(b, 200_000); hit || c.size() != sizeBefore {
-		t.Errorf("a stream over the budget was admitted: hit=%v, %d bytes (was %d)", hit, c.size(), sizeBefore)
+	want := drain(b.Generator(200_000))
+	for i := 1; i <= 4; i++ {
+		g, hit := c.generator(b, 200_000)
+		_, rec := g.(*recorder)
+		if hit || rec != (i == 2) {
+			t.Fatalf("over-budget request %d: got %T (hit %v), want a recorder only the second time", i, g, hit)
+		}
+		if got := drain(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("over-budget request %d: stream differs", i)
+		}
+		check("after an over-budget stream")
 	}
 }
 
@@ -265,9 +349,13 @@ func FuzzStreamCodec(f *testing.F) {
 		}
 		e, ok := c.entries[rec.key]
 		if !ok {
+			t.Fatal("a finished recording left no entry")
+		}
+		s := e.Value.(*cachedStream)
+		if s.state == uncacheable {
 			return // declined
 		}
-		r := &replay{chunks: e.Value.(*cachedStream).chunks}
+		r := &replay{chunks: s.chunks, left: s.refs}
 		var out []trace.Ref
 		buf := make([]trace.Ref, size)
 		for n := r.Fill(buf); n > 0; n = r.Fill(buf) {
@@ -286,7 +374,8 @@ func FuzzStreamCodec(f *testing.F) {
 
 // BenchmarkStreamCache reports the per-reference cost of each way a row
 // gets its stream, over the suite at n = 50 000: generating it, generating
-// and recording it (a miss), and replaying the recording (a hit).
+// and recording it (a seen key's miss), and replaying the recording (a
+// hit).
 func BenchmarkStreamCache(b *testing.B) {
 	const n = 50_000
 	buf := make([]trace.Ref, 4096)
@@ -313,6 +402,9 @@ func BenchmarkStreamCache(b *testing.B) {
 		run(b, nil, func(w workload.Benchmark) trace.Generator {
 			if w.Name == workload.All()[0].Name {
 				c = newStreamCache(1 << 30) // every pass records afresh
+				for _, w := range workload.All() {
+					c.admit(&cachedStream{key: streamKey{w.Name, n}, state: seenOnce})
+				}
 			}
 			g, _ := c.generator(w, n)
 			return g
@@ -328,6 +420,41 @@ func BenchmarkStreamCache(b *testing.B) {
 		run(b, c, func(w workload.Benchmark) trace.Generator {
 			g, _ := c.generator(w, n)
 			return g
+		})
+	})
+}
+
+// BenchmarkStreamCacheRow times one-machine rows over the suite at n near
+// 50 000 three ways: uncached (ExecuteRow), cold through Local (a distinct
+// n on every pass, so every row records and the full cache evicts) and
+// warm through Local (one n, so every row replays).
+func BenchmarkStreamCacheRow(b *testing.B) {
+	const n = 50_000
+	rows := func(b *testing.B, run func(jobs []Job, i int)) {
+		for i := 0; i < b.N; i++ {
+			for _, w := range workload.All() {
+				run(cacheRow(w.Name, n+uint64(i), 1), i)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(workload.All())), "µs/row")
+	}
+	b.Run("uncached", func(b *testing.B) {
+		rows(b, func(jobs []Job, _ int) {
+			w, _ := workload.ByName(jobs[0].Bench)
+			if _, _, err := ExecuteRow(context.Background(), w, []string{"a"}, []sim.Config{jobs[0].Cfg}, jobs[0].N, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+	b.Run("cold", func(b *testing.B) {
+		local := &Local{streams: newStreamCache(StreamCacheBudget)}
+		rows(b, func(jobs []Job, _ int) { local.RunRow(context.Background(), jobs) })
+	})
+	b.Run("warm", func(b *testing.B) {
+		local := &Local{streams: newStreamCache(StreamCacheBudget)}
+		rows(b, func(jobs []Job, _ int) {
+			jobs[0].N = n
+			local.RunRow(context.Background(), jobs)
 		})
 	})
 }
