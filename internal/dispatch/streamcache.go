@@ -254,8 +254,6 @@ const (
 var (
 	codeLen  = [4]int{1, 2, 3, 8}
 	codeMask = [4]uint64{1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<64 - 1}
-	// codeSize is the size selector of a value of each bit length.
-	codeSize [65]byte
 	// groupLen is the length of a group with each control byte.
 	groupLen [256]int
 	// codeShift scales each kind's delta: addresses count words, Exec runs
@@ -264,16 +262,8 @@ var (
 )
 
 func init() {
-	for l := range codeSize {
-		for codeSize[l] < 3 && l > 8*codeLen[codeSize[l]] {
-			codeSize[l]++
-		}
-	}
-	for ctrl := range groupLen {
-		groupLen[ctrl] = 1
-		for j := 0; j < 8; j += 2 {
-			groupLen[ctrl] += codeLen[ctrl>>j&3]
-		}
+	for c := range groupLen {
+		groupLen[c] = 1 + codeLen[c&3] + codeLen[c>>2&3] + codeLen[c>>4&3] + codeLen[c>>6]
 	}
 }
 
@@ -293,20 +283,16 @@ func (r *recorder) record(refs []trace.Ref) bool {
 			cur = append(cur, 0)
 		}
 		k, a := uint64(ref.Kind), uint64(ref.Addr)
-		if k > 7 {
-			r.never = true
-			return false
-		}
-		sh := codeShift[k]
-		d := int64(a - prev[k])
+		sh := codeShift[k&7]
+		d := int64(a - prev[k&7])
 		w := d >> sh
-		if d != w<<sh || uint64(w+1<<59) >= 1<<60 {
+		if k > 7 || d != w<<sh || uint64(w+1<<59) >= 1<<60 {
 			r.never = true
-			return false // unaligned, or too far to code
+			return false // no such kind, unaligned, or too far to code
 		}
 		prev[k] = a
 		v := uint64(w<<1^w>>63)<<3 | k
-		s := codeSize[bits.Len64(v)]
+		s := byte(min(max(bits.Len64(v)+7, 8)/8, 4) - 1)
 		l := len(cur)
 		binary.LittleEndian.PutUint64(cur[l:l+8], v)
 		cur = cur[:l+codeLen[s]]
