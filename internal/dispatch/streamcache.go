@@ -170,11 +170,11 @@ func (c *streamCache) finish(k streamKey, reserved int, s *cachedStream) {
 	}
 }
 
-// recorder wraps a generator on a seen key's miss: it encodes each batch inside Fill,
-// before the caller can edit it, and admits the stream to the cache once
-// the generator is exhausted.  A declined, over-budget or closed recording
-// admits nothing but, for the first two, an uncacheable mark; the
-// references still flow through unchanged.
+// recorder wraps a generator on a seen key's miss: it encodes each batch
+// inside Fill, before the caller can edit it, and admits the stream to the
+// cache once the generator is exhausted.  A declined, over-budget or closed
+// recording admits nothing but, for the first two, an uncacheable mark;
+// the references still flow through unchanged.
 type recorder struct {
 	g      trace.Generator
 	c      *streamCache
